@@ -181,7 +181,7 @@ def check_weak_residual(levels=(64, 128, 256), t_end: float = 0.01, n_theta: int
     for n in levels:
         grid = solver.make_radial_grid(n, 1.0)
         u0 = solver.initial_condition_radial(grid, "gaussian", mass=4.0, width=0.25)
-        cfg = solver.SolverConfig(backend="radial", t_end=t_end, snapshot_dt=t_end / 24)
+        cfg = solver.SolverConfig(t_end=t_end, snapshot_dt=t_end / 24)
         traj = solver.radial_run(cfg, solver.RegKind("cutoff_flux", 1e-2), u0)
         test = weakform.interior_bump_test(radius=0.45, t_hold=0.3 * t_end, t_off=0.8 * t_end)
         qb = weakform.weak_residual(traj, test, n_theta=n_theta)

@@ -65,10 +65,11 @@ def cmd_run(args) -> int:
             traj = radial_run(cfg.solver, cfg.reg, u0)
         else:
             params = dict(cfg.initial_params)
-            cx = params.pop("center_x", None)
-            cy = params.pop("center_y", None)
-            if cx is not None:
-                params["center"] = (cx, cy if cy is not None else cx)
+            for name in ("center", "center1", "center2"):
+                cx = params.pop(f"{name}_x", None)
+                cy = params.pop(f"{name}_y", None)
+                if cx is not None:
+                    params[name] = (cx, cy if cy is not None else cx)
             u0 = initial_condition_rect(
                 cfg.solver.nx, cfg.solver.ny, cfg.solver.lx, cfg.solver.ly, cfg.initial_kind, **params
             )

@@ -24,9 +24,6 @@ normalized order so that parse(emit(parse(text))) == parse(text).  Example:
     dt_policy = cfl
     snapshot_dt = 1e-3
 
-    [probes]
-    probe1 = 0.0 0.0 0.05
-
     [output]
     seed = 1
 """
@@ -52,7 +49,6 @@ class RunConfig:
     reg: RegKind = field(default_factory=lambda: RegKind("nonlinear_diffusion", 1e-3))
     initial_kind: str = "gaussian"
     initial_params: dict = field(default_factory=lambda: {"mass": 4.0, "width": 0.1})
-    probes: list = field(default_factory=list)  # (x, y, rho) triples
     out_dir: str | None = None
     seed: int = 0
 
@@ -62,6 +58,11 @@ _INITIAL_PARAM_KEYS = {
     "annulus": ["mass", "r0", "width"],
     "constant": ["value"],
     "two_bump": ["mass", "center1_x", "center1_y", "width1", "center2_x", "center2_y", "width2", "ratio"],
+}
+# initial kinds each domain's catalog builds
+_DOMAIN_INITIAL_KINDS = {
+    "disk": ("gaussian", "annulus", "constant"),
+    "rectangle": ("gaussian", "constant", "two_bump"),
 }
 
 
@@ -92,7 +93,9 @@ def parse_run_config(path, text: str | None = None) -> RunConfig:
         if dom not in ("disk", "rectangle"):
             raise ConfigError(f"unknown domain kind {dom!r}")
         cfg.domain = dom
-        sol = SolverConfig(backend="radial" if dom == "disk" else "rect")
+        if cp.has_section("probes"):
+            raise ConfigError("[probes] is not supported")
+        sol = SolverConfig()
         if cp.has_section("grid"):
             g = cp["grid"]
             sol.radial_n = int(g.get("radial_n", sol.radial_n))
@@ -124,19 +127,14 @@ def parse_run_config(path, text: str | None = None) -> RunConfig:
         cfg.initial_kind = ini.get("kind")
         if cfg.initial_kind not in _INITIAL_PARAM_KEYS:
             raise ConfigError(f"unknown initial kind {cfg.initial_kind!r}")
+        if cfg.initial_kind not in _DOMAIN_INITIAL_KINDS[dom]:
+            raise ConfigError(f"initial kind {cfg.initial_kind!r} is not available on domain {dom!r}")
         cfg.initial_params = {
             k: float(ini[k]) for k in _INITIAL_PARAM_KEYS[cfg.initial_kind] if k in ini
         }
         for val in cfg.initial_params.values():
             if val is None:
                 raise ConfigError("initial parameters must be numeric")
-        if cp.has_section("probes"):
-            for key in sorted(cp["probes"]):
-                parts = cp["probes"][key].split()
-                if len(parts) != 3:
-                    raise ConfigError(f"probe {key!r} needs 'x y rho'")
-                x, y, rho = map(float, parts)
-                cfg.probes.append((x, y, _positive("probe rho", rho)))
         if cp.has_section("output"):
             cfg.out_dir = cp["output"].get("dir", None)
             cfg.seed = int(cp["output"].get("seed", 0))
@@ -183,10 +181,6 @@ def emit_run_config(cfg: RunConfig) -> str:
         f"flag_factor = {_r(sol.flag_umax_factor)}",
         f"stop_factor = {_r(sol.stop_umax_factor)}",
     ]
-    if cfg.probes:
-        lines += ["", "[probes]"]
-        for i, (x, y, rho) in enumerate(cfg.probes, 1):
-            lines.append(f"probe{i} = {_r(x)} {_r(y)} {_r(rho)}")
     lines += ["", "[output]"]
     if cfg.out_dir:
         lines.append(f"dir = {cfg.out_dir}")

@@ -90,7 +90,7 @@ def entropy(u: Field | RadialField, v, epsilon: float) -> tuple[float, float]:
     if isinstance(u, RadialField):
         grid = u.grid
         E = 2.0 * np.pi * float(np.sum(bulk * grid.vol))
-        dcen = np.diff(grid.centers)
+        dcen = grid.dcen
         rf = grid.faces[1:-1]
         face_meas = 2.0 * np.pi * rf * dcen
         if v is not None:

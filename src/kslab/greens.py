@@ -24,7 +24,7 @@ so the PDE characterization of ``K`` becomes a test, not a constructor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "grad_x_greens_disk_exact",
     "cutoff_Z",
     "cutoff_z_value",
-    "remainder_K",
     "remainder_k_exact",
     "remainder_k_diagonal",
     "grad_x_remainder_k_exact",
@@ -118,66 +117,12 @@ def cutoff_z_value(d, sigma0: float):
 
 
 @dataclass(frozen=True)
-class KTable:
-    """Remainder K sampled on a polar product grid with 4-linear interpolation.
-
-    Both arguments share one (r, theta) grid; theta interpolation is
-    periodic.  Diagonal nodes hold the analytic diagonal limit, so queries
-    crossing x = y stay finite (K is continuous there).
-    """
-
-    r_nodes: np.ndarray
-    theta_nodes: np.ndarray
-    values: np.ndarray  # (nr, nt, nr, nt)
-
-    def _locate(self, r, th):
-        nr = self.r_nodes.size
-        nt = self.theta_nodes.size
-        dr = self.r_nodes[1] - self.r_nodes[0]
-        dth = 2.0 * np.pi / nt
-        fr = np.clip(r / dr, 0.0, nr - 1 - 1e-12)
-        ir = fr.astype(int)
-        wr = fr - ir
-        ft = (th % (2.0 * np.pi)) / dth
-        it = ft.astype(int) % nt
-        wt = ft - np.floor(ft)
-        return ir, wr, it, wt
-
-    def interpolate(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        y = np.atleast_2d(_as_points(y))
-        x = np.atleast_2d(_as_points(x))
-        y, x = np.broadcast_arrays(y, x)
-        ry = np.hypot(y[..., 0], y[..., 1])
-        ty = np.arctan2(y[..., 1], y[..., 0])
-        rx = np.hypot(x[..., 0], x[..., 1])
-        tx = np.arctan2(x[..., 1], x[..., 0])
-        iry, wry, ity, wty = self._locate(ry, ty)
-        irx, wrx, itx, wtx = self._locate(rx, tx)
-        nt = self.theta_nodes.size
-        out = np.zeros(ry.shape)
-        for a, wa in ((0, 1.0 - wry), (1, wry)):
-            for b, wb in ((0, 1.0 - wty), (1, wty)):
-                for c, wc in ((0, 1.0 - wrx), (1, wrx)):
-                    for e, we in ((0, 1.0 - wtx), (1, wtx)):
-                        vals = self.values[
-                            iry + a, (ity + b) % nt, irx + c, (itx + e) % nt
-                        ]
-                        out += wa * wb * wc * we * vals
-        return out
-
-
-@dataclass(frozen=True)
 class GreensDecomposition:
-    """Immutable evaluation bundle: domain, collar cutoff, K table, c0.
-
-    Building the K table is the single-writer phase; afterwards the record
-    is shared freely across threads.
-    """
+    """Immutable evaluation bundle: the disk domain (with its collar width)
+    and the mean-zero constant c0; shared freely across threads."""
 
     domain: DomainGeometry
-    z_profile: str = "quintic_smoothstep"
     normalization_c0: float = C0_DISK
-    k_table: KTable | None = field(default=None, compare=False)
 
     @property
     def sigma0(self) -> float:
@@ -257,69 +202,14 @@ def grad_x_remainder_k_exact(decomp: GreensDecomposition, y, x) -> np.ndarray:
     return grad
 
 
-def build_greens_decomposition(
-    domain: DomainGeometry | None = None,
-    n_r: int = 16,
-    n_theta: int = 8,
-) -> GreensDecomposition:
-    """Build the decomposition record, sampling K on the product grid.
-
-    Default 16x8 polar nodes per argument (128 samples each side).  The
-    diagonal entries are filled with the analytic limit.
-    """
+def build_greens_decomposition(domain: DomainGeometry | None = None) -> GreensDecomposition:
+    """The decomposition record of the unit disk (or of ``domain``, which
+    must be a disk).  K is evaluated in closed form by ``remainder_k_exact``
+    and ``remainder_k_diagonal``."""
     domain = unit_disk() if domain is None else domain
     if not domain.is_disk:
         raise GeometryError("Green's decomposition is disk-only")
-    decomp = GreensDecomposition(domain=domain)
-    r_nodes = np.linspace(0.0, 1.0, n_r)
-    theta_nodes = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    rr, tt = np.meshgrid(r_nodes, theta_nodes, indexing="ij")
-    pts = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1)  # (nr, nt, 2)
-    flat = pts.reshape(-1, 2)
-    n = flat.shape[0]
-    ys = flat[:, None, :]
-    xs = flat[None, :, :]
-    sep = np.hypot(ys[..., 0] - xs[..., 0], ys[..., 1] - xs[..., 1])
-    vals = np.zeros((n, n))
-    off = sep > 1e-12
-    # The r = 0 node repeats for every theta; treat all coincident pairs
-    # via the diagonal limit.
-    yb = np.broadcast_to(ys, (n, n, 2))[off]
-    xb = np.broadcast_to(xs, (n, n, 2))[off]
-    vals[off] = remainder_k_exact(decomp, yb, xb)
-    diag_vals = np.asarray(remainder_k_diagonal(decomp, flat))
-    vals[~off] = np.broadcast_to(diag_vals[:, None], (n, n))[~off]
-    table = KTable(
-        r_nodes=r_nodes,
-        theta_nodes=theta_nodes,
-        values=vals.reshape(n_r, n_theta, n_r, n_theta),
-    )
-    return GreensDecomposition(
-        domain=domain,
-        z_profile=decomp.z_profile,
-        normalization_c0=decomp.normalization_c0,
-        k_table=table,
-    )
-
-
-def remainder_K(decomp: GreensDecomposition, y, x, with_flag: bool = False):
-    """K(y, x) from the table; diagonal queries are served by the stored
-    limit values and flagged when requested."""
-    if decomp.k_table is None:
-        raise ValueError("decomposition was built without a K table")
-    y = _as_points(y)
-    x = _as_points(x)
-    yb, xb = np.broadcast_arrays(y, x)
-    vals = decomp.k_table.interpolate(yb, xb)
-    scalar = yb.ndim == 1
-    out = float(vals.reshape(-1)[0]) if scalar else vals.reshape(yb.shape[:-1])
-    if not with_flag:
-        return out
-    sep = np.hypot(yb[..., 0] - xb[..., 0], yb[..., 1] - xb[..., 1])
-    dr = decomp.k_table.r_nodes[1] - decomp.k_table.r_nodes[0]
-    on_diag = sep < dr
-    flag = bool(np.any(on_diag)) if scalar else on_diag.reshape(yb.shape[:-1])
-    return out, flag
+    return GreensDecomposition(domain=domain)
 
 
 def g_tangential(Y: np.ndarray, lam1, lam2) -> np.ndarray:

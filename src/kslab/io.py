@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .solver import RadialGrid, RegKind, SolverConfig, Trajectory
+from .solver import RadialGrid, RegKind, Trajectory
 
 __all__ = [
     "write_snapshot",

@@ -74,7 +74,7 @@ class SweepReport:
                         "beta": od["beta"],
                         "ratio_eight_pi": od.get("ratio", ""),
                         "no_atom": od["no_atom"],
-                        "run_dir": row.run_dir,
+                        "run_dir": Path(row.run_dir).name,  # relative to the sweep root
                     }
                 )
         return out

@@ -481,6 +481,6 @@ def limit_test_phi(y, Y, lam1: float, lam2: float, psi, t: float = 0.0) -> float
     phi2 = (lam1 + lam2) ** 2 * (nu @ H @ nu) / (4.0 * np.pi)
     phi3 = (lam1 - lam2) * (Y @ H @ nu) / (4.0 * np.pi)
     gt = g_tangential(Y[None, :], np.asarray([lam1]), np.asarray([lam2]))[0]
-    gn = float(g_normal(Y[None, :], np.asarray([lam1]), np.asarray([lam2])))
+    gn = float(g_normal(Y[None, :], np.asarray([lam1]), np.asarray([lam2]))[0])
     phi4 = (h_curv / (2.0 * np.pi)) * float(grad @ (gt + gn * nu))
     return float(phi1 + phi2 + phi3 + phi4)

@@ -14,7 +14,7 @@ def subcritical_radial_traj():
     """Short smooth subcritical disk run shared across test modules."""
     grid = solver.make_radial_grid(256, 1.0)
     u0 = solver.initial_condition_radial(grid, "gaussian", mass=4.0, width=0.2)
-    cfg = solver.SolverConfig(backend="radial", t_end=0.01, snapshot_dt=0.01 / 24)
+    cfg = solver.SolverConfig(t_end=0.01, snapshot_dt=0.01 / 24)
     return solver.radial_run(cfg, solver.RegKind("cutoff_flux", 1e-2), u0)
 
 

@@ -36,7 +36,7 @@ def _report(criterion: str, passed: bool, detail: str = ""):
 def _radial_traj(mass, width, eps, reg, n=768, t_end=0.012, snapshot_dt=4e-4, **kw):
     grid = solver.make_radial_grid(n, 1.0)
     u0 = solver.initial_condition_radial(grid, "gaussian", mass=mass, width=width)
-    cfg = solver.SolverConfig(backend="radial", t_end=t_end, snapshot_dt=snapshot_dt, **kw)
+    cfg = solver.SolverConfig(t_end=t_end, snapshot_dt=snapshot_dt, **kw)
     return solver.radial_run(cfg, solver.RegKind(reg, eps), u0)
 
 
@@ -83,7 +83,7 @@ def test_acceptance_01_mass_conservation():
         details.append(f"radial/{reg}: drift {drift:.2e} over {len(m)} steps")
     for reg in ("cutoff_flux", "nonlinear_diffusion"):
         u0 = solver.initial_condition_rect(256, 256, 1.0, 1.0, "gaussian", mass=4.0, width=0.1)
-        cfg = solver.SolverConfig(backend="rect", t_end=0.034)
+        cfg = solver.SolverConfig(t_end=0.034)
         traj = solver.run(cfg, solver.RegKind(reg, 1e-2), u0)
         m = traj.mass_series()
         drift = float(np.max(np.abs(m - m[0])) / m[0])

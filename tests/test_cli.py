@@ -84,6 +84,64 @@ def test_config_missing_field_errors():
         parse_run_config(None, text=RUN_TEXT.replace("epsilon = 1e-3", "epsilon = -1"))
 
 
+TWO_BUMP_TEXT = """
+[domain]
+kind = rectangle
+
+[grid]
+nx = 24
+ny = 16
+lx = 1.5
+ly = 1.0
+
+[regularization]
+kind = nonlinear_diffusion
+epsilon = 1e-2
+
+[initial]
+kind = two_bump
+mass = 6.0
+center1_x = 0.5
+center1_y = 0.4
+width1 = 0.1
+center2_x = 1.0
+center2_y = 0.6
+width2 = 0.12
+ratio = 0.5
+
+[time]
+t_end = 2e-4
+snapshot_dt = 1e-4
+
+[output]
+seed = 3
+"""
+
+
+def test_config_rejects_probes_section():
+    with pytest.raises(ConfigError, match="probes"):
+        parse_run_config(None, text=RUN_TEXT + "\n[probes]\nprobe1 = 0.0 0.0 0.05\n")
+
+
+def test_config_rejects_initial_kind_off_its_domain():
+    parse_run_config(None, text=TWO_BUMP_TEXT)
+    with pytest.raises(ConfigError, match="two_bump"):
+        parse_run_config(None, text=TWO_BUMP_TEXT.replace("kind = rectangle", "kind = disk"))
+    annulus = RUN_TEXT.replace("width = 0.2", "r0 = 0.5\nwidth = 0.1").replace("kind = gaussian", "kind = annulus")
+    parse_run_config(None, text=annulus)
+    with pytest.raises(ConfigError, match="annulus"):
+        parse_run_config(None, text=annulus.replace("kind = disk", "kind = rectangle"))
+
+
+def test_cmd_run_two_bump_rectangle(tmp_path):
+    cfg = tmp_path / "two_bump.ini"
+    cfg.write_text(TWO_BUMP_TEXT)
+    assert main(["--out", str(tmp_path / "out"), "run", str(cfg)]) == 0
+    snap = io.read_snapshot(tmp_path / "out" / "snapshots" / "snap_00000.ksw")
+    assert snap["nx"] == 24 and snap["ny"] == 16
+    assert snap["values"].sum() * snap["hx"] * snap["hy"] == pytest.approx(6.0, rel=1e-12)
+
+
 def test_sweep_plan_round_trip():
     text = (
         "[sweep]\nepsilons = 0.003 0.001\nregs = cutoff_flux\nseed = 2\n\n"
@@ -163,6 +221,21 @@ def test_cmd_sweep_minimal_and_report(tmp_path):
     for col in ("reg", "epsilon", "alpha", "beta"):
         assert col in header
     assert main(["report", str(tmp_path / "s")]) == 0
+
+
+def test_cmd_sweep_report_does_not_name_the_out_dir(tmp_path):
+    plan = tmp_path / "plan.ini"
+    plan.write_text(
+        "[sweep]\nepsilons = 0.01 0.003\nregs = cutoff_flux\nmatched_offsets = 0.0002\n\n"
+        + SUPERCRITICAL_TEXT.replace("radial_n = 384", "radial_n = 128")
+    )
+    reports = []
+    for tag in ("a", "b"):
+        assert main(["--out", str(tmp_path / tag), "sweep", str(plan)]) == 0
+        reports.append((tmp_path / tag / "sweep_report.csv").read_text())
+    assert reports[0] == reports[1]
+    run_dirs = [line.rsplit(",", 1)[1] for line in reports[0].splitlines()[1:]]
+    assert run_dirs and all((tmp_path / "a" / d / "manifest.ini").exists() for d in run_dirs)
 
 
 def test_cmd_check_unknown_suite_exits_nonzero():

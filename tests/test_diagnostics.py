@@ -20,7 +20,7 @@ def test_entropy_heat_flow_dissipation_identity():
     # at eps = 0 with no potential the semi-discrete identity dE/dt = -D
     # holds through the logarithmic-mean face weights
     u0 = S.initial_condition_rect(96, 96, 1.0, 1.0, "gaussian", mass=2.0, width=0.15)
-    cfg = S.SolverConfig(backend="rect", t_end=5e-4, advection=False)
+    cfg = S.SolverConfig(t_end=5e-4, advection=False)
     traj = S.run(cfg, S.RegKind("nonlinear_diffusion", 0.0), u0)
     r = traj.diag
     k = len(r) // 2
@@ -31,7 +31,7 @@ def test_entropy_heat_flow_dissipation_identity():
 def test_entropy_epsilon_bound_constant():
     grid = S.make_radial_grid(64, 1.0)
     u0 = S.RadialField(grid, np.full(64, 3.0))
-    cfg = S.SolverConfig(backend="radial", t_end=1e-4)
+    cfg = S.SolverConfig(t_end=1e-4)
     traj = S.radial_run(cfg, S.RegKind("nonlinear_diffusion", 1e-2), u0)
     got = D.entropy_epsilon_bound(traj, alpha_exp=0.1)
     expect = 1e-2 ** 1.1 * np.pi * 3.0 ** (7 / 6)
@@ -41,7 +41,7 @@ def test_entropy_epsilon_bound_constant():
 def test_entropy_epsilon_bound_wrong_reg():
     grid = S.make_radial_grid(64, 1.0)
     u0 = S.RadialField(grid, np.full(64, 1.0))
-    traj = S.radial_run(S.SolverConfig(backend="radial", t_end=1e-4), S.RegKind("cutoff_flux", 1e-2), u0)
+    traj = S.radial_run(S.SolverConfig(t_end=1e-4), S.RegKind("cutoff_flux", 1e-2), u0)
     with pytest.raises(ValueError):
         D.entropy_epsilon_bound(traj)
 
@@ -91,7 +91,7 @@ def test_constant_probe_lp():
     grid = S.make_radial_grid(256, 1.0)
     c = 1.7
     u0 = S.RadialField(grid, np.full(256, c))
-    traj = S.radial_run(S.SolverConfig(backend="radial", t_end=1e-4), S.RegKind("cutoff_flux", 1e-2), u0)
+    traj = S.radial_run(S.SolverConfig(t_end=1e-4), S.RegKind("cutoff_flux", 1e-2), u0)
     out = D.local_lp(traj, ((0.0, 0.0), 0.2), p=2.0)
     assert out["lp"][0] == pytest.approx(np.pi * 0.2**2 * c**2, rel=1e-9)
 
@@ -147,7 +147,7 @@ def test_atom_estimate_inequalities():
 def test_local_mass_rate_constant_zero():
     grid = S.make_radial_grid(256, 1.0)
     u0 = S.RadialField(grid, np.full(256, 1.0))
-    cfg = S.SolverConfig(backend="radial", t_end=5e-4, snapshot_dt=1e-4)
+    cfg = S.SolverConfig(t_end=5e-4, snapshot_dt=1e-4)
     traj = S.radial_run(cfg, S.RegKind("cutoff_flux", 1e-2), u0)
     series = D.local_mass_rate(traj, ((0.0, 0.0), 0.1))
     assert np.max(np.abs(series.rate)) <= 1e-10
@@ -156,7 +156,7 @@ def test_local_mass_rate_constant_zero():
 def test_local_mass_rate_boundary_probe_uses_bump():
     grid = S.make_radial_grid(256, 1.0)
     u0 = S.initial_condition_radial(grid, "gaussian", mass=2.0, width=0.3)
-    cfg = S.SolverConfig(backend="radial", t_end=5e-4, snapshot_dt=1e-4)
+    cfg = S.SolverConfig(t_end=5e-4, snapshot_dt=1e-4)
     traj = S.radial_run(cfg, S.RegKind("cutoff_flux", 1e-2), u0)
     series = D.local_mass_rate(traj, ((0.97, 0.0), 0.05))
     assert series.kind == "boundary"
@@ -166,7 +166,7 @@ def test_local_mass_rate_boundary_probe_uses_bump():
 def test_pure_diffusion_far_bump_rate_near_zero():
     # mass transported at finite discrete speed: a far probe sees nothing early
     u0 = S.initial_condition_rect(96, 96, 2.0, 2.0, "gaussian", mass=2.0, width=0.05, center=(0.4, 0.4))
-    cfg = S.SolverConfig(backend="rect", t_end=2e-4, advection=False, snapshot_dt=5e-5)
+    cfg = S.SolverConfig(t_end=2e-4, advection=False, snapshot_dt=5e-5)
     traj = S.run(cfg, S.RegKind("cutoff_flux", 1e-2), u0)
     series = D.local_mass_rate(traj, ((1.6, 1.6), 0.1))
     assert np.max(np.abs(series.rate)) < 1e-8
@@ -220,7 +220,7 @@ def test_sobolev_near_extremal_ratio_below_one():
 def _short_traj():
     grid = S.make_radial_grid(128, 1.0)
     u0 = S.initial_condition_radial(grid, "gaussian", mass=3.0, width=0.25)
-    cfg = S.SolverConfig(backend="radial", t_end=1e-3, snapshot_dt=2.5e-4)
+    cfg = S.SolverConfig(t_end=1e-3, snapshot_dt=2.5e-4)
     return S.radial_run(cfg, S.RegKind("cutoff_flux", 1e-2), u0)
 
 

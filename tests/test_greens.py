@@ -120,21 +120,6 @@ def test_remainder_k_continuity_modulus(decomp, rng):
     assert modulus < 50.0  # measured Lipschitz-type bound, order-one scale
 
 
-def test_remainder_table_tracks_exact(decomp, rng):
-    pts = disk_points(rng, 60, 0.9)
-    y, x = pts[:30], pts[30:]
-    ok = np.hypot(*(y - x).T) > 0.2
-    tab = np.asarray(greens.remainder_K(decomp, y[ok], x[ok]))
-    ex = np.asarray(greens.remainder_k_exact(decomp, y[ok], x[ok]))
-    assert np.max(np.abs(tab - ex)) < 0.02  # coarse product-grid interpolation
-
-
-def test_remainder_table_diagonal_flag(decomp):
-    val, flag = greens.remainder_K(decomp, np.array([0.4, 0.1]), np.array([0.4, 0.1]), with_flag=True)
-    assert flag
-    assert np.isfinite(val)
-
-
 def test_free_space_reduction(decomp):
     # with Z forced to zero and the image log dropped from G, the remainder
     # collapses to the polynomial part (|x|^2+|y|^2)/(4 pi) + c0

@@ -122,7 +122,7 @@ def test_radial_poisson_piecewise_oracle():
 
 def test_constant_state_is_steady():
     u0 = S.initial_condition_rect(32, 32, 1.0, 1.0, "constant", value=2.0)
-    traj = S.run(S.SolverConfig(backend="rect", t_end=1e-3), S.RegKind("cutoff_flux", 0.1), u0)
+    traj = S.run(S.SolverConfig(t_end=1e-3), S.RegKind("cutoff_flux", 0.1), u0)
     assert not traj.failed
     assert np.max(np.abs(traj.snapshots[-1] - 2.0)) == 0.0
 
@@ -130,7 +130,7 @@ def test_constant_state_is_steady():
 @pytest.mark.parametrize("variant,eps", [("cutoff_flux", 1e-2), ("nonlinear_diffusion", 1e-2)])
 def test_mass_conservation_rect(variant, eps):
     u0 = S.initial_condition_rect(64, 64, 1.0, 1.0, "gaussian", mass=4.0, width=0.1)
-    traj = S.run(S.SolverConfig(backend="rect", t_end=2e-3), S.RegKind(variant, eps), u0)
+    traj = S.run(S.SolverConfig(t_end=2e-3), S.RegKind(variant, eps), u0)
     assert not traj.failed
     m = traj.mass_series()
     assert np.max(np.abs(m - m[0])) / m[0] <= 1e-12
@@ -141,7 +141,7 @@ def test_mass_conservation_radial():
     grid = S.make_radial_grid(512, 1.0005)
     u0 = S.initial_condition_radial(grid, "gaussian", mass=4 * np.pi, width=0.2)
     traj = S.radial_run(
-        S.SolverConfig(backend="radial", t_end=2e-3), S.RegKind("nonlinear_diffusion", 1e-3), u0
+        S.SolverConfig(t_end=2e-3), S.RegKind("nonlinear_diffusion", 1e-3), u0
     )
     m = traj.mass_series()
     assert np.max(np.abs(m - m[0])) / m[0] <= 1e-12
@@ -150,7 +150,7 @@ def test_mass_conservation_radial():
 
 def test_cfl_error_reports_suggestion():
     u0 = S.initial_condition_rect(32, 32, 1.0, 1.0, "gaussian", mass=4.0, width=0.1)
-    state = S.RunState(u=u0, v=None, t=0.0, reg=S.RegKind("cutoff_flux", 0.1), mean_source=[])
+    state = S.RunState(u=u0, v=None, t=0.0, reg=S.RegKind("cutoff_flux", 0.1))
     with pytest.raises(S.CFLError) as exc:
         S.step(state, dt=1.0)
     assert exc.value.suggested_dt < 1.0
@@ -158,7 +158,7 @@ def test_cfl_error_reports_suggestion():
 
 def test_zero_time_run_returns_initial():
     u0 = S.initial_condition_rect(16, 16, 1.0, 1.0, "gaussian", mass=1.0, width=0.2)
-    cfg = S.SolverConfig(backend="rect", t_end=1e-12, dt_min=1e-15)
+    cfg = S.SolverConfig(t_end=1e-12, dt_min=1e-15)
     traj = S.run(cfg, S.RegKind("cutoff_flux", 0.1), u0)
     assert np.allclose(traj.snapshots[0], u0.values)
 
@@ -166,7 +166,7 @@ def test_zero_time_run_returns_initial():
 def test_second_moment_rate_pure_diffusion():
     # heat flow: d/dt int |x-c|^2 u = 4 mass, exactly for the 5-point stencil
     u0 = S.initial_condition_rect(96, 96, 2.0, 2.0, "gaussian", mass=3.0, width=0.1, center=(1, 1))
-    cfg = S.SolverConfig(backend="rect", t_end=1e-3, advection=False, snapshot_dt=2.5e-4)
+    cfg = S.SolverConfig(t_end=1e-3, advection=False, snapshot_dt=2.5e-4)
     traj = S.run(cfg, S.RegKind("cutoff_flux", 1e-3), u0)
     h = traj.hx
     x = (np.arange(96) + 0.5) * h
@@ -179,7 +179,7 @@ def test_second_moment_rate_pure_diffusion():
 def test_regularizations_reduce_to_common_scheme():
     # never-saturating cutoff vs diffusion correction disabled: bit-comparable
     u0 = S.initial_condition_rect(48, 48, 1.0, 1.0, "gaussian", mass=2.0, width=0.12)
-    cfg = S.SolverConfig(backend="rect", t_end=1e-3)
+    cfg = S.SolverConfig(t_end=1e-3)
     t1 = S.run(cfg, S.RegKind("cutoff_flux", 1e-4), u0)
     t2 = S.run(cfg, S.RegKind("nonlinear_diffusion", 0.0), u0)
     assert np.max(np.abs(t1.snapshots[-1] - t2.snapshots[-1])) <= 1e-10
@@ -189,7 +189,7 @@ def test_epsilon_consistency_subcritical():
     # identical smooth subcritical data: solutions agree to O(eps) in L1
     grid = S.make_radial_grid(384, 1.0)
     u0 = S.initial_condition_radial(grid, "gaussian", mass=4.0, width=0.2)
-    cfg = S.SolverConfig(backend="radial", t_end=5e-3)
+    cfg = S.SolverConfig(t_end=5e-3)
     fields = {}
     for eps in (2e-2, 1e-2, 5e-3):
         traj = S.radial_run(cfg, S.RegKind("nonlinear_diffusion", eps), u0)
@@ -206,7 +206,7 @@ def test_elliptic_solve_invariants_along_run():
     grid = S.make_radial_grid(256, 1.0)
     u0 = S.initial_condition_radial(grid, "gaussian", mass=4.0, width=0.25)
     traj = S.radial_run(
-        S.SolverConfig(backend="radial", t_end=1e-3), S.RegKind("cutoff_flux", 1e-2), u0
+        S.SolverConfig(t_end=1e-3), S.RegKind("cutoff_flux", 1e-2), u0
     )
     # recompute the last potential: disk mean of v vanishes
     state_u = traj.field_at(len(traj.times) - 1)
@@ -221,9 +221,76 @@ def test_elliptic_solve_invariants_along_run():
 def test_snapshot_cadence_and_flag():
     grid = S.make_radial_grid(384, 1.0)
     u0 = S.initial_condition_radial(grid, "gaussian", mass=12 * np.pi, width=0.05)
-    cfg = S.SolverConfig(backend="radial", t_end=5e-3, snapshot_dt=5e-4, stop_umax_factor=16.0)
+    cfg = S.SolverConfig(t_end=5e-3, snapshot_dt=5e-4, stop_umax_factor=16.0)
     traj = S.radial_run(cfg, S.RegKind("cutoff_flux", 3e-4), u0)
     assert traj.concentrated
     assert traj.concentrated_time is not None
     assert traj.stop_reason in ("umax_stop", "t_end")
     assert len(traj.times) >= 3
+
+
+# --------------------------------------------------------------------------
+# invariants over random grids, initial data and regularizations
+# --------------------------------------------------------------------------
+
+regs = st.builds(S.RegKind, st.sampled_from(["cutoff_flux", "nonlinear_diffusion"]), st.sampled_from([1e-2, 1e-3]))
+masses = st.floats(1.0, 40.0)
+widths = st.floats(0.05, 0.3)
+
+
+@st.composite
+def radial_initial(draw):
+    grid = S.make_radial_grid(draw(st.integers(16, 256)), draw(st.floats(1.0, 1.01)))
+    kind = draw(st.sampled_from(["gaussian", "annulus", "constant"]))
+    if kind == "gaussian":
+        return S.initial_condition_radial(grid, kind, mass=draw(masses), width=draw(widths))
+    if kind == "annulus":
+        return S.initial_condition_radial(grid, kind, mass=draw(masses), r0=draw(st.floats(0.2, 0.8)), width=draw(widths))
+    return S.initial_condition_radial(grid, kind, value=draw(st.floats(0.1, 10.0)))
+
+
+@st.composite
+def rect_initial(draw):
+    nx, ny = draw(st.integers(8, 48)), draw(st.integers(8, 48))
+    kind = draw(st.sampled_from(["gaussian", "two_bump", "constant"]))
+    centers = st.tuples(st.floats(0.2, 0.8), st.floats(0.2, 0.8))
+    if kind == "gaussian":
+        params = dict(mass=draw(masses), width=draw(widths), center=draw(centers))
+    elif kind == "two_bump":
+        params = dict(
+            mass=draw(masses), center1=draw(centers), width1=draw(widths), center2=draw(centers), width2=draw(widths)
+        )
+    else:
+        params = dict(value=draw(st.floats(0.1, 10.0)))
+    return S.initial_condition_rect(nx, ny, 1.0, 1.0, kind, **params)
+
+
+def _check_invariants_and_replay(u0, reg):
+    # cfl_safety = 1 makes the driver's dt the stable dt that CFLError reports
+    cfg = S.SolverConfig(t_end=1.0, cfl_safety=1.0, max_steps=20)
+    drive = S.radial_run if isinstance(u0, S.RadialField) else S.run
+    traj = drive(cfg, reg, u0)
+    assert not traj.failed, traj.failure_message
+    m0 = u0.mass()
+    assert np.max(np.abs(traj.mass_series() - m0)) / m0 <= 1e-12
+    assert min(row["min_u"] for row in traj.diag) >= -cfg.positivity_tol
+
+    state = S.RunState(u=u0.copy(), v=None, t=0.0, reg=reg)
+    for row in traj.diag:
+        with pytest.raises(S.CFLError) as exc:
+            S.step(state, np.inf, cfg)
+        S.step(state, exc.value.suggested_dt, cfg)
+        assert state.t == row["t"]
+    assert state.u.values.tobytes() == traj.snapshots[-1].tobytes()
+
+
+@given(radial_initial(), regs)
+@settings(max_examples=100, deadline=None)
+def test_radial_invariants_and_step_replay(u0, reg):
+    _check_invariants_and_replay(u0, reg)
+
+
+@given(rect_initial(), regs)
+@settings(max_examples=100, deadline=None)
+def test_rect_invariants_and_step_replay(u0, reg):
+    _check_invariants_and_replay(u0, reg)

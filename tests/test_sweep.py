@@ -10,7 +10,6 @@ def _mini_plan(tmp_path, epsilons=(3e-3, 1e-3), mass=12 * np.pi, t_end=3e-3, reg
     base = RunConfig()
     base.domain = "disk"
     base.solver = S.SolverConfig(
-        backend="radial",
         radial_n=256,
         radial_ratio=1.0,
         t_end=t_end,
@@ -78,7 +77,7 @@ def test_partition_and_moduli_constant_data():
     grid = S.make_radial_grid(256, 1.0)
     u0 = S.RadialField(grid, np.full(256, 1.0))
     traj = S.radial_run(
-        S.SolverConfig(backend="radial", t_end=5e-4, snapshot_dt=1e-4), S.RegKind("cutoff_flux", 1e-2), u0
+        S.SolverConfig(t_end=5e-4, snapshot_dt=1e-4), S.RegKind("cutoff_flux", 1e-2), u0
     )
     cover = SW.build_radial_partition(grid, 8)
     out = SW.mass_change_modulus(traj, cover)
@@ -88,7 +87,7 @@ def test_partition_and_moduli_constant_data():
 def test_partition_with_hole_rejected():
     grid = S.make_radial_grid(128, 1.0)
     u0 = S.RadialField(grid, np.full(128, 1.0))
-    traj = S.radial_run(S.SolverConfig(backend="radial", t_end=1e-4), S.RegKind("cutoff_flux", 1e-2), u0)
+    traj = S.radial_run(S.SolverConfig(t_end=1e-4), S.RegKind("cutoff_flux", 1e-2), u0)
     holey = SW.build_radial_partition(grid, 8, spacing_factor=0.2)  # supports too narrow
     with pytest.raises(ValueError):
         SW.mass_change_modulus(traj, holey)
@@ -100,7 +99,7 @@ def test_supercritical_moduli_bounded_across_eps(tmp_path):
     maxima = []
     for eps in (3e-4, 1e-4):
         u0 = S.initial_condition_radial(grid, "gaussian", mass=12 * np.pi, width=0.08)
-        cfg = S.SolverConfig(backend="radial", t_end=2.5e-3, snapshot_dt=1.25e-4, stop_umax_factor=1e30)
+        cfg = S.SolverConfig(t_end=2.5e-3, snapshot_dt=1.25e-4, stop_umax_factor=1e30)
         traj = S.radial_run(cfg, S.RegKind("cutoff_flux", eps), u0)
         cover = SW.build_radial_partition(grid, 10)
         maxima.append(SW.mass_change_modulus(traj, cover)["max_modulus"])

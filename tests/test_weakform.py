@@ -63,7 +63,7 @@ def test_quadratic_window_hessian_on_plateau():
 def test_constant_state_residual_small(subcritical_radial_traj):
     grid = S.make_radial_grid(128, 1.0)
     u0 = S.RadialField(grid, np.full(128, 1.5))
-    cfg = S.SolverConfig(backend="radial", t_end=0.01, snapshot_dt=0.01 / 24)
+    cfg = S.SolverConfig(t_end=0.01, snapshot_dt=0.01 / 24)
     traj = S.radial_run(cfg, S.RegKind("cutoff_flux", 1e-2), u0)
     test = W.interior_bump_test(radius=0.45, t_hold=0.003, t_off=0.008)
     qb = W.weak_residual(traj, test, n_theta=128)
@@ -81,7 +81,7 @@ def test_residual_decreases_under_refinement():
     for n in (48, 96):
         grid = S.make_radial_grid(n, 1.0)
         u0 = S.initial_condition_radial(grid, "gaussian", mass=4.0, width=0.25)
-        cfg = S.SolverConfig(backend="radial", t_end=0.01, snapshot_dt=0.01 / 24)
+        cfg = S.SolverConfig(t_end=0.01, snapshot_dt=0.01 / 24)
         traj = S.radial_run(cfg, S.RegKind("cutoff_flux", 1e-2), u0)
         test = W.interior_bump_test(radius=0.45, t_hold=0.003, t_off=0.008)
         residuals.append(abs(W.weak_residual(traj, test, n_theta=128).residual))
@@ -91,7 +91,7 @@ def test_residual_decreases_under_refinement():
 def test_boundary_compatible_collar_terms_active():
     grid = S.make_radial_grid(96, 1.0)
     u0 = S.initial_condition_radial(grid, "annulus", mass=4.0, r0=0.7, width=0.1)
-    cfg = S.SolverConfig(backend="radial", t_end=0.008, snapshot_dt=0.008 / 24)
+    cfg = S.SolverConfig(t_end=0.008, snapshot_dt=0.008 / 24)
     traj = S.radial_run(cfg, S.RegKind("cutoff_flux", 1e-2), u0)
     test = W.boundary_compatible_test(t_hold=0.002, t_off=0.006)
     qb = W.weak_residual(traj, test, n_theta=128)
@@ -105,7 +105,7 @@ def test_q1_swap_symmetry():
     # angle-integrated kernel table is symmetric
     grid = S.make_radial_grid(64, 1.0)
     u0 = S.initial_condition_radial(grid, "gaussian", mass=3.0, width=0.3)
-    cfg = S.SolverConfig(backend="radial", t_end=0.005, snapshot_dt=0.005 / 8)
+    cfg = S.SolverConfig(t_end=0.005, snapshot_dt=0.005 / 8)
     traj = S.radial_run(cfg, S.RegKind("cutoff_flux", 1e-2), u0)
     test = W.interior_bump_test(radius=0.45, t_hold=0.0015, t_off=0.004)
     tables = W._radial_kernel_tables(traj, test, 96, 0.25, 0.75)
@@ -123,7 +123,7 @@ def test_diagonal_rule_reproduces_atom_weight():
     u = S.RadialField(grid, vals)
     u.values *= 5.0 / u.mass()
     traj = S.radial_run(
-        S.SolverConfig(backend="radial", t_end=1e-6, dt_policy="fixed", dt_fixed=5e-7),
+        S.SolverConfig(t_end=1e-6, dt_policy="fixed", dt_fixed=5e-7),
         S.RegKind("cutoff_flux", 1e-9),  # far below saturation: f_eps(u) = u exactly
         u,
     )
@@ -146,7 +146,7 @@ def test_rect_interior_matches_disk_scale():
     n = 32
     t_end = 0.006
     u0r = S.initial_condition_rect(n, n, 2.0, 2.0, "gaussian", mass=3.0, width=0.2, center=(1, 1))
-    cfgr = S.SolverConfig(backend="rect", t_end=t_end, snapshot_dt=t_end / 48)
+    cfgr = S.SolverConfig(t_end=t_end, snapshot_dt=t_end / 48)
     trar = S.run(cfgr, S.RegKind("cutoff_flux", 1e-2), u0r)
     test = W.interior_bump_test(radius=0.45, t_hold=0.2 * t_end, t_off=0.8 * t_end)
     qbr = W.weak_residual(trar, test)
@@ -154,7 +154,7 @@ def test_rect_interior_matches_disk_scale():
     grid = S.make_radial_grid(n, 1.0)
     u0d = S.initial_condition_radial(grid, "gaussian", mass=3.0, width=0.2)
     trad = S.radial_run(
-        S.SolverConfig(backend="radial", t_end=t_end, snapshot_dt=t_end / 48),
+        S.SolverConfig(t_end=t_end, snapshot_dt=t_end / 48),
         S.RegKind("cutoff_flux", 1e-2),
         u0d,
     )
@@ -171,7 +171,7 @@ def test_rect_interior_matches_disk_scale():
 
 def test_rect_rejects_wall_reaching_test():
     u0 = S.initial_condition_rect(24, 24, 1.0, 1.0, "gaussian", mass=1.0, width=0.2)
-    traj = S.run(S.SolverConfig(backend="rect", t_end=1e-3, snapshot_dt=5e-4), S.RegKind("cutoff_flux", 1e-2), u0)
+    traj = S.run(S.SolverConfig(t_end=1e-3, snapshot_dt=5e-4), S.RegKind("cutoff_flux", 1e-2), u0)
     with pytest.raises(ValueError):
         W.weak_residual(traj, W.boundary_compatible_test(t_hold=2e-4, t_off=8e-4))
 
