@@ -12,8 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import checks, io
 from .config import ConfigError, parse_run_config, parse_sweep_plan, emit_run_config
 from .solver import (
@@ -163,7 +161,6 @@ def cmd_report(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    np.seterr(over="raise", invalid="raise")
     handler = {"run": cmd_run, "sweep": cmd_sweep, "check": cmd_check, "report": cmd_report}[args.command]
     return handler(args)
 

@@ -59,6 +59,8 @@ _INITIAL_PARAM_KEYS = {
     "constant": ["value"],
     "two_bump": ["mass", "center1_x", "center1_y", "width1", "center2_x", "center2_y", "width2", "ratio"],
 }
+# the [initial] keys a kind may leave out; every other listed key is required
+_OPTIONAL_INITIAL_KEYS = ("center_x", "center_y", "ratio")
 # initial kinds each domain's catalog builds
 _DOMAIN_INITIAL_KINDS = {
     "disk": ("gaussian", "annulus", "constant"),
@@ -129,12 +131,11 @@ def parse_run_config(path, text: str | None = None) -> RunConfig:
             raise ConfigError(f"unknown initial kind {cfg.initial_kind!r}")
         if cfg.initial_kind not in _DOMAIN_INITIAL_KINDS[dom]:
             raise ConfigError(f"initial kind {cfg.initial_kind!r} is not available on domain {dom!r}")
-        cfg.initial_params = {
-            k: float(ini[k]) for k in _INITIAL_PARAM_KEYS[cfg.initial_kind] if k in ini
-        }
-        for val in cfg.initial_params.values():
-            if val is None:
-                raise ConfigError("initial parameters must be numeric")
+        keys = _INITIAL_PARAM_KEYS[cfg.initial_kind]
+        missing = [k for k in keys if k not in ini and k not in _OPTIONAL_INITIAL_KEYS]
+        if missing:
+            raise ConfigError(f"[initial] kind = {cfg.initial_kind} needs {', '.join(missing)}")
+        cfg.initial_params = {k: float(ini[k]) for k in keys if k in ini}
         if cp.has_section("output"):
             cfg.out_dir = cp["output"].get("dir", None)
             cfg.seed = int(cp["output"].get("seed", 0))

@@ -61,18 +61,7 @@ DEFAULT_SOBOLEV_C = 5e-7
 _ULOG_FLOOR = 1e-280
 
 
-def _log_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Logarithmic mean, continuous at a = b, zero if either side is zero."""
-    out = np.zeros(np.broadcast(a, b).shape)
-    pos = (a > 0) & (b > 0)
-    close = pos & (np.abs(a - b) <= 1e-12 * (a + b))
-    out[close] = 0.5 * (a + b)[close] if np.ndim(a + b) else 0.5 * (a + b)
-    gen = pos & ~close
-    out[gen] = (a - b)[gen] / (np.log(a[gen]) - np.log(b[gen]))
-    return out
-
-
-def entropy(u: Field | RadialField, v, epsilon: float) -> tuple[float, float]:
+def entropy(u: Field | RadialField, v, epsilon: float, w=None) -> tuple[float, float]:
     """Free energy E and its dissipation D for the current (u, v) pair.
 
     E = int [ u(log u - 1) + 6 eps u^{7/6} - |grad v|^2 / 2 ],
@@ -80,57 +69,78 @@ def entropy(u: Field | RadialField, v, epsilon: float) -> tuple[float, float]:
 
     with u log u := 0 at vacuum and the face weight for D taken as the
     logarithmic mean, which makes dE/dt = -D exact for the semi-discrete
-    heat flow.  ``v`` may be None (treated as zero potential).
+    heat flow.  ``v`` may be None (treated as zero potential).  ``w``, if
+    given, is the face gradient of v per axis (rectangle: x then y faces;
+    disk: the interior faces) and is used instead of differentiating v.
+
+    One pass: log u and u^{1/6} are taken once per cell and each face
+    combines the values of its two cells (sqrt u only on vacuum faces).
     """
     vals = u.values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ulogu = np.where(vals > _ULOG_FLOOR, vals * (np.log(np.maximum(vals, _ULOG_FLOOR)) - 1.0), 0.0)
-    bulk = ulogu + 6.0 * epsilon * vals ** (7.0 / 6.0)
-
-    if isinstance(u, RadialField):
-        grid = u.grid
-        E = 2.0 * np.pi * float(np.sum(bulk * grid.vol))
-        dcen = grid.dcen
-        rf = grid.faces[1:-1]
-        face_meas = 2.0 * np.pi * rf * dcen
-        if v is not None:
-            vr = np.diff(v.values) / dcen
-            E -= 0.5 * float(np.sum(vr**2 * face_meas))
-        else:
-            vr = np.zeros(grid.n - 1)
-        D = _dissipation_1d(vals, dcen, vr, face_meas, epsilon)
-        return E, D
-
-    hx, hy = u.hx, u.hy
-    E = float(np.sum(bulk) * hx * hy)
-    if v is not None:
-        wx = (v.values[1:, :] - v.values[:-1, :]) / hx
-        wy = (v.values[:, 1:] - v.values[:, :-1]) / hy
-        E -= 0.5 * float((np.sum(wx**2) + np.sum(wy**2)) * hx * hy)
-    else:
-        wx = np.zeros((u.nx - 1, u.ny))
-        wy = np.zeros((u.nx, u.ny - 1))
-    D = _dissipation_1d(vals, hx, wx, hx * hy, epsilon, axis=0) + _dissipation_1d(
-        vals, hy, wy, hx * hy, epsilon, axis=1
-    )
+    cell_meas, axes = _entropy_axes(u)
+    if w is None:
+        w = tuple(
+            np.zeros(vals[lo].shape) if v is None else (v.values[hi] - v.values[lo]) / spacing
+            for lo, hi, spacing, _ in axes
+        )
+    # per cell, once: log u (0 at vacuum) and u^{1/6}.  Everything after
+    # works in place in ``work``, whose rows every axis reuses: fresh
+    # full-grid temporaries cost more in page faults than in arithmetic.
+    pos = vals > _ULOG_FLOOR
+    logu = np.log(vals, out=np.zeros_like(vals), where=pos)
+    root6 = vals ** (1.0 / 6.0)
+    work = np.empty((4, vals.size))
+    # u (log u - 1 + 6 eps u^{1/6}), 0 at vacuum
+    bulk = np.multiply(root6, 6.0 * epsilon, out=work[0].reshape(vals.shape))
+    bulk += logu
+    bulk -= 1.0
+    bulk *= vals
+    np.copyto(bulk, 0.0, where=~pos)
+    bulk *= cell_meas
+    E = float(bulk.sum())
+    D = 0.0
+    for (lo, hi, spacing, face_meas), wa in zip(axes, w):
+        g, du, lm, dlog = (row[: wa.size].reshape(wa.shape) for row in work)
+        np.square(wa, out=g)
+        g *= face_meas
+        E -= 0.5 * float(g.sum())
+        both = pos[lo] & pos[hi]
+        np.subtract(vals[hi], vals[lo], out=du)
+        # logarithmic mean (b - a) / dlog, or (a + b) / 2 where the two
+        # sides are too close for the quotient
+        np.add(vals[hi], vals[lo], out=lm)
+        np.multiply(lm, 1e-12, out=g)
+        close = np.abs(du, out=dlog) <= g
+        np.subtract(logu[hi], logu[lo], out=dlog)
+        lm *= 0.5
+        np.divide(du, dlog, out=lm, where=both & ~close)
+        np.subtract(root6[hi], root6[lo], out=g)
+        g *= 7.0 * epsilon
+        g += dlog
+        g /= spacing
+        g -= wa
+        g *= g
+        lm *= g
+        if not both.all():
+            vac = (np.sqrt(vals[hi]) - np.sqrt(vals[lo])) / spacing
+            lm = np.where(both, lm, 4.0 * vac**2)
+        lm *= face_meas
+        D += float(lm.sum())
     return E, D
 
 
-def _dissipation_1d(vals, spacing, w, face_meas, epsilon, axis=None) -> float:
-    if axis == 0:
-        a, b = vals[:-1, :], vals[1:, :]
-    elif axis == 1:
-        a, b = vals[:, :-1], vals[:, 1:]
-    else:
-        a, b = vals[:-1], vals[1:]
-    lm = _log_mean(a, b)
-    pos = (a > _ULOG_FLOOR) & (b > _ULOG_FLOOR)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dlog = np.where(pos, np.log(np.maximum(b, _ULOG_FLOOR)) - np.log(np.maximum(a, _ULOG_FLOOR)), 0.0)
-        d16 = b ** (1.0 / 6.0) - a ** (1.0 / 6.0)
-    g = (dlog + 7.0 * epsilon * d16) / spacing - w
-    term = np.where(pos, lm * g**2, 4.0 * ((np.sqrt(b) - np.sqrt(a)) / spacing) ** 2)
-    return float(np.sum(term * face_meas))
+def _entropy_axes(u: Field | RadialField):
+    """Cell measure and, per axis, the (lower, upper) cell slices of its
+    faces, the center spacing across them and the face measure."""
+    if isinstance(u, RadialField):
+        grid = u.grid
+        face_meas = 2.0 * np.pi * grid.faces[1:-1] * grid.dcen
+        return 2.0 * np.pi * grid.vol, ((slice(None, -1), slice(1, None), grid.dcen, face_meas),)
+    cell = u.hx * u.hy
+    return cell, (
+        ((slice(None, -1), slice(None)), (slice(1, None), slice(None)), u.hx, cell),
+        ((slice(None), slice(None, -1)), (slice(None), slice(1, None)), u.hy, cell),
+    )
 
 
 def entropy_epsilon_bound(traj: Trajectory, alpha_exp: float = 0.1) -> float:

@@ -356,6 +356,7 @@ class _Faces:
     """Face data of one step, taken from the state before the update."""
 
     h_t: float  # mean of the chemoattractant source
+    m: np.ndarray  # per-cell mobility; for nonlinear diffusion the values themselves
     dc: tuple  # per axis: diffusion coefficient at the faces
     w: tuple  # per axis: face velocity grad v (zero without advection)
     v: object  # what the potential is built from (rect: v; radial: v' at all faces)
@@ -395,18 +396,18 @@ class _Stencil:
     axes: tuple
 
     def faces(self, vals: np.ndarray, reg: RegKind, advection: bool) -> _Faces:
-        h_t, v, w = self._solve(_mobility(vals, reg))
+        m = _mobility(vals, reg)
+        h_t, v, w = self._solve(m)
         if not advection:
             w = tuple(np.zeros_like(wa) for wa in w)
         dc = tuple(_face_diffusion(vals[lo], vals[hi], reg) for lo, hi, *_ in self.axes)
-        return _Faces(h_t, dc, w, v)
+        return _Faces(h_t, m, dc, w, v)
 
-    def apply(self, vals: np.ndarray, reg: RegKind, f: _Faces, dt: float) -> None:
+    def apply(self, vals: np.ndarray, f: _Faces, dt: float) -> None:
         """Conservative update: central diffusion, first-order upwind advection."""
-        m = _mobility(vals, reg)
         div = np.zeros_like(vals)
         for (lo, hi, dist, face, cell_lo, cell_hi), dc, w in zip(self.axes, f.dc, f.w):
-            m_up = np.where(w > 0.0, m[lo], m[hi])
+            m_up = np.where(w > 0.0, f.m[lo], f.m[hi])
             q = face * (-dc * (vals[hi] - vals[lo]) / dist + m_up * w)
             div[lo] += q / cell_lo
             div[hi] -= q / cell_hi
@@ -501,7 +502,7 @@ def _advance(state: RunState, stencil: _Stencil, config: SolverConfig, dt: float
         dt = min(dt, config.t_end - state.t)
         if dt < config.dt_min:
             return None
-    stencil.apply(state.u.values, state.reg, f, dt)
+    stencil.apply(state.u.values, f, dt)
     state.v = stencil.potential(f)
     if float(state.u.values.min()) < -config.positivity_tol:
         raise SolverError(f"positivity lost: min u = {state.u.values.min()}")
@@ -532,12 +533,11 @@ def _run_driver(state: RunState, config: SolverConfig) -> Trajectory:
         traj.times.append(state.t)
         traj.snapshots.append(state.u.values.copy())
 
-    def record_diag(h_t: float):
+    def record_diag(f: _Faces):
         vals = state.u.values
-        # with advection disabled the free energy of the dynamics carries
-        # no potential term
-        v_for_entropy = state.v if config.advection else None
-        E, D = diag_mod.entropy(state.u, v_for_entropy, state.reg.epsilon)
+        # the step's face gradient, zero with advection disabled: then the
+        # free energy of the dynamics carries no potential term
+        E, D = diag_mod.entropy(state.u, state.v, state.reg.epsilon, w=f.w)
         traj.diag.append(
             {
                 "t": state.t,
@@ -546,7 +546,7 @@ def _run_driver(state: RunState, config: SolverConfig) -> Trajectory:
                 "max_u": float(vals.max()),
                 "entropy": E,
                 "dissipation": D,
-                "h_t": h_t,
+                "h_t": f.h_t,
                 "int_u76": stencil.integral(vals ** (7.0 / 6.0)),
             }
         )
@@ -558,31 +558,34 @@ def _run_driver(state: RunState, config: SolverConfig) -> Trajectory:
     next_snap = state.t + (config.snapshot_dt or np.inf)
     steps = 0
     try:
-        while state.t < config.t_end - 1e-15 and steps < config.max_steps:
-            # ``faces`` holds the step's face arrays until the next step
-            # replaces it; freeing them before the diagnostics lets the
-            # allocator hand the pages back, and on 256^2 grids the page
-            # faults that follow cost more than the memory.
-            faces = _advance(state, stencil, config)
-            if faces is None:
-                traj.stop_reason = "dt_min"
-                break
-            record_diag(faces.h_t)
-            steps += 1
-            umax = float(state.u.values.max())
-            if not traj.concentrated and umax > flag_level:
-                traj.concentrated = True
-                traj.concentrated_time = state.t
-                record_snapshot()
-            if state.t >= next_snap - 1e-15:
-                record_snapshot()
-                next_snap += config.snapshot_dt
-            if umax > stop_level:
-                traj.stop_reason = "umax_stop"
-                break
-        else:
-            if steps >= config.max_steps:
-                traj.stop_reason = "max_steps"
+        # one numeric policy for library and command-line runs: an
+        # overflow or an invalid operation in a step is an error
+        with np.errstate(over="raise", invalid="raise"):
+            while state.t < config.t_end - 1e-15 and steps < config.max_steps:
+                # ``faces`` holds the step's face arrays until the next step
+                # replaces it; freeing them before the diagnostics lets the
+                # allocator hand the pages back, and on 256^2 grids the page
+                # faults that follow cost more than the memory.
+                faces = _advance(state, stencil, config)
+                if faces is None:
+                    traj.stop_reason = "dt_min"
+                    break
+                record_diag(faces)
+                steps += 1
+                umax = float(state.u.values.max())
+                if not traj.concentrated and umax > flag_level:
+                    traj.concentrated = True
+                    traj.concentrated_time = state.t
+                    record_snapshot()
+                if state.t >= next_snap - 1e-15:
+                    record_snapshot()
+                    next_snap += config.snapshot_dt
+                if umax > stop_level:
+                    traj.stop_reason = "umax_stop"
+                    break
+            else:
+                if steps >= config.max_steps:
+                    traj.stop_reason = "max_steps"
     except SolverError as exc:
         traj.failed = True
         traj.failure_message = str(exc)

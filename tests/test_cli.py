@@ -133,6 +133,59 @@ def test_config_rejects_initial_kind_off_its_domain():
         parse_run_config(None, text=annulus.replace("kind = disk", "kind = rectangle"))
 
 
+# kind: (a domain that builds it, required keys, optional keys)
+INITIAL_KEYS = {
+    "gaussian": ("rectangle", ("mass", "width"), ("center_x", "center_y")),
+    "annulus": ("disk", ("mass", "r0", "width"), ()),
+    "constant": ("disk", ("value",), ()),
+    "two_bump": (
+        "rectangle",
+        ("mass", "center1_x", "center1_y", "width1", "center2_x", "center2_y", "width2"),
+        ("ratio",),
+    ),
+}
+
+
+def _initial_config(kind, keys):
+    domain = INITIAL_KEYS[kind][0]
+    grid = "radial_n = 32\nradial_ratio = 1.0" if domain == "disk" else "nx = 12\nny = 12"
+    initial = "\n".join(f"{k} = 0.3" for k in keys)
+    return (
+        f"[domain]\nkind = {domain}\n\n[grid]\n{grid}\n\n"
+        "[regularization]\nkind = cutoff_flux\nepsilon = 1e-2\n\n"
+        f"[initial]\nkind = {kind}\n{initial}\n\n[time]\nt_end = 1e-5\n"
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(INITIAL_KEYS))
+def test_config_requires_each_initial_key(kind):
+    _, required, optional = INITIAL_KEYS[kind]
+    cfg = parse_run_config(None, text=_initial_config(kind, required + optional))
+    assert set(cfg.initial_params) == set(required + optional)
+    for key in optional:
+        cfg = parse_run_config(None, text=_initial_config(kind, [k for k in required + optional if k != key]))
+        assert key not in cfg.initial_params
+    for key in required:
+        with pytest.raises(ConfigError, match=key):
+            parse_run_config(None, text=_initial_config(kind, [k for k in required + optional if k != key]))
+
+
+def test_cmd_run_missing_initial_key_fails_at_parse(tmp_path, capsys):
+    cfg = tmp_path / "two_bump.ini"
+    cfg.write_text(TWO_BUMP_TEXT.replace("width2 = 0.12\n", ""))
+    assert main(["--out", str(tmp_path / "out"), "run", str(cfg)]) == 1
+    assert "needs width2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cmd_run_leaves_numpy_error_state(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(RUN_TEXT)
+    before = np.geterr()
+    assert main(["run", str(cfg)]) == 0
+    assert np.geterr() == before
+
+
 def test_cmd_run_two_bump_rectangle(tmp_path):
     cfg = tmp_path / "two_bump.ini"
     cfg.write_text(TWO_BUMP_TEXT)

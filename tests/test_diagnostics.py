@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kslab import diagnostics as D
 from kslab import solver as S
@@ -26,6 +28,145 @@ def test_entropy_heat_flow_dissipation_identity():
     k = len(r) // 2
     dEdt = (r[k + 1]["entropy"] - r[k - 1]["entropy"]) / (r[k + 1]["t"] - r[k - 1]["t"])
     assert dEdt == pytest.approx(-r[k]["dissipation"], rel=0.05)
+
+
+def test_entropy_heat_flow_dissipation_identity_disk():
+    # the same identity on the non-uniform radial grid, where the face
+    # measures 2 pi r dr enter both dE/dt and D
+    grid = S.make_radial_grid(256, 1.01)
+    u0 = S.initial_condition_radial(grid, "gaussian", mass=2.0, width=0.15)
+    cfg = S.SolverConfig(t_end=5e-4, advection=False)
+    traj = S.radial_run(cfg, S.RegKind("nonlinear_diffusion", 0.0), u0)
+    r = traj.diag
+    k = len(r) // 2
+    dEdt = (r[k + 1]["entropy"] - r[k - 1]["entropy"]) / (r[k + 1]["t"] - r[k - 1]["t"])
+    assert dEdt == pytest.approx(-r[k]["dissipation"], rel=0.05)
+
+
+# The two-pass formula that ``entropy`` replaced: logs and powers taken on
+# both sides of every face.  It is the oracle for the one-pass kernel.
+
+_ULOG_FLOOR = 1e-280
+
+
+def _log_mean(a, b):
+    out = np.zeros(np.broadcast(a, b).shape)
+    pos = (a > 0) & (b > 0)
+    close = pos & (np.abs(a - b) <= 1e-12 * (a + b))
+    out[close] = 0.5 * (a + b)[close] if np.ndim(a + b) else 0.5 * (a + b)
+    gen = pos & ~close
+    out[gen] = (a - b)[gen] / (np.log(a[gen]) - np.log(b[gen]))
+    return out
+
+
+def _dissipation_1d(vals, spacing, w, face_meas, epsilon, axis=None):
+    if axis == 0:
+        a, b = vals[:-1, :], vals[1:, :]
+    elif axis == 1:
+        a, b = vals[:, :-1], vals[:, 1:]
+    else:
+        a, b = vals[:-1], vals[1:]
+    lm = _log_mean(a, b)
+    pos = (a > _ULOG_FLOOR) & (b > _ULOG_FLOOR)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dlog = np.where(pos, np.log(np.maximum(b, _ULOG_FLOOR)) - np.log(np.maximum(a, _ULOG_FLOOR)), 0.0)
+        d16 = b ** (1.0 / 6.0) - a ** (1.0 / 6.0)
+    g = (dlog + 7.0 * epsilon * d16) / spacing - w
+    term = np.where(pos, lm * g**2, 4.0 * ((np.sqrt(b) - np.sqrt(a)) / spacing) ** 2)
+    return float(np.sum(term * face_meas))
+
+
+def _two_pass_entropy(u, v, epsilon, w=None):
+    """(E, D, scale): scale sums the magnitudes of E's terms."""
+    vals = u.values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ulogu = np.where(vals > _ULOG_FLOOR, vals * (np.log(np.maximum(vals, _ULOG_FLOOR)) - 1.0), 0.0)
+    bulk = ulogu + 6.0 * epsilon * vals ** (7.0 / 6.0)
+    if isinstance(u, S.RadialField):
+        grid = u.grid
+        dcen = grid.dcen
+        face_meas = 2.0 * np.pi * grid.faces[1:-1] * dcen
+        if w is not None:
+            (vr,) = w
+        elif v is not None:
+            vr = np.diff(v.values) / dcen
+        else:
+            vr = np.zeros(grid.n - 1)
+        potential = 0.5 * float(np.sum(vr**2 * face_meas))
+        E = 2.0 * np.pi * float(np.sum(bulk * grid.vol)) - potential
+        scale = 2.0 * np.pi * float(np.sum(np.abs(bulk) * grid.vol)) + potential
+        return E, _dissipation_1d(vals, dcen, vr, face_meas, epsilon), scale
+    hx, hy = u.hx, u.hy
+    if w is not None:
+        wx, wy = w
+    elif v is not None:
+        wx = (v.values[1:, :] - v.values[:-1, :]) / hx
+        wy = (v.values[:, 1:] - v.values[:, :-1]) / hy
+    else:
+        wx, wy = np.zeros((u.nx - 1, u.ny)), np.zeros((u.nx, u.ny - 1))
+    potential = 0.5 * float((np.sum(wx**2) + np.sum(wy**2)) * hx * hy)
+    E = float(np.sum(bulk) * hx * hy) - potential
+    scale = float(np.sum(np.abs(bulk)) * hx * hy) + potential
+    D = _dissipation_1d(vals, hx, wx, hx * hy, epsilon, axis=0) + _dissipation_1d(
+        vals, hy, wy, hx * hy, epsilon, axis=1
+    )
+    return E, D, scale
+
+
+# exact zeros, values under the log floor and equal or nearly equal
+# neighbours drive the vacuum and "close" branches of the face weight
+cell_values = st.one_of(st.sampled_from([0.0, 1e-300, 0.7, 1.0, 1.0 + 1e-13, 3.0, 3.0 + 3e-13]), st.floats(1e-8, 1e3))
+
+
+@st.composite
+def entropy_cases(draw):
+    if draw(st.booleans()):
+        grid = S.make_radial_grid(draw(st.integers(2, 64)), draw(st.floats(1.0, 1.05)))
+        shape, face_shapes = (grid.n,), [(grid.n - 1,)]
+
+        def make(a):
+            return S.RadialField(grid, a)
+
+    else:
+        nx, ny = draw(st.integers(2, 24)), draw(st.integers(2, 24))
+        hx, hy = draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 1.0))
+        shape, face_shapes = (nx, ny), [(nx - 1, ny), (nx, ny - 1)]
+
+        def make(a):
+            return S.Field(hx, hy, a)
+
+    u = make(draw(arrays(float, shape, elements=cell_values)))
+    epsilon = draw(st.sampled_from([0.0, 1e-4, 1e-2, 0.3]))
+    potential = draw(st.sampled_from(["none", "v", "w"]))
+    v = w = None
+    if potential == "v":
+        v = make(draw(arrays(float, shape, elements=st.floats(-20.0, 20.0))))
+    elif potential == "w":
+        w = tuple(draw(arrays(float, s, elements=st.floats(-50.0, 50.0))) for s in face_shapes)
+    return u, v, epsilon, w
+
+
+@given(entropy_cases())
+@settings(max_examples=300, deadline=None)
+def test_entropy_matches_two_pass_formula(case):
+    u, v, epsilon, w = case
+    E_ref, D_ref, scale = _two_pass_entropy(u, v, epsilon, w)
+    with np.errstate(over="raise", invalid="raise"):
+        E, Dv = D.entropy(u, v, epsilon, w=w)
+    # E can cancel to near zero, so its rounding is judged against the
+    # magnitude of its terms; D is a sum of nonnegative terms
+    assert abs(E - E_ref) <= 1e-12 * scale
+    assert Dv == pytest.approx(D_ref, rel=1e-12, abs=1e-300)
+
+
+def test_entropy_face_gradient_replaces_potential():
+    # on the rectangle the driver's face gradient is the difference of v,
+    # so passing it gives the same bits as passing v
+    u0 = S.initial_condition_rect(32, 24, 1.0, 1.0, "gaussian", mass=30.0, width=0.1)
+    m = S.f_eps(u0.values, 1e-2)
+    v = S.solve_poisson_neumann(S.Field(u0.hx, u0.hy, m - m.mean()))
+    w = ((v.values[1:] - v.values[:-1]) / u0.hx, (v.values[:, 1:] - v.values[:, :-1]) / u0.hy)
+    assert D.entropy(u0, None, 1e-2, w=w) == D.entropy(u0, v, 1e-2)
 
 
 def test_entropy_epsilon_bound_constant():

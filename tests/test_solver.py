@@ -229,6 +229,29 @@ def test_snapshot_cadence_and_flag():
     assert len(traj.times) >= 3
 
 
+def test_run_applies_numeric_error_policy(monkeypatch):
+    # inside the step loop an overflow or invalid operation raises, for
+    # library and command-line runs alike; the caller's numpy state is
+    # left as it was
+    from kslab import diagnostics
+
+    seen = []
+    entropy = diagnostics.entropy
+
+    def spy(*args, **kwargs):
+        seen.append(np.geterr())
+        return entropy(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "entropy", spy)
+    before = np.geterr()
+    grid = S.make_radial_grid(32, 1.0)
+    u0 = S.initial_condition_radial(grid, "gaussian", mass=4.0, width=0.2)
+    traj = S.radial_run(S.SolverConfig(t_end=1.0, max_steps=3), S.RegKind("cutoff_flux", 1e-2), u0)
+    assert len(seen) == len(traj.diag) == 3
+    assert all(e["over"] == "raise" and e["invalid"] == "raise" for e in seen)
+    assert np.geterr() == before
+
+
 # --------------------------------------------------------------------------
 # invariants over random grids, initial data and regularizations
 # --------------------------------------------------------------------------
