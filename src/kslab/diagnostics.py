@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
+import scipy.fft
 
 from .solver import Field, RadialField, RadialGrid, RegKind, Trajectory, f_eps
 from .testfn import PHI_SUPPORT, BoundaryBump, InteriorBump, build_boundary_bump
@@ -230,6 +230,8 @@ def ball_mass_map_rect(u: Field, rho: float) -> np.ndarray:
     oy = (np.arange(-ky, ky + 1) - 0.5) * u.hy
     OX, OY = np.meshgrid(ox, oy, indexing="ij")
     kernel = circle_rect_overlap(OX, OX + u.hx, OY, OY + u.hy, rho)
+    import scipy.signal  # deferred: it pulls in scipy.stats, and only concentration detection needs it
+
     return scipy.signal.fftconvolve(u.values, kernel, mode="same")
 
 

@@ -232,86 +232,156 @@ def kernel_H1(x, y, psi, t, diag_threshold: float = 1e-8):
 # ---------------------------------------------------------------------------
 
 
+_TABLE_KEYS = ("Q1", "Q2", "Q3_1", "Q3_2", "Q4", "Q5")
+
+
 def _radial_kernel_tables(traj: Trajectory, test: RadialProfileTest, n_theta: int, sigma0: float, diag_factor: float):
-    """Angle-integrated pair kernels K[i, j] (measure weights folded in)."""
+    """Angle-integrated pair kernels K[i, j] (measure weights folded in).
+
+    The midpoint rule runs over the n_theta angles phi_k = (k + 1/2) dth,
+    but every kernel sees phi only through c = cos(phi), and phi_k pairs
+    with 2 pi - phi_k; so each distinct cosine is evaluated once at weight
+    2 dth (phi = pi, present for odd n_theta, pairs with itself).  Each
+    kernel is evaluated only on the index block where its factors can be
+    non-zero; every other entry is an exact zero:
+
+    * Q1 on the pairs with a row or a column in P = {p' != 0 or Lap p != 0};
+    * the ungated part of Q5 (the exact gradient minus its Coulomb piece,
+      in closed form) on the rows of P;
+    * the collar terms on C x C, C = {Z(1 - r) > 0}, and not at all when
+      p' vanishes on C and at the wall.
+    """
     grid = traj.grid
     r = grid.centers
     n = r.size
-    dr = grid.widths
     dth = 2.0 * np.pi / n_theta
-    a_meas = 2.0 * np.pi * grid.vol  # x-measure
-    b_meas = grid.vol  # y-measure (angle factored into dth sums)
-
+    # (cos phi, share of the pair weight 2 dth); phi = pi has half of it
+    angles = [(np.cos((k + 0.5) * dth), 0.5 if 2 * k + 1 == n_theta else 1.0) for k in range((n_theta + 1) // 2)]
     dpr = test.dp(r)
-    plap_r = test.plap(r)
+    plap = test.plap(r)
     dp1 = float(test.dp(np.asarray(1.0)))  # wall slope (0 for admitted tests)
-    d = 1.0 - r
-    z = cutoff_z_value(d, sigma0)
-    h_curv = 1.0 / r
+    z = cutoff_z_value(1.0 - r, sigma0)
 
-    R = r[:, None]
-    S = r[None, :]
-    DPR = dpr[:, None]
-    DPS = dpr[None, :]
-    ZR = z[:, None]
-    ZS = z[None, :]
-    DXv = d[:, None]
-    DYv = d[None, :]
-    HS = h_curv[None, :]
-    diag_tol = diag_factor * (dr[:, None] + dr[None, :] + np.minimum(R, S) * dth)
+    K = {key: np.zeros((n, n)) for key in _TABLE_KEYS}
+    support = (dpr != 0.0) | (plap != 0.0)
+    rows = np.flatnonzero(support)
+    if rows.size:
+        for bi, bj, with_q5 in ((rows, np.arange(n), True), (np.flatnonzero(~support), rows, False)):
+            q1, q5 = _coulomb_block(grid, dpr, plap, bi, bj, angles, dth, diag_factor, with_q5)
+            K["Q1"][np.ix_(bi, bj)] = q1
+            if with_q5:
+                K["Q5"][np.ix_(bi, bj)] = q5
+    collar = np.flatnonzero(z > 0.0)
+    if collar.size and (dp1 != 0.0 or np.any(dpr[collar] != 0.0)):
+        block = np.ix_(collar, collar)
+        for key, val in _collar_block(r[collar], z[collar], dpr[collar], dp1, angles, dth).items():
+            K[key][block] += val
 
-    K1 = np.zeros((n, n))
-    K2 = np.zeros((n, n))
-    K31 = np.zeros((n, n))
-    K32 = np.zeros((n, n))
-    K4 = np.zeros((n, n))
-    K5 = np.zeros((n, n))
-    plapR = plap_r[:, None]
+    meas = (2.0 * np.pi * grid.vol)[:, None] * grid.vol[None, :]  # x-measure, y-measure (angle in the dth sums)
+    return {key: T * meas for key, T in K.items()}
 
-    for k in range(n_theta):
-        phi = (k + 0.5) * dth
-        c = np.cos(phi)
-        sep2 = R**2 + S**2 - 2.0 * R * S * c
-        sep = np.sqrt(sep2)
-        # Q1: symmetrized Coulomb kernel, diagonal band -> Lap psi / (8 pi)
-        num = DPR * (R - S * c) - DPS * (R * c - S)
-        h1 = num / sep2 / (4.0 * np.pi)
-        h1 = np.where(sep < diag_tol, plapR / (8.0 * np.pi), h1)
-        K1 += h1 * dth
 
-        gate = ZR * ZS
-        Dden = (2.0 - 2.0 * c) + (DXv + DYv) ** 2
-        # Q2: gated image chord term
-        K2 += gate * (1.0 - c) * (DPR + DPS) / Dden / (4.0 * np.pi) * dth
-        # Q3 split: profile slope against the normal displacement
-        t31 = -gate * (
-            (DPR - dp1) * (DXv + DYv * c) + (DPS - dp1) * (DXv * c + DYv)
-        ) / Dden / (4.0 * np.pi)
-        t32 = -gate * dp1 * ((DXv + DYv * c) + (DXv * c + DYv)) / Dden / (4.0 * np.pi)
-        K31 += t31 * dth
-        K32 += t32 * dth
-        # Q4: curvature kernels in the similarity variables
-        sqrtD = np.sqrt(Dden)
-        lam1 = DXv / sqrtD
-        lam2 = DYv / sqrtD
-        Y2 = (2.0 - 2.0 * c) / Dden
-        gt_coef = -2.0 * (lam1 + lam2) * lam2**2 + (lam1 - lam2) * Y2
-        gn = -(lam2**2) + 2.0 * lam2**2 * (lam1 + lam2) ** 2 + (lam2**2 - lam1**2) * Y2
-        q4 = DPR * (gate * HS / (2.0 * np.pi)) * (gt_coef * (1.0 - c) / sqrtD + gn * c)
-        K4 += q4 * dth
-        # Q5: remainder kernel W . x-hat = exact gradient minus the pieces
-        image2 = R**2 * S**2 - 2.0 * R * S * c + 1.0
-        exact = -((R - S * c) / sep2 + (S**2 * R - S * c) / image2) / (2.0 * np.pi) + R / (
-            2.0 * np.pi
-        )
-        coulomb = -(R - S * c) / sep2 / (2.0 * np.pi)
-        image_term = -gate * ((1.0 - c) - (DXv + DYv * c)) / Dden / (2.0 * np.pi)
-        curv_term = -(gate * HS / (2.0 * np.pi)) * (gt_coef * (1.0 - c) / sqrtD + gn * c)
-        w_dot = exact - coulomb - image_term - curv_term
-        K5 += -DPR * w_dot * dth
+def _coulomb_block(grid, dpr, plap, rows, cols, angles, dth, diag_factor, with_q5):
+    """Q1, and with ``with_q5`` the ungated part of Q5, on ``rows`` x ``cols``.
 
-    meas = a_meas[:, None] * b_meas[None, :]
-    return {"Q1": K1 * meas, "Q2": K2 * meas, "Q3_1": K31 * meas, "Q3_2": K32 * meas, "Q4": K4 * meas, "Q5": K5 * meas}
+    Q1 is (p'(r)(r - s c) + p'(s)(s - r c)) / (4 pi |x - y|^2), replaced by
+    Lap p(r) / (8 pi) on the band |x - y| < diag_tol.  In Q5 the Coulomb
+    piece of the exact gradient cancels analytically, leaving
+    -p'(r) (r - s (r s - c) / (r^2 s^2 - 2 r s c + 1)) / (2 pi).
+    """
+    R = grid.centers[rows, None]
+    S = grid.centers[None, cols]
+    DPR = dpr[rows, None]
+    DPS = dpr[None, cols]
+    rr_ss = R**2 + S**2
+    two_rs = 2.0 * R * S
+    n0 = DPR * R + DPS * S  # numerator = n0 - c n1
+    n1 = DPR * S + DPS * R
+    tol = diag_factor * (grid.widths[rows, None] + grid.widths[None, cols] + np.minimum(R, S) * dth)
+    tol2 = tol * tol
+    band_val = np.broadcast_to(0.5 * plap[rows, None], n0.shape)  # Lap p / (8 pi), times 4 pi
+    sep2 = np.empty_like(n0)
+    h = np.empty_like(n0)
+    band = np.empty(n0.shape, dtype=bool)
+    acc1 = np.zeros_like(n0)
+    if with_q5:
+        wall = (1.0 - R**2) * (1.0 - S**2)  # image distance^2 = sep^2 + wall
+        s2r = S**2 * R
+        acc5 = np.zeros_like(n0)
+    for c, share in angles:
+        np.multiply(two_rs, c, out=sep2)
+        np.subtract(rr_ss, sep2, out=sep2)
+        np.multiply(n1, c, out=h)
+        np.subtract(n0, h, out=h)
+        h /= sep2
+        np.less(sep2, tol2, out=band)
+        np.copyto(h, band_val, where=band)
+        if share != 1.0:
+            h *= share
+        acc1 += h
+        if with_q5:
+            sep2 += wall
+            np.subtract(s2r, S * c, out=h)
+            h /= sep2
+            if share != 1.0:
+                h *= share
+            acc5 += h
+    q1 = acc1 * (dth / (2.0 * np.pi))  # 2 dth / (4 pi)
+    if not with_q5:
+        return q1, None
+    # the dth / (2 pi) sum of r over all angles is r; each pair carries 2 dth / (2 pi) = dth / pi
+    return q1, -DPR * (R - acc5 * (dth / np.pi))
+
+
+def _collar_block(r, z, dp, dp1, angles, dth):
+    """The collar-gated kernels (and the gated part of Q5) on C x C.
+
+    With e = 1 - c and D = 2 e + (d_x + d_y)^2, each gated kernel is a
+    polynomial in e over D or D^2 whose coefficients do not depend on the
+    angle; the angle loop only sums e^k / D (k = 0, 1) and e^k / D^2
+    (k = 0, 1, 2).  The curvature part of Q5 is exactly -Q4.
+    """
+    DX = (1.0 - r)[:, None]
+    DY = (1.0 - r)[None, :]
+    a = DX + DY
+    a2 = a**2
+    D = np.empty_like(a2)
+    inv = np.empty_like(a2)
+    tmp = np.empty_like(a2)
+    s0, se, m0, me, mee = (np.zeros_like(a2) for _ in range(5))
+    for c, share in angles:
+        e = 1.0 - c
+        np.add(a2, 2.0 - 2.0 * c, out=D)
+        np.divide(share, D, out=inv)
+        s0 += inv
+        np.multiply(inv, e, out=tmp)
+        se += tmp
+        inv /= D
+        m0 += inv
+        np.multiply(inv, e, out=tmp)
+        me += tmp
+        tmp *= e
+        mee += tmp
+    gate = (2.0 * dth) * (z[:, None] * z[None, :])  # the pair weight 2 dth folded into Z(x) Z(y)
+    DPR = dp[:, None]
+    DPS = dp[None, :]
+    A = DPR - dp1
+    B = DPS - dp1
+    # Q4's curvature factor g_t (1 - c) / sqrt(D) + g_n c, in the similarity variables
+    # lambda = d / sqrt(D), equals (DY^2 a^2 c - 2 DX^2 c e - 2 a DY^2 e + 2 (DX - DY) e^2) / D^2;
+    # collected in powers of e
+    gamma = DY**2 * a2
+    delta = DX**2
+    q4 = (gate * DPR / r[None, :] / (2.0 * np.pi)) * (
+        gamma * m0 + (-2.0 * a * DY**2 - gamma - 2.0 * delta) * me + 2.0 * (DX - DY + delta) * mee
+    )
+    return {
+        "Q2": gate * (DPR + DPS) / (4.0 * np.pi) * se,
+        "Q3_1": -gate / (4.0 * np.pi) * ((A + B) * a * s0 - (A * DY + B * DX) * se),
+        "Q3_2": -gate * dp1 / (4.0 * np.pi) * a * (2.0 * s0 - se),
+        "Q4": q4,
+        "Q5": -gate * DPR / (2.0 * np.pi) * ((1.0 + DY) * se - a * s0) - q4,
+    }
 
 
 def _mobility_series(traj: Trajectory):
@@ -357,7 +427,7 @@ def weak_residual(
     plap_r = test.plap(r)
 
     L1 = -float(np.sum(p_r * test.zeta(times[0]) * traj.snapshots[0] * w_meas))
-    vals = {k: 0.0 for k in ("Q1", "Q2", "Q3_1", "Q3_2", "Q4", "Q5")}
+    vals = {k: 0.0 for k in _TABLE_KEYS}
     for k in range(times.size - 1):
         dt = times[k + 1] - times[k]
         if dt <= 1e-15:

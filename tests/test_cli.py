@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kslab
 from kslab import io
 from kslab.cli import main
 from kslab.config import (
@@ -310,3 +316,14 @@ def test_manifest_reexecution_identity(tmp_path):
     main(["--out", str(tmp_path / "b"), "run", str(cfg)])
     assert (tmp_path / "a" / "manifest.ini").read_bytes() == (tmp_path / "b" / "manifest.ini").read_bytes()
     assert (tmp_path / "a" / "diagnostics.csv").read_bytes() == (tmp_path / "b" / "diagnostics.csv").read_bytes()
+
+
+def test_import_leaves_out_scipy_signal_and_stats():
+    # every CLI start imports these modules; scipy.signal drags in
+    # scipy.stats and scipy.interpolate, which only concentration detection needs
+    code = "import sys, kslab, kslab.cli, kslab.checks; print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    src = str(Path(kslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kslab import solver as S
 from kslab import weakform as W
+from kslab.greens import cutoff_z_value
 
 
 class QuadPsi:
@@ -202,3 +206,80 @@ def test_limit_phi_zero_psi():
 def test_limit_phi_rejects_unnormalized():
     with pytest.raises(ValueError):
         W.limit_test_phi(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5, 0.5, QuadPsi())
+
+
+def _full_angle_tables(grid, test, n_theta, sigma0, diag_factor):
+    """Reference: every kernel on every pair at each of the n_theta angles."""
+    r = grid.centers
+    n = r.size
+    dr = grid.widths
+    dth = 2.0 * np.pi / n_theta
+    dpr = test.dp(r)
+    plap_r = test.plap(r)
+    dp1 = float(test.dp(np.asarray(1.0)))
+    d = 1.0 - r
+    z = cutoff_z_value(d, sigma0)
+    R, Sy = r[:, None], r[None, :]
+    DPR, DPS = dpr[:, None], dpr[None, :]
+    DXv, DYv = d[:, None], d[None, :]
+    HS = (1.0 / r)[None, :]
+    gate = z[:, None] * z[None, :]
+    diag_tol = diag_factor * (dr[:, None] + dr[None, :] + np.minimum(R, Sy) * dth)
+    K1, K2, K31, K32, K4, K5 = (np.zeros((n, n)) for _ in range(6))
+    for k in range(n_theta):
+        c = np.cos((k + 0.5) * dth)
+        sep2 = R**2 + Sy**2 - 2.0 * R * Sy * c
+        num = DPR * (R - Sy * c) - DPS * (R * c - Sy)
+        h1 = np.where(np.sqrt(sep2) < diag_tol, plap_r[:, None] / (8.0 * np.pi), num / sep2 / (4.0 * np.pi))
+        K1 += h1 * dth
+        Dden = (2.0 - 2.0 * c) + (DXv + DYv) ** 2
+        K2 += gate * (1.0 - c) * (DPR + DPS) / Dden / (4.0 * np.pi) * dth
+        K31 += -gate * ((DPR - dp1) * (DXv + DYv * c) + (DPS - dp1) * (DXv * c + DYv)) / Dden / (4.0 * np.pi) * dth
+        K32 += -gate * dp1 * ((DXv + DYv * c) + (DXv * c + DYv)) / Dden / (4.0 * np.pi) * dth
+        sqrtD = np.sqrt(Dden)
+        lam1, lam2 = DXv / sqrtD, DYv / sqrtD
+        Y2 = (2.0 - 2.0 * c) / Dden
+        gt_coef = -2.0 * (lam1 + lam2) * lam2**2 + (lam1 - lam2) * Y2
+        gn = -(lam2**2) + 2.0 * lam2**2 * (lam1 + lam2) ** 2 + (lam2**2 - lam1**2) * Y2
+        curv = (gate * HS / (2.0 * np.pi)) * (gt_coef * (1.0 - c) / sqrtD + gn * c)
+        K4 += DPR * curv * dth
+        image2 = R**2 * Sy**2 - 2.0 * R * Sy * c + 1.0
+        exact = -((R - Sy * c) / sep2 + (Sy**2 * R - Sy * c) / image2) / (2.0 * np.pi) + R / (2.0 * np.pi)
+        coulomb = -(R - Sy * c) / sep2 / (2.0 * np.pi)
+        image_term = -gate * ((1.0 - c) - (DXv + DYv * c)) / Dden / (2.0 * np.pi)
+        K5 += -DPR * (exact - coulomb - image_term + curv) * dth
+    meas = (2.0 * np.pi * grid.vol)[:, None] * grid.vol[None, :]
+    return {"Q1": K1 * meas, "Q2": K2 * meas, "Q3_1": K31 * meas, "Q3_2": K32 * meas, "Q4": K4 * meas, "Q5": K5 * meas}
+
+
+@st.composite
+def kernel_table_cases(draw):
+    grid = S.make_radial_grid(draw(st.integers(8, 48)), draw(st.floats(1.0, 1.01)))
+    kind = draw(st.sampled_from(["interior_bump", "quadratic_window", "boundary_compatible"]))
+    if kind == "interior_bump":
+        test = W.interior_bump_test(radius=draw(st.floats(0.2, 0.95)))  # inside or reaching into the collar
+    elif kind == "quadratic_window":
+        test = W.quadratic_window_test(radius=draw(st.floats(0.2, 0.95)))
+    else:
+        test = W.boundary_compatible_test()
+    n_theta = draw(st.integers(2, 40))
+    sigma0 = draw(st.floats(0.1, 0.3))
+    diag_factor = draw(st.floats(0.5, 1.0))
+    m = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 5.0, grid.n)
+    return grid, test, n_theta, sigma0, diag_factor, m
+
+
+@given(kernel_table_cases())
+@settings(max_examples=150, deadline=None)
+def test_kernel_tables_match_full_angle_loop(case):
+    grid, test, n_theta, sigma0, diag_factor, m = case
+    old = _full_angle_tables(grid, test, n_theta, sigma0, diag_factor)
+    new = W._radial_kernel_tables(SimpleNamespace(grid=grid), test, n_theta, sigma0, diag_factor)
+    assert set(new) == set(old)
+    for key, K_old in old.items():
+        K_new = new[key]
+        assert K_new.shape == K_old.shape
+        tol = 1e-10 * float(np.sum(np.abs(K_old))) * float(np.max(m)) ** 2
+        assert abs(float(m @ K_new @ m) - float(m @ K_old @ m)) <= tol, key
+        if key != "Q1" and key != "Q5":  # the collar tables keep the oracle's exact zeros
+            assert np.all(K_new[K_old == 0.0] == 0.0), key
