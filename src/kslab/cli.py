@@ -3,13 +3,16 @@
 Exit codes: 0 success; 2 a run stopped on the concentration rule (artifacts
 intact); 1 configuration or execution error.  Every artifact directory
 holds a manifest (config hash, seed, version) sufficient to re-execute the
-producing command bit-identically.
+producing command bit-identically.  ``check`` prints one line per CSV row,
+then the suite's elapsed seconds (``elapsed 0.123 s``), which stay out of
+the CSV.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from . import checks, io
@@ -113,6 +116,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
+    start = time.perf_counter()
     if args.suite == "greens":
         rows, passed = checks.check_greens(mesh=args.mesh)
     elif args.suite == "testfn":
@@ -122,12 +126,15 @@ def cmd_check(args) -> int:
     else:
         levels = tuple(int(tok) for tok in args.levels.split())
         rows, passed = checks.check_weak_residual(levels=levels)
+    elapsed = time.perf_counter() - start
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     io.write_csv(out / f"check_{args.suite.replace('-', '_')}.csv", checks.CHECK_COLUMNS, rows)
     for row in rows:
         mark = "PASS" if row["passed"] else "FAIL"
         print(f"{mark:4s} {row['check']}: {row['value']} (gate {row['gate']})")
+    # timing stays out of the CSV, which repeats byte for byte
+    print(f"elapsed {elapsed:.3f} s")
     return 0 if passed else 1
 
 

@@ -24,6 +24,7 @@ so the PDE characterization of ``K`` becomes a test, not a constructor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,44 +66,54 @@ def _as_points(p) -> np.ndarray:
     return p
 
 
+def _components(p) -> tuple[np.ndarray, np.ndarray]:
+    """The two coordinate arrays of a point array of shape ``(..., 2)``."""
+    p = _as_points(p)
+    return p[..., 0], p[..., 1]
+
+
+def _sep2(x0, x1, y0, y1) -> np.ndarray:
+    """Squared separation; raises on a coincident pair."""
+    sep2 = (x0 - y0) ** 2 + (x1 - y1) ** 2
+    if np.any(sep2 < _SINGULAR_TOL**2):
+        raise SingularityError("Green's function is singular at x = y")
+    return sep2
+
+
+def _greens(x0, x1, y0, y1) -> np.ndarray:
+    """``greens_disk_exact`` on coordinate arrays (broadcasting)."""
+    sep2 = _sep2(x0, x1, y0, y1)
+    rx2 = x0**2 + x1**2
+    ry2 = y0**2 + y1**2
+    image2 = rx2 * ry2 - 2.0 * (x0 * y0 + x1 * y1) + 1.0
+    return -(np.log(sep2) + np.log(image2)) / (4.0 * np.pi) + (rx2 + ry2) / (4.0 * np.pi) + C0_DISK
+
+
+def _grad_x_greens(x0, x1, y0, y1):
+    """``grad_x_greens_disk_exact`` on coordinate arrays: the two gradient
+    components and the squared separation."""
+    sep2 = _sep2(x0, x1, y0, y1)
+    ry2 = y0**2 + y1**2
+    image2 = (x0**2 + x1**2) * ry2 - 2.0 * (x0 * y0 + x1 * y1) + 1.0
+    # grad_x log||y|x - y/|y|| = (|y|^2 x - y) / image2
+    g0 = -((x0 - y0) / sep2 + (ry2 * x0 - y0) / image2) / (2.0 * np.pi) + x0 / (2.0 * np.pi)
+    g1 = -((x1 - y1) / sep2 + (ry2 * x1 - y1) / image2) / (2.0 * np.pi) + x1 / (2.0 * np.pi)
+    return g0, g1, sep2
+
+
 def greens_disk_exact(x, y) -> np.ndarray | float:
     """Exact Neumann Green's function of the unit disk, mean zero.
 
     Symmetric in its arguments; raises on x = y.
     """
-    x, y = np.broadcast_arrays(_as_points(x), _as_points(y))
-    dx = x - y
-    sep2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
-    if np.any(sep2 < _SINGULAR_TOL**2):
-        raise SingularityError("greens_disk_exact is singular at x = y")
-    rx2 = x[..., 0] ** 2 + x[..., 1] ** 2
-    ry2 = y[..., 0] ** 2 + y[..., 1] ** 2
-    dot = x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
-    image2 = rx2 * ry2 - 2.0 * dot + 1.0
-    g = (
-        -(np.log(sep2) + np.log(image2)) / (4.0 * np.pi)
-        + (rx2 + ry2) / (4.0 * np.pi)
-        + C0_DISK
-    )
+    g = np.asarray(_greens(*_components(x), *_components(y)))
     return float(g) if g.ndim == 0 else g
 
 
 def grad_x_greens_disk_exact(x, y) -> np.ndarray:
     """Analytic gradient of ``greens_disk_exact`` in the first argument."""
-    x, y = np.broadcast_arrays(_as_points(x), _as_points(y))
-    dx = x - y
-    sep2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
-    if np.any(sep2 < _SINGULAR_TOL**2):
-        raise SingularityError("gradient singular at x = y")
-    rx2 = x[..., 0] ** 2 + x[..., 1] ** 2
-    ry2 = y[..., 0] ** 2 + y[..., 1] ** 2
-    dot = x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
-    image2 = (rx2 * ry2 - 2.0 * dot + 1.0)[..., None]
-    # grad_x log||y|x - y/|y|| = (|y|^2 x - y) / image2
-    return (
-        -(dx / sep2[..., None] + (ry2[..., None] * x - y) / image2) / (2.0 * np.pi)
-        + x / (2.0 * np.pi)
-    )
+    g0, g1, _ = _grad_x_greens(*_components(x), *_components(y))
+    return np.stack([g0, g1], axis=-1)
 
 
 def cutoff_z_value(d, sigma0: float):
@@ -150,6 +161,28 @@ def remainder_k_diagonal(decomp: GreensDecomposition, y) -> np.ndarray | float:
     return float(k) if k.ndim == 0 else k
 
 
+def _on(mask: np.ndarray, a):
+    """``a`` (broadcast to the mask's shape) restricted to the mask; ``a``
+    itself when the mask selects every pair, so that arguments smaller than
+    the mask stay small."""
+    return a if mask.all() else np.broadcast_to(a, mask.shape)[mask]
+
+
+def _scatter(mask: np.ndarray, vals, fill: float):
+    """Inverse of ``_on``: ``vals`` on the mask, ``fill`` elsewhere."""
+    if mask.all():
+        return vals
+    out = np.full(mask.shape + np.shape(vals)[1:], fill)
+    out[mask] = vals
+    return out
+
+
+def _tau_on(decomp: GreensDecomposition, mask: np.ndarray, y0, y1):
+    """Components of the reflected point ``tau(y)`` on the masked pairs."""
+    tau = reflect_tau(decomp.domain, np.stack([_on(mask, y0), _on(mask, y1)], axis=-1))
+    return tau[..., 0], tau[..., 1]
+
+
 def remainder_k_exact(
     decomp: GreensDecomposition,
     y,
@@ -162,44 +195,41 @@ def remainder_k_exact(
     ``greens_fn`` and ``force_z`` exist for consistency checks (e.g. the
     free-space reduction, where K collapses to the polynomial part).
     """
-    g = greens_fn if greens_fn is not None else greens_disk_exact
-    y = _as_points(y)
-    x = _as_points(x)
-    yb, xb = np.broadcast_arrays(y, x)
-    gv = np.asarray(g(xb, yb))
-    sep = np.hypot(xb[..., 0] - yb[..., 0], xb[..., 1] - yb[..., 1])
-    if force_z is None:
-        z = np.asarray(cutoff_Z(decomp, yb))
+    y0, y1 = _components(y)
+    x0, x1 = _components(x)
+    if greens_fn is None:
+        gv = _greens(x0, x1, y0, y1)
     else:
-        z = np.full(sep.shape, float(force_z))
-    image_log = np.zeros(sep.shape)
-    mask = z > 0.0
-    if np.any(mask):
-        tau = reflect_tau(decomp.domain, yb[mask])
-        image_log[mask] = z[mask] * np.log(
-            np.hypot(xb[mask][..., 0] - tau[..., 0], xb[mask][..., 1] - tau[..., 1])
-        )
-    k = gv + (np.log(sep) + image_log) / (2.0 * np.pi)
+        gv = np.asarray(greens_fn(*np.broadcast_arrays(_as_points(x), _as_points(y))))
+    logs = np.log(np.hypot(x0 - y0, x1 - y1))
+    z = cutoff_Z(decomp, y) if force_z is None else force_z
+    mask = np.broadcast_to(np.asarray(z) > 0.0, np.shape(logs))
+    if mask.any():
+        t0, t1 = _tau_on(decomp, mask, y0, y1)
+        image_log = _on(mask, z) * np.log(np.hypot(_on(mask, x0) - t0, _on(mask, x1) - t1))
+        logs = logs + _scatter(mask, image_log, 0.0)
+    k = np.asarray(gv + logs / (2.0 * np.pi))
     return float(k) if k.ndim == 0 else k
 
 
 def grad_x_remainder_k_exact(decomp: GreensDecomposition, y, x) -> np.ndarray:
     """grad_x K(y, x): the analytic gradient minus both log gradients."""
-    y = _as_points(y)
-    x = _as_points(x)
-    yb, xb = np.broadcast_arrays(y, x)
-    grad = grad_x_greens_disk_exact(xb, yb)
-    dx = xb - yb
-    sep2 = (dx[..., 0] ** 2 + dx[..., 1] ** 2)[..., None]
-    grad = grad + dx / sep2 / (2.0 * np.pi)
-    z = np.asarray(cutoff_Z(decomp, yb))
-    mask = z > 0.0
-    if np.any(mask):
-        tau = reflect_tau(decomp.domain, yb[mask])
-        dxt = xb[mask] - tau
-        sept2 = (dxt[..., 0] ** 2 + dxt[..., 1] ** 2)[..., None]
-        grad[mask] += z[mask][..., None] * dxt / sept2 / (2.0 * np.pi)
-    return grad
+    y0, y1 = _components(y)
+    x0, x1 = _components(x)
+    g0, g1, sep2 = _grad_x_greens(x0, x1, y0, y1)
+    g0 = g0 + (x0 - y0) / sep2 / (2.0 * np.pi)
+    g1 = g1 + (x1 - y1) / sep2 / (2.0 * np.pi)
+    z = cutoff_Z(decomp, y)
+    mask = np.broadcast_to(np.asarray(z) > 0.0, np.shape(sep2))
+    if mask.any():
+        t0, t1 = _tau_on(decomp, mask, y0, y1)
+        zm = _on(mask, z)
+        dxt0 = _on(mask, x0) - t0
+        dxt1 = _on(mask, x1) - t1
+        sept2 = dxt0**2 + dxt1**2
+        g0 = g0 + _scatter(mask, zm * dxt0 / sept2 / (2.0 * np.pi), 0.0)
+        g1 = g1 + _scatter(mask, zm * dxt1 / sept2 / (2.0 * np.pi), 0.0)
+    return np.stack([g0, g1], axis=-1)
 
 
 def build_greens_decomposition(domain: DomainGeometry | None = None) -> GreensDecomposition:
@@ -241,10 +271,13 @@ class GradGTerms:
     """Split of grad_x G into Coulomb, image, curvature and remainder parts.
 
     ``coulomb + image + curvature + w_remainder`` reproduces the analytic
-    gradient exactly; the similarity variables satisfy
-    ``|Y|^2 + (lambda1+lambda2)^2 = 1`` whenever both points carry a frame
-    (NaN where a point sits at the disk center).  ``image_conditioning`` is
-    ``|x - tau(y)|^2 / D``; values near zero signal the near-image regime.
+    gradient to rounding (``w_remainder`` is defined by subtraction); the
+    similarity variables satisfy ``|Y|^2 + (lambda1+lambda2)^2 = 1``
+    whenever both points carry a frame (NaN where a point sits at the disk
+    center).  ``image_conditioning`` is ``|x - tau(y)|^2 / D``; values near
+    zero signal the near-image regime.  Where ``Z(y) = 0`` or a point sits
+    at the center, image and curvature are exactly zero and
+    ``image_conditioning`` is NaN.
     """
 
     coulomb: np.ndarray
@@ -262,72 +295,95 @@ class GradGTerms:
         return self.coulomb + self.image + self.curvature + self.w_remainder
 
 
+def _unit(c0, c1, r):
+    """Unit vector along a point, NaN for a point at the disk center, and
+    the mask of points off the center."""
+    ok = r > 1e-14
+    if np.all(ok):
+        return c0 / r, c1 / r, ok
+    r = np.maximum(r, 1e-300)
+    return np.where(ok, c0 / r, np.nan), np.where(ok, c1 / r, np.nan), ok
+
+
 def grad_x_G_terms(decomp: GreensDecomposition, x, y) -> GradGTerms:
     """Evaluate the gradient representation term by term at (x, y), x != y.
 
     The remainder is defined by subtraction from the analytic gradient, so
-    the term sum is exact by construction and the interesting checks are
-    the magnitude and continuity of ``w_remainder``.
+    the term sum reproduces it to rounding and the interesting checks are
+    the magnitude and continuity of ``w_remainder``.  The image and
+    curvature terms and ``image_conditioning`` are computed only on the
+    pairs with ``Z(y) > 0`` and both points off the center.
     """
-    x = _as_points(x)
-    y = _as_points(y)
-    xb, yb = np.broadcast_arrays(x, y)
-    exact = grad_x_greens_disk_exact(xb, yb)
-    dx = xb - yb
-    sep2 = (dx[..., 0] ** 2 + dx[..., 1] ** 2)[..., None]
-    coulomb = -dx / sep2 / (2.0 * np.pi)
+    x0, x1 = _components(x)
+    y0, y1 = _components(y)
+    e0, e1, sep2 = _grad_x_greens(x0, x1, y0, y1)
+    c0 = -(x0 - y0) / sep2 / (2.0 * np.pi)
+    c1 = -(x1 - y1) / sep2 / (2.0 * np.pi)
 
-    rx = np.hypot(xb[..., 0], xb[..., 1])
-    ry = np.hypot(yb[..., 0], yb[..., 1])
+    rx = np.hypot(x0, x1)
+    ry = np.hypot(y0, y1)
     dxv = 1.0 - rx
     dyv = 1.0 - ry
-    z = np.asarray(cutoff_z_value(dyv, decomp.sigma0))
-
-    ok = (rx > 1e-14) & (ry > 1e-14)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nux = np.where(ok[..., None], xb / np.maximum(rx, 1e-300)[..., None], np.nan)
-        nuy = np.where(ok[..., None], yb / np.maximum(ry, 1e-300)[..., None], np.nan)
-    pbx = xb + dxv[..., None] * nux
-    pby = yb + dyv[..., None] * nuy
-    dp = pbx - pby
-    D = dp[..., 0] ** 2 + dp[..., 1] ** 2 + (dxv + dyv) ** 2
+    nux0, nux1, okx = _unit(x0, x1, rx)
+    nuy0, nuy1, oky = _unit(y0, y1, ry)
+    # difference of the closest boundary points x + d(x) nu(x), y + d(y) nu(y)
+    dp0 = (x0 + dxv * nux0) - (y0 + dyv * nuy0)
+    dp1 = (x1 + dxv * nux1) - (y1 + dyv * nuy1)
+    D = dp0**2 + dp1**2 + (dxv + dyv) ** 2
     sqrtD = np.sqrt(D)
-    Y = dp / sqrtD[..., None]
+    Y0 = dp0 / sqrtD
+    Y1 = dp1 / sqrtD
     lam1 = dxv / sqrtD
     lam2 = dyv / sqrtD
 
-    zmask = (z > 0.0) & ok
-    zcol = np.where(zmask, z, 0.0)[..., None]
-    image_num = dp - (dxv[..., None] * nux + dyv[..., None] * nuy)
-    image = np.where(
-        zmask[..., None], -zcol * image_num / np.where(D > 0, D, 1.0)[..., None] / (2.0 * np.pi), 0.0
-    )
-    h_y = np.where(ok, 1.0 / np.maximum(ry, 1e-300), np.nan)
-    gt = g_tangential(np.where(np.isfinite(Y), Y, 0.0), np.where(ok, lam1, 0.0), np.where(ok, lam2, 0.0))
-    gn = np.asarray(g_normal(np.where(np.isfinite(Y), Y, 0.0), np.where(ok, lam1, 0.0), np.where(ok, lam2, 0.0)))
-    curvature = np.where(
-        zmask[..., None],
-        -(zcol * np.where(ok, h_y, 0.0)[..., None] / (2.0 * np.pi)) * (gt + gn[..., None] * nuy),
-        0.0,
-    )
-    w = exact - coulomb - image - curvature
-
-    conditioning = np.full(D.shape, np.nan)
-    if np.any(zmask):
-        tau = reflect_tau(decomp.domain, yb[zmask])
-        sep_tau2 = np.sum((xb[zmask] - tau) ** 2, axis=-1)
-        conditioning[zmask] = sep_tau2 / D[zmask]
+    z = cutoff_z_value(dyv, decomp.sigma0)
+    mask = np.broadcast_to((np.asarray(z) > 0.0) & oky & okx, np.shape(D))
+    image = np.zeros(mask.shape + (2,))
+    curvature = np.zeros(mask.shape + (2,))
+    conditioning = np.full(mask.shape, np.nan)
+    if mask.any():
+        zm, Dm, l1, l2, dxm, dym = (_on(mask, a) for a in (z, D, lam1, lam2, dxv, dyv))
+        image = np.stack(
+            [
+                -zm * (_on(mask, dp) - (dxm * _on(mask, nx) + dym * _on(mask, ny))) / Dm / (2.0 * np.pi)
+                for dp, nx, ny in ((dp0, nux0, nuy0), (dp1, nux1, nuy1))
+            ],
+            axis=-1,
+        )
+        image = _scatter(mask, image, 0.0)
+        Ym = np.stack([_on(mask, Y0), _on(mask, Y1)], axis=-1)
+        nuy = np.stack([_on(mask, nuy0), _on(mask, nuy1)], axis=-1)
+        scale = -(zm * (1.0 / _on(mask, ry)) / (2.0 * np.pi))
+        kernels = g_tangential(Ym, l1, l2) + np.expand_dims(g_normal(Ym, l1, l2), -1) * nuy
+        curvature = _scatter(mask, np.expand_dims(scale, -1) * kernels, 0.0)
+        t0, t1 = _tau_on(decomp, mask, y0, y1)
+        sep_tau2 = (_on(mask, x0) - t0) ** 2 + (_on(mask, x1) - t1) ** 2
+        conditioning = _scatter(mask, sep_tau2 / Dm, np.nan)
+    exact = np.stack([e0, e1], axis=-1)
+    coulomb = np.stack([c0, c1], axis=-1)
     return GradGTerms(
         coulomb=coulomb,
         image=image,
         curvature=curvature,
-        w_remainder=w,
+        w_remainder=exact - coulomb - image - curvature,
         d_denominator=D,
-        y_sim=Y,
+        y_sim=np.stack([Y0, Y1], axis=-1),
         lambda1=lam1,
         lambda2=lam2,
         image_conditioning=conditioning,
     )
+
+
+@functools.lru_cache(maxsize=8)
+def _disk_nodes(n_r: int, n_theta: int) -> tuple[np.ndarray, ...]:
+    """Gauss-Legendre radii and weights on [0, 1] and the cosines and sines
+    of the trapezoid angles; read-only, since every caller shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_r)
+    th = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    out = (0.5 * (nodes + 1.0), 0.5 * weights, np.cos(th), np.sin(th))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def disk_mean_of_greens(x, n_r: int = 96, n_theta: int = 256) -> float:
@@ -335,20 +391,16 @@ def disk_mean_of_greens(x, n_r: int = 96, n_theta: int = 256) -> float:
 
     The singular Coulomb log integrates in closed form over the disk
     (``(1-|x|^2)/4``); the rest is analytic and handled by Gauss-Legendre
-    in radius times a periodic trapezoid in angle.
+    in radius times a periodic trapezoid in angle (nodes cached per
+    ``(n_r, n_theta)``).
     """
     x = np.asarray(x, dtype=float)
-    nodes, weights = np.polynomial.legendre.leggauss(n_r)
-    r = 0.5 * (nodes + 1.0)
-    wr = 0.5 * weights
-    th = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    wth = 2.0 * np.pi / n_theta
-    rr, tt = np.meshgrid(r, th, indexing="ij")
-    pts = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1)
+    r, wr, cos_t, sin_t = _disk_nodes(n_r, n_theta)
+    rr = r[:, None]
     rx2 = x[0] ** 2 + x[1] ** 2
     ry2 = rr**2
-    dot = x[0] * pts[..., 0] + x[1] * pts[..., 1]
+    dot = x[0] * (rr * cos_t) + x[1] * (rr * sin_t)
     image2 = rx2 * ry2 - 2.0 * dot + 1.0
     smooth = -np.log(image2) / (4.0 * np.pi) + (rx2 + ry2) / (4.0 * np.pi) + C0_DISK
-    integral = np.sum(smooth * rr * wr[:, None]) * wth
+    integral = np.sum(smooth * rr * wr[:, None]) * (2.0 * np.pi / n_theta)
     return float(integral + (1.0 - rx2) / 4.0)

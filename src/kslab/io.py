@@ -80,7 +80,8 @@ def read_snapshot(path) -> dict:
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        return repr(x)
+        # float() first: the repr of a numpy float is "np.float64(...)"
+        return repr(float(x))
     return str(x)
 
 

@@ -419,6 +419,8 @@ def weak_residual(
     grid = traj.grid
     r = grid.centers
     tables = _radial_kernel_tables(traj, test, n_theta, sigma0, diag_factor)
+    # an all-zero table contributes exactly 0.0, its starting value
+    tables = {key: K for key, K in tables.items() if K.any()}
     mob = _mobility_series(traj)
     comp = _companion_series(traj)
     times = np.asarray(traj.times)

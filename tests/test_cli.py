@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -234,6 +235,12 @@ def test_csv_schema_sidecar(tmp_path):
     assert "a: first" in schema
 
 
+def test_csv_writes_numpy_floats_as_numbers(tmp_path):
+    p = tmp_path / "x.csv"
+    io.write_csv(p, ["a", "b"], [{"a": np.float64(0.1), "b": 0.1}])
+    assert p.read_text() == "a,b\n0.1,0.1\n"
+
+
 def test_cmd_run_subcritical_exit0(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(RUN_TEXT)
@@ -306,6 +313,18 @@ def test_cmd_check_sobolev(tmp_path):
     rc = main(["--out", str(tmp_path), "check", "sobolev"])
     assert rc == 0
     assert (tmp_path / "check_sobolev.csv").exists()
+
+
+def test_cmd_check_prints_elapsed_last_and_keeps_it_out_of_the_csv(tmp_path, capsys):
+    csvs = []
+    for name in ("a", "b"):
+        assert main(["--out", str(tmp_path / name), "check", "sobolev"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert re.fullmatch(r"elapsed \d+\.\d{3} s", lines[-1])
+        assert all(not line.startswith("elapsed") for line in lines[:-1])
+        csvs.append((tmp_path / name / "check_sobolev.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    assert b"elapsed" not in csvs[0]
 
 
 def test_manifest_reexecution_identity(tmp_path):

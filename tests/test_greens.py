@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kslab import greens
+from kslab import checks, greens
 from kslab.geometry import unit_disk
 
 
@@ -205,3 +205,251 @@ def test_w_remainder_continuity_near_diagonal(decomp):
     vals = np.asarray(vals)
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals[-1] - vals[-2])) < 1e-2
+
+
+# Reference formulas: the (..., 2)-array evaluation that the component-array
+# implementation replaced, kept as the oracle for the property tests below.
+
+
+def _ref_greens(x, y):
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    dx = x - y
+    sep2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
+    if np.any(sep2 < 1e-28):
+        raise greens.SingularityError("singular")
+    rx2 = x[..., 0] ** 2 + x[..., 1] ** 2
+    ry2 = y[..., 0] ** 2 + y[..., 1] ** 2
+    dot = x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
+    image2 = rx2 * ry2 - 2.0 * dot + 1.0
+    return -(np.log(sep2) + np.log(image2)) / (4.0 * np.pi) + (rx2 + ry2) / (4.0 * np.pi) + greens.C0_DISK
+
+
+def _ref_grad_x_greens(x, y):
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    dx = x - y
+    sep2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
+    if np.any(sep2 < 1e-28):
+        raise greens.SingularityError("singular")
+    rx2 = x[..., 0] ** 2 + x[..., 1] ** 2
+    ry2 = y[..., 0] ** 2 + y[..., 1] ** 2
+    dot = x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
+    image2 = (rx2 * ry2 - 2.0 * dot + 1.0)[..., None]
+    return -(dx / sep2[..., None] + (ry2[..., None] * x - y) / image2) / (2.0 * np.pi) + x / (2.0 * np.pi)
+
+
+def _ref_remainder_k(decomp, y, x):
+    yb, xb = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(x, dtype=float))
+    gv = np.asarray(_ref_greens(xb, yb))
+    sep = np.hypot(xb[..., 0] - yb[..., 0], xb[..., 1] - yb[..., 1])
+    z = np.asarray(greens.cutoff_Z(decomp, yb))
+    image_log = np.zeros(sep.shape)
+    mask = z > 0.0
+    if np.any(mask):
+        tau = greens.reflect_tau(decomp.domain, yb[mask])
+        image_log[mask] = z[mask] * np.log(
+            np.hypot(xb[mask][..., 0] - tau[..., 0], xb[mask][..., 1] - tau[..., 1])
+        )
+    return gv + (np.log(sep) + image_log) / (2.0 * np.pi)
+
+
+def _ref_grad_x_remainder_k(decomp, y, x):
+    yb, xb = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(x, dtype=float))
+    grad = _ref_grad_x_greens(xb, yb)
+    dx = xb - yb
+    sep2 = (dx[..., 0] ** 2 + dx[..., 1] ** 2)[..., None]
+    grad = grad + dx / sep2 / (2.0 * np.pi)
+    z = np.asarray(greens.cutoff_Z(decomp, yb))
+    mask = z > 0.0
+    if np.any(mask):
+        tau = greens.reflect_tau(decomp.domain, yb[mask])
+        dxt = xb[mask] - tau
+        sept2 = (dxt[..., 0] ** 2 + dxt[..., 1] ** 2)[..., None]
+        grad[mask] += z[mask][..., None] * dxt / sept2 / (2.0 * np.pi)
+    return grad
+
+
+def _ref_grad_x_G_terms(decomp, x, y):
+    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    exact = _ref_grad_x_greens(xb, yb)
+    dx = xb - yb
+    sep2 = (dx[..., 0] ** 2 + dx[..., 1] ** 2)[..., None]
+    coulomb = -dx / sep2 / (2.0 * np.pi)
+    rx = np.hypot(xb[..., 0], xb[..., 1])
+    ry = np.hypot(yb[..., 0], yb[..., 1])
+    dxv = 1.0 - rx
+    dyv = 1.0 - ry
+    z = np.asarray(greens.cutoff_z_value(dyv, decomp.sigma0))
+    ok = (rx > 1e-14) & (ry > 1e-14)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nux = np.where(ok[..., None], xb / np.maximum(rx, 1e-300)[..., None], np.nan)
+        nuy = np.where(ok[..., None], yb / np.maximum(ry, 1e-300)[..., None], np.nan)
+    dp = (xb + dxv[..., None] * nux) - (yb + dyv[..., None] * nuy)
+    D = dp[..., 0] ** 2 + dp[..., 1] ** 2 + (dxv + dyv) ** 2
+    sqrtD = np.sqrt(D)
+    Y = dp / sqrtD[..., None]
+    lam1 = dxv / sqrtD
+    lam2 = dyv / sqrtD
+    zmask = (z > 0.0) & ok
+    zcol = np.where(zmask, z, 0.0)[..., None]
+    image_num = dp - (dxv[..., None] * nux + dyv[..., None] * nuy)
+    image = np.where(
+        zmask[..., None], -zcol * image_num / np.where(D > 0, D, 1.0)[..., None] / (2.0 * np.pi), 0.0
+    )
+    h_y = np.where(ok, 1.0 / np.maximum(ry, 1e-300), 0.0)
+    Yf = np.where(np.isfinite(Y), Y, 0.0)
+    l1, l2 = np.where(ok, lam1, 0.0), np.where(ok, lam2, 0.0)
+    gt = greens.g_tangential(Yf, l1, l2)
+    gn = np.asarray(greens.g_normal(Yf, l1, l2))
+    curvature = np.where(
+        zmask[..., None], -(zcol * h_y[..., None] / (2.0 * np.pi)) * (gt + gn[..., None] * nuy), 0.0
+    )
+    conditioning = np.full(D.shape, np.nan)
+    if np.any(zmask):
+        tau = greens.reflect_tau(decomp.domain, yb[zmask])
+        conditioning[zmask] = np.sum((xb[zmask] - tau) ** 2, axis=-1) / D[zmask]
+    return {
+        "coulomb": coulomb,
+        "image": image,
+        "curvature": curvature,
+        "w_remainder": exact - coulomb - image - curvature,
+        "d_denominator": D,
+        "y_sim": Y,
+        "lambda1": lam1,
+        "lambda2": lam2,
+        "image_conditioning": conditioning,
+    }
+
+
+def _assert_matches(new, ref, name):
+    new = np.asarray(new, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    assert new.shape == ref.shape, name
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(new), nan), name
+    scale = np.max(np.abs(ref[~nan]), initial=0.0)
+    assert np.all(np.abs(new[~nan] - ref[~nan]) <= 1e-13 * scale), name
+
+
+_DISK = unit_disk()
+# center, boundary, and the collar junctions d = sigma0 and d = 2 sigma0
+_RADII = st.one_of(st.sampled_from([0.0, 1.0, 1.0 - _DISK.sigma0, 1.0 - 2.0 * _DISK.sigma0]), st.floats(0.0, 1.0))
+_ANGLES = st.one_of(st.sampled_from([0.0, 0.5 * np.pi]), st.floats(0.0, 2.0 * np.pi))
+
+
+@st.composite
+def point_arguments(draw):
+    """(x, y) of shapes (2,) / (N, 2) / (N, 1, 2) that broadcast together."""
+
+    def points(k):
+        r = np.array(draw(st.lists(_RADII, min_size=k, max_size=k)))
+        th = np.array(draw(st.lists(_ANGLES, min_size=k, max_size=k)))
+        return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+
+    n = draw(st.integers(1, 8))
+    layout = draw(st.sampled_from(["pairs", "x_single", "y_single", "single", "outer"]))
+    if layout == "pairs":
+        return points(n), points(n)
+    if layout == "x_single":
+        return points(1)[0], points(n)
+    if layout == "y_single":
+        return points(n), points(1)[0]
+    if layout == "single":
+        return points(1)[0], points(1)[0]
+    return points(n)[:, None], points(draw(st.integers(1, 4)))
+
+
+@given(point_arguments())
+@settings(max_examples=300, deadline=None)
+def test_component_evaluation_matches_reference(args):
+    x, y = args
+    decomp = greens.build_greens_decomposition(_DISK)
+    try:
+        ref = _ref_grad_x_G_terms(decomp, x, y)
+    except greens.SingularityError:
+        for fn in (
+            lambda: greens.grad_x_G_terms(decomp, x, y),
+            lambda: greens.remainder_k_exact(decomp, y, x),
+            lambda: greens.grad_x_remainder_k_exact(decomp, y, x),
+        ):
+            with pytest.raises(greens.SingularityError):
+                fn()
+        return
+    terms = greens.grad_x_G_terms(decomp, x, y)
+    for name, value in ref.items():
+        _assert_matches(getattr(terms, name), value, name)
+    yb = np.broadcast_arrays(np.asarray(x), np.asarray(y))[1]
+    off_collar = np.asarray(greens.cutoff_Z(decomp, yb)) == 0.0
+    assert np.all(terms.image[off_collar] == 0.0)
+    assert np.all(terms.curvature[off_collar] == 0.0)
+    _assert_matches(greens.remainder_k_exact(decomp, y, x), _ref_remainder_k(decomp, y, x), "K")
+    _assert_matches(greens.grad_x_remainder_k_exact(decomp, y, x), _ref_grad_x_remainder_k(decomp, y, x), "grad K")
+
+
+def _ref_collar_pairs_fd(rng, decomp, n_pairs):
+    """The per-pair loop that ``checks._collar_pairs_fd`` batches."""
+    worst = 0.0
+    count = 0
+    while count < n_pairs:
+        pts = checks._sample_disk(rng, 2 * n_pairs, 0.998)
+        d = 1.0 - np.hypot(pts[:, 0], pts[:, 1])
+        collar = pts[(d < 2 * decomp.sigma0) & (d > 2e-3)]
+        for k in range(0, len(collar) - 1, 2):
+            x, y = collar[k], collar[k + 1]
+            sep = np.hypot(*(x - y))
+            tau = greens.reflect_tau(decomp.domain, y)
+            sep_t = np.hypot(*(x - tau))
+            if sep < 5e-3:
+                continue
+            h = min(3e-3 * min(sep, sep_t), 0.3 * (1.0 - np.hypot(*x)))
+            if h < 1e-9:
+                continue
+            fd = np.array(
+                [
+                    (_ref_greens(x + h * e, y) - _ref_greens(x - h * e, y)) / (2 * h)
+                    for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+                ]
+            )
+            terms = _ref_grad_x_G_terms(decomp, x, y)
+            total = terms["coulomb"] + terms["image"] + terms["curvature"] + terms["w_remainder"]
+            worst = max(worst, float(np.max(np.abs(total - fd))))
+            count += 1
+            if count >= n_pairs:
+                break
+    return worst, count
+
+
+@pytest.mark.parametrize("n_pairs", [1, 7, 1000])
+@pytest.mark.parametrize("seed", [3, 11, 12345])
+def test_collar_pair_batches_match_per_pair_loop(decomp, seed, n_pairs):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    worst, count = checks._collar_pairs_fd(rng, decomp, n_pairs)
+    ref_worst, ref_count = _ref_collar_pairs_fd(ref_rng, decomp, n_pairs)
+    assert count == ref_count == n_pairs
+    assert worst == pytest.approx(ref_worst, rel=1e-9)
+    # the same batches were drawn, so the rest of the check sees the same stream
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _ref_disk_mean(x, n_r, n_theta):
+    x = np.asarray(x, dtype=float)
+    nodes, weights = np.polynomial.legendre.leggauss(n_r)
+    r = 0.5 * (nodes + 1.0)
+    wr = 0.5 * weights
+    th = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    rr, tt = np.meshgrid(r, th, indexing="ij")
+    rx2 = x[0] ** 2 + x[1] ** 2
+    dot = x[0] * (rr * np.cos(tt)) + x[1] * (rr * np.sin(tt))
+    image2 = rx2 * rr**2 - 2.0 * dot + 1.0
+    smooth = -np.log(image2) / (4.0 * np.pi) + (rx2 + rr**2) / (4.0 * np.pi) + greens.C0_DISK
+    return float(np.sum(smooth * rr * wr[:, None]) * (2.0 * np.pi / n_theta) + (1.0 - rx2) / 4.0)
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(96, 256), (40, 72)])
+def test_disk_mean_cached_nodes_match_formula(n_r, n_theta):
+    for x in (np.array([0.4, 0.0]), np.array([0.9, 0.2]), np.array([0.0, 0.0]), np.array([-0.3, 0.61])):
+        for _ in range(2):  # the second call reads the cached nodes
+            assert abs(greens.disk_mean_of_greens(x, n_r, n_theta) - _ref_disk_mean(x, n_r, n_theta)) <= 1e-15
+    for a in greens._disk_nodes(n_r, n_theta):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
