@@ -16,14 +16,8 @@ import time
 from pathlib import Path
 
 from . import checks, io
-from .config import ConfigError, parse_run_config, parse_sweep_plan, emit_run_config
-from .solver import (
-    initial_condition_radial,
-    initial_condition_rect,
-    make_radial_grid,
-    radial_run,
-    run as rect_run,
-)
+from .config import ConfigError, parse_run_config, parse_sweep_plan
+from .solver import initial_condition, radial_run, run as rect_run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,30 +54,13 @@ def cmd_run(args) -> int:
         cfg.seed = args.seed
     out_dir = args.out or cfg.out_dir
     try:
-        if cfg.domain == "disk":
-            grid = make_radial_grid(cfg.solver.radial_n, cfg.solver.radial_ratio)
-            u0 = initial_condition_radial(grid, cfg.initial_kind, **cfg.initial_params)
-            traj = radial_run(cfg.solver, cfg.reg, u0)
-        else:
-            params = dict(cfg.initial_params)
-            for name in ("center", "center1", "center2"):
-                cx = params.pop(f"{name}_x", None)
-                cy = params.pop(f"{name}_y", None)
-                if cx is not None:
-                    params[name] = (cx, cy if cy is not None else cx)
-            u0 = initial_condition_rect(
-                cfg.solver.nx, cfg.solver.ny, cfg.solver.lx, cfg.solver.ly, cfg.initial_kind, **params
-            )
-            traj = rect_run(cfg.solver, cfg.reg, u0)
+        u0 = initial_condition(cfg.domain, cfg.solver, cfg.initial_kind, cfg.initial_params)
+        traj = radial_run(cfg.solver, cfg.reg, u0) if cfg.domain == "disk" else rect_run(cfg.solver, cfg.reg, u0)
     except Exception as exc:  # noqa: BLE001 - reported with exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if out_dir:
-        text = emit_run_config(cfg)
-        io.save_trajectory(
-            traj, out_dir, {"config_hash": io.config_hash(text + f"|seed={cfg.seed}"), "seed": cfg.seed}
-        )
-        Path(out_dir, "config.ini").write_text(text)
+        io.save_run(traj, out_dir, cfg)
     if traj.failed:
         print(f"error: {traj.failure_message}", file=sys.stderr)
         return 1

@@ -26,12 +26,17 @@ normalized order so that parse(emit(parse(text))) == parse(text).  Example:
 
     [output]
     seed = 1
+
+Parsing and emission both walk the key tables ``_RUN_KEYS`` and
+``_SWEEP_KEYS``.  A key they do not list for the config's domain is a
+``ConfigError``, and ``SolverConfig`` checks the solver values.
 """
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .solver import RegKind, SolverConfig
 
@@ -62,142 +67,154 @@ _INITIAL_PARAM_KEYS = {
 # the [initial] keys a kind may leave out; every other listed key is required
 _OPTIONAL_INITIAL_KEYS = ("center_x", "center_y", "ratio")
 # initial kinds each domain's catalog builds
-_DOMAIN_INITIAL_KINDS = {
-    "disk": ("gaussian", "annulus", "constant"),
-    "rectangle": ("gaussian", "constant", "two_bump"),
-}
+_DOMAIN_INITIAL_KINDS = {"disk": ("gaussian", "annulus", "constant"), "rectangle": ("gaussian", "constant", "two_bump")}
+# the [grid] keys each domain reads
+_GRID_KEYS = {"disk": ("radial_n", "radial_ratio"), "rectangle": ("nx", "ny", "lx", "ly")}
 
 
-def _parser(path_or_text: str, is_text: bool) -> configparser.ConfigParser:
+# a key's type: (text -> value, value -> text); a key whose value is None is not emitted
+_INT = (int, str)
+_FLOAT = (float, lambda x: repr(float(x)))
+_WORD = (str, str)
+_WORD_OR_NONE = (lambda text: text or None, str)
+_FLOAT_OR_NONE = (lambda text: float(text) if text else None, _FLOAT[1])
+_WORDS = (str.split, " ".join)
+_FLOATS = (lambda text: [float(tok) for tok in text.split()], lambda xs: " ".join(map(_FLOAT[1], xs)))
+_FLOAT_TUPLE = (lambda text: tuple(_FLOATS[0](text)), _FLOATS[1])
+
+# (section, key, field, type); a dotted field is an attribute of
+# RunConfig.solver or RunConfig.reg, or an entry of RunConfig.initial_params
+_RUN_KEYS = (
+    ("domain", "kind", "domain", _WORD),
+    ("grid", "radial_n", "solver.radial_n", _INT),
+    ("grid", "radial_ratio", "solver.radial_ratio", _FLOAT),
+    ("grid", "nx", "solver.nx", _INT),
+    ("grid", "ny", "solver.ny", _INT),
+    ("grid", "lx", "solver.lx", _FLOAT),
+    ("grid", "ly", "solver.ly", _FLOAT),
+    ("regularization", "kind", "reg.variant", _WORD),
+    ("regularization", "epsilon", "reg.epsilon", _FLOAT),
+    ("initial", "kind", "initial_kind", _WORD),  # then the kind's _INITIAL_PARAM_KEYS
+    ("time", "t_end", "solver.t_end", _FLOAT),
+    ("time", "dt_policy", "solver.dt_policy", _WORD),
+    ("time", "dt", "solver.dt_fixed", _FLOAT),
+    ("time", "cfl_safety", "solver.cfl_safety", _FLOAT),
+    ("time", "snapshot_dt", "solver.snapshot_dt", _FLOAT_OR_NONE),
+    ("stopping", "dt_min", "solver.dt_min", _FLOAT),
+    ("stopping", "flag_factor", "solver.flag_umax_factor", _FLOAT),
+    ("stopping", "stop_factor", "solver.stop_umax_factor", _FLOAT),
+    ("output", "dir", "out_dir", _WORD_OR_NONE),
+    ("output", "seed", "seed", _INT),
+)
+# a sweep plan is a [sweep] section followed by the run config it varies
+_SWEEP_KEYS = (
+    ("sweep", "epsilons", "epsilons", _FLOATS),
+    ("sweep", "regs", "regs", _WORDS),
+    ("sweep", "matched_offsets", "matched_offsets", _FLOAT_TUPLE),
+    ("sweep", "rho_ladder", "rho_ladder", _FLOAT_TUPLE),
+    ("sweep", "seed", "seed", _INT),
+    ("sweep", "dir", "out_dir", _WORD_OR_NONE),
+)
+
+
+def _run_keys(domain: str, initial_kind: str) -> list:
+    """The rows of ``_RUN_KEYS`` a config of this domain and initial kind takes."""
+    rows = []
+    for row in _RUN_KEYS:
+        if row[0] != "grid" or row[1] in _GRID_KEYS[domain]:
+            rows.append(row)
+        if row[2] == "initial_kind":
+            rows += [("initial", k, f"initial_params.{k}", _FLOAT) for k in _INITIAL_PARAM_KEYS[initial_kind]]
+    return rows
+
+
+def _parser(path, text: str | None) -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
     try:
-        if is_text:
-            cp.read_string(path_or_text)
-        else:
-            with open(path_or_text) as fh:
-                cp.read_file(fh)
+        cp.read_string(Path(path).read_text() if text is None else text, source=str(path or "<string>"))
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
     return cp
 
 
-def _positive(name: str, value: float) -> float:
-    if value <= 0:
-        raise ConfigError(f"{name} must be positive, got {value}")
-    return value
+def _read(cp: configparser.ConfigParser, rows) -> dict:
+    """Field -> value of each key the file sets; a key the rows' sections do not list is an error."""
+    sections: dict[str, list] = {}
+    for section, key, _, _ in rows:
+        sections.setdefault(section, []).append(key)
+    for section, keys in sections.items():
+        for key in cp[section] if cp.has_section(section) else ():
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r} in [{section}]; it takes {', '.join(keys)}")
+    values = {}
+    for section, key, name, (parse, _) in rows:
+        if cp.has_option(section, key):
+            try:
+                values[name] = parse(cp.get(section, key))
+            except (ValueError, configparser.Error) as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    return values
+
+
+def _emit(obj, rows) -> str:
+    blocks: dict[str, list] = {}
+    for section, key, name, (_, fmt) in rows:
+        value = obj
+        for attr in name.split("."):
+            value = value.get(attr) if isinstance(value, dict) else getattr(value, attr)
+        lines = blocks.setdefault(section, [f"[{section}]"])
+        if value is not None:
+            lines.append(f"{key} = {fmt(value)}")
+    return "\n\n".join("\n".join(lines) for lines in blocks.values()) + "\n"
 
 
 def parse_run_config(path, text: str | None = None) -> RunConfig:
-    cp = _parser(text if text is not None else path, text is not None)
-    cfg = RunConfig()
+    return _run_config(_parser(path, text))
+
+
+def _run_config(cp: configparser.ConfigParser) -> RunConfig:
     try:
         dom = cp.get("domain", "kind", fallback="disk")
-        if dom not in ("disk", "rectangle"):
-            raise ConfigError(f"unknown domain kind {dom!r}")
-        cfg.domain = dom
-        if cp.has_section("probes"):
-            raise ConfigError("[probes] is not supported")
-        sol = SolverConfig()
-        if cp.has_section("grid"):
-            g = cp["grid"]
-            sol.radial_n = int(g.get("radial_n", sol.radial_n))
-            sol.radial_ratio = float(g.get("radial_ratio", sol.radial_ratio))
-            sol.nx = int(g.get("nx", sol.nx))
-            sol.ny = int(g.get("ny", sol.ny))
-            sol.lx = _positive("lx", float(g.get("lx", sol.lx)))
-            sol.ly = _positive("ly", float(g.get("ly", sol.ly)))
-        if cp.has_section("time"):
-            tsec = cp["time"]
-            sol.t_end = _positive("t_end", float(tsec.get("t_end", sol.t_end)))
-            sol.dt_policy = tsec.get("dt_policy", sol.dt_policy)
-            if sol.dt_policy not in ("cfl", "fixed"):
-                raise ConfigError(f"dt_policy must be cfl or fixed, got {sol.dt_policy!r}")
-            sol.dt_fixed = _positive("dt", float(tsec.get("dt", sol.dt_fixed)))
-            sol.cfl_safety = float(tsec.get("cfl_safety", sol.cfl_safety))
-            snap = tsec.get("snapshot_dt", "")
-            sol.snapshot_dt = _positive("snapshot_dt", float(snap)) if snap else None
-        if cp.has_section("stopping"):
-            ssec = cp["stopping"]
-            sol.dt_min = float(ssec.get("dt_min", sol.dt_min))
-            sol.flag_umax_factor = float(ssec.get("flag_factor", sol.flag_umax_factor))
-            sol.stop_umax_factor = float(ssec.get("stop_factor", sol.stop_umax_factor))
-        cfg.solver = sol
-        reg_kind = cp.get("regularization", "kind")
-        eps = float(cp.get("regularization", "epsilon"))
-        cfg.reg = RegKind(reg_kind, _positive("epsilon", eps))
-        ini = cp["initial"]
-        cfg.initial_kind = ini.get("kind")
-        if cfg.initial_kind not in _INITIAL_PARAM_KEYS:
-            raise ConfigError(f"unknown initial kind {cfg.initial_kind!r}")
-        if cfg.initial_kind not in _DOMAIN_INITIAL_KINDS[dom]:
-            raise ConfigError(f"initial kind {cfg.initial_kind!r} is not available on domain {dom!r}")
-        keys = _INITIAL_PARAM_KEYS[cfg.initial_kind]
-        missing = [k for k in keys if k not in ini and k not in _OPTIONAL_INITIAL_KEYS]
-        if missing:
-            raise ConfigError(f"[initial] kind = {cfg.initial_kind} needs {', '.join(missing)}")
-        cfg.initial_params = {k: float(ini[k]) for k in keys if k in ini}
-        if cp.has_section("output"):
-            cfg.out_dir = cp["output"].get("dir", None)
-            cfg.seed = int(cp["output"].get("seed", 0))
-    except (configparser.NoSectionError, configparser.NoOptionError, KeyError) as exc:
+        kind = cp.get("initial", "kind")
+    except configparser.Error as exc:
         raise ConfigError(f"missing required field: {exc}") from exc
+    if dom not in _DOMAIN_INITIAL_KINDS:
+        raise ConfigError(f"unknown domain kind {dom!r}")
+    if kind not in _DOMAIN_INITIAL_KINDS[dom]:
+        raise ConfigError(f"initial kind {kind!r} is not available on domain {dom!r}")
+    rows = _run_keys(dom, kind)
+    unknown = set(cp.sections()) - {row[0] for row in rows}
+    if unknown:
+        raise ConfigError(f"unknown section [{min(unknown)}]")
+    values = _read(cp, rows)
+    missing = [k for k in _INITIAL_PARAM_KEYS[kind] if k not in _OPTIONAL_INITIAL_KEYS and k not in cp["initial"]]
+    if missing:
+        raise ConfigError(f"[initial] kind = {kind} needs {', '.join(missing)}")
+    if "reg.variant" not in values or "reg.epsilon" not in values:
+        raise ConfigError("missing required field: [regularization] needs kind and epsilon")
+    parts: dict[str, dict] = {"": {}, "solver": {}, "reg": {}, "initial_params": {}}
+    for name, value in values.items():
+        owner, _, attr = name.rpartition(".")
+        parts[owner][attr] = value
+    try:
+        reg = RegKind(**parts["reg"])
+        solver = SolverConfig(**parts["solver"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
+    if not reg.epsilon > 0:
+        raise ConfigError(f"epsilon must be positive, got {reg.epsilon}")
+    return RunConfig(solver=solver, reg=reg, initial_params=parts["initial_params"], **parts[""])
 
 
 def emit_run_config(cfg: RunConfig) -> str:
-    sol = cfg.solver
-    lines = ["[domain]", f"kind = {cfg.domain}", "", "[grid]"]
-    if cfg.domain == "disk":
-        lines += [f"radial_n = {sol.radial_n}", f"radial_ratio = {_r(sol.radial_ratio)}"]
-    else:
-        lines += [f"nx = {sol.nx}", f"ny = {sol.ny}", f"lx = {_r(sol.lx)}", f"ly = {_r(sol.ly)}"]
-    lines += [
-        "",
-        "[regularization]",
-        f"kind = {cfg.reg.variant}",
-        f"epsilon = {_r(cfg.reg.epsilon)}",
-        "",
-        "[initial]",
-        f"kind = {cfg.initial_kind}",
-    ]
-    for k in _INITIAL_PARAM_KEYS[cfg.initial_kind]:
-        if k in cfg.initial_params:
-            lines.append(f"{k} = {_r(cfg.initial_params[k])}")
-    lines += [
-        "",
-        "[time]",
-        f"t_end = {_r(sol.t_end)}",
-        f"dt_policy = {sol.dt_policy}",
-        f"dt = {_r(sol.dt_fixed)}",
-        f"cfl_safety = {_r(sol.cfl_safety)}",
-    ]
-    if sol.snapshot_dt is not None:
-        lines.append(f"snapshot_dt = {_r(sol.snapshot_dt)}")
-    lines += [
-        "",
-        "[stopping]",
-        f"dt_min = {_r(sol.dt_min)}",
-        f"flag_factor = {_r(sol.flag_umax_factor)}",
-        f"stop_factor = {_r(sol.stop_umax_factor)}",
-    ]
-    lines += ["", "[output]"]
-    if cfg.out_dir:
-        lines.append(f"dir = {cfg.out_dir}")
-    lines.append(f"seed = {cfg.seed}")
-    return "\n".join(lines) + "\n"
-
-
-def _r(x: float) -> str:
-    return repr(float(x))
+    return _emit(cfg, _run_keys(cfg.domain, cfg.initial_kind))
 
 
 @dataclass
 class SweepPlanConfig:
-    epsilons: list
-    regs: list
-    base: RunConfig
+    epsilons: list = field(default_factory=list)
+    regs: list = field(default_factory=lambda: ["cutoff_flux", "nonlinear_diffusion"])
+    base: RunConfig = field(default_factory=RunConfig)
     matched_offsets: tuple = (0.01, 0.02, 0.05)
     rho_ladder: tuple = (0.02, 0.03, 0.05, 0.08, 0.12)
     seed: int = 0
@@ -207,55 +224,26 @@ class SweepPlanConfig:
         eps = list(self.epsilons)
         if not eps:
             raise ConfigError("epsilon list must not be empty")
-        if any(e <= 0 for e in eps):
+        if not all(e > 0 for e in eps):
             raise ConfigError("epsilons must be positive")
-        if any(b >= a for a, b in zip(eps, eps[1:])) and len(eps) > 1:
-            if not all(b < a for a, b in zip(eps, eps[1:])):
-                raise ConfigError("epsilon list must be strictly decreasing")
+        if any(b >= a for a, b in zip(eps, eps[1:])):
+            raise ConfigError("epsilon list must be strictly decreasing")
+        for rg in self.regs:
+            if rg not in ("cutoff_flux", "nonlinear_diffusion"):
+                raise ConfigError(f"unknown regularization {rg!r} in sweep plan")
 
 
 def parse_sweep_plan(path, text: str | None = None) -> SweepPlanConfig:
-    cp = _parser(text if text is not None else path, text is not None)
-    try:
-        sw = cp["sweep"]
-        eps = [float(tok) for tok in sw.get("epsilons", "").split()]
-        regs = sw.get("regs", "cutoff_flux nonlinear_diffusion").split()
-        offsets = tuple(float(t) for t in sw.get("matched_offsets", "0.01 0.02 0.05").split())
-        ladder = tuple(float(t) for t in sw.get("rho_ladder", "0.02 0.03 0.05 0.08 0.12").split())
-        seed = int(sw.get("seed", 0))
-        out = sw.get("dir", None)
-    except KeyError as exc:
-        raise ConfigError(f"missing [sweep] section: {exc}") from exc
-    for rg in regs:
-        if rg not in ("cutoff_flux", "nonlinear_diffusion"):
-            raise ConfigError(f"unknown regularization {rg!r} in sweep plan")
-    base_text_lines = []
-    for section in cp.sections():
-        if section == "sweep":
-            continue
-        base_text_lines.append(f"[{section}]")
-        for key, value in cp[section].items():
-            base_text_lines.append(f"{key} = {value}")
-        base_text_lines.append("")
-    base_text = "\n".join(base_text_lines)
-    if "[regularization]" not in base_text:
-        base_text += "\n[regularization]\nkind = nonlinear_diffusion\nepsilon = 1.0e-3\n"
-    base = parse_run_config(None, text=base_text)
-    return SweepPlanConfig(
-        epsilons=eps, regs=regs, base=base, matched_offsets=offsets, rho_ladder=ladder, seed=seed, out_dir=out
-    )
+    cp = _parser(path, text)
+    if not cp.has_section("sweep"):
+        raise ConfigError("missing [sweep] section")
+    values = _read(cp, _SWEEP_KEYS)
+    cp.remove_section("sweep")
+    if not cp.has_section("regularization"):
+        # each run sets its own; the base needs only a valid one
+        cp.read_dict({"regularization": {"kind": "nonlinear_diffusion", "epsilon": "1.0e-3"}})
+    return SweepPlanConfig(base=_run_config(cp), **values)
 
 
 def emit_sweep_plan(plan: SweepPlanConfig) -> str:
-    lines = [
-        "[sweep]",
-        "epsilons = " + " ".join(_r(e) for e in plan.epsilons),
-        "regs = " + " ".join(plan.regs),
-        "matched_offsets = " + " ".join(_r(o) for o in plan.matched_offsets),
-        "rho_ladder = " + " ".join(_r(r) for r in plan.rho_ladder),
-        f"seed = {plan.seed}",
-    ]
-    if plan.out_dir:
-        lines.append(f"dir = {plan.out_dir}")
-    lines.append("")
-    return "\n".join(lines) + emit_run_config(plan.base)
+    return _emit(plan, _SWEEP_KEYS) + emit_run_config(plan.base)

@@ -23,7 +23,7 @@ import scipy.fft
 
 from .solver import Field, RadialField, RadialGrid, RegKind, Trajectory, f_eps
 from .testfn import PHI_SUPPORT, BoundaryBump, InteriorBump, build_boundary_bump
-from .geometry import unit_disk, distance_to_boundary
+from .geometry import distance_to_boundary, smoothstep5, unit_disk
 
 __all__ = [
     "M0_CUTOFF",
@@ -532,8 +532,7 @@ def _sobolev_eta(nx: int, lx: float) -> Field:
     x = (np.arange(nx) + 0.5) * hx
     X, Y = np.meshgrid(x, x, indexing="ij")
     r = np.hypot(X - lx / 2, Y - lx / 2)
-    s = np.clip((r - 0.25 * lx) / (0.15 * lx), 0.0, 1.0)
-    vals = 1.0 - s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
+    vals = 1.0 - smoothstep5((r - 0.25 * lx) / (0.15 * lx))
     return Field(hx, hx, vals)
 
 
@@ -570,8 +569,7 @@ def calibrate_sobolev_constant(
     for level in (0.5, 1.0, 2.0, 5.0):
         worst = max(worst, required(Field(hx, hx, np.full((nx, nx), level))))
         for rad in (0.1 * lx, 0.2 * lx, 0.35 * lx):
-            s = np.clip((r - rad) / (0.1 * lx), 0.0, 1.0)
-            plateau = level * (1.0 - s * s * s * (10.0 - 15.0 * s + 6.0 * s * s))
+            plateau = level * (1.0 - smoothstep5((r - rad) / (0.1 * lx)))
             worst = max(worst, required(Field(hx, hx, plateau)))
     return worst
 

@@ -27,6 +27,9 @@ __all__ = [
     "distance_to_boundary",
     "boundary_frame",
     "reflect_tau",
+    "smoothstep5",
+    "smoothstep5_d1",
+    "smoothstep5_d2",
 ]
 
 # Interior tolerance: points may sit this far outside the closure before the
@@ -176,3 +179,23 @@ def reflect_tau(domain: DomainGeometry, y: np.ndarray) -> np.ndarray:
     if np.any(r2 < 1e-28):
         raise GeometryError("reflection undefined at the disk center")
     return y / r2[..., None]
+
+
+def smoothstep5(s):
+    """Quintic smoothstep s^3 (10 - 15 s + 6 s^2) of s clipped to [0, 1]:
+    0 for s <= 0, 1 for s >= 1, C^2 at both junctions.  The collar cutoff
+    ``Z`` and the radial tapers of the test functions are 1 minus it."""
+    s = np.clip(s, 0.0, 1.0)
+    return s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
+
+
+def smoothstep5_d1(s):
+    inside = (s > 0.0) & (s < 1.0)
+    s = np.clip(s, 0.0, 1.0)
+    return np.where(inside, 30.0 * s**2 - 60.0 * s**3 + 30.0 * s**4, 0.0)
+
+
+def smoothstep5_d2(s):
+    inside = (s > 0.0) & (s < 1.0)
+    s = np.clip(s, 0.0, 1.0)
+    return np.where(inside, 60.0 * s - 180.0 * s**2 + 120.0 * s**3, 0.0)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DomainGeometry, GeometryError, reflect_tau, unit_disk
+from .geometry import DomainGeometry, GeometryError, reflect_tau, smoothstep5, unit_disk
 
 __all__ = [
     "C0_DISK",
@@ -122,8 +122,7 @@ def cutoff_z_value(d, sigma0: float):
     Quintic smoothstep in between, C^2 at both junctions; value 1/2 at the
     midpoint d = 1.5*s0.
     """
-    s = np.clip((np.asarray(d, dtype=float) - sigma0) / sigma0, 0.0, 1.0)
-    z = 1.0 - s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
+    z = 1.0 - smoothstep5((np.asarray(d, dtype=float) - sigma0) / sigma0)
     return float(z) if z.ndim == 0 else z
 
 

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import RunConfig, emit_run_config
 from .solver import RadialGrid, RegKind, Trajectory
 
 __all__ = [
@@ -30,7 +31,9 @@ __all__ = [
     "write_manifest",
     "read_manifest",
     "save_trajectory",
+    "save_run",
     "config_hash",
+    "run_config_hash",
     "DIAG_SCHEMA",
 ]
 
@@ -121,6 +124,11 @@ def config_hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def run_config_hash(cfg: RunConfig) -> str:
+    """Content address of one run: its normalized config text plus its seed."""
+    return config_hash(emit_run_config(cfg) + f"|seed={cfg.seed}")
+
+
 def _radial_header(grid: RadialGrid):
     widths = grid.widths
     ratio = float(widths[1] / widths[0]) if grid.n > 1 else 1.0
@@ -155,3 +163,10 @@ def save_trajectory(traj: Trajectory, out_dir, manifest_extra: dict | None = Non
     }
     entries.update(manifest_extra or {})
     write_manifest(out / "manifest.ini", entries)
+
+
+def save_run(traj: Trajectory, out_dir, cfg: RunConfig) -> None:
+    """``save_trajectory`` with the run's config hash and seed in the
+    manifest, plus the normalized config as ``config.ini``."""
+    save_trajectory(traj, out_dir, {"config_hash": run_config_hash(cfg), "seed": cfg.seed})
+    Path(out_dir, "config.ini").write_text(emit_run_config(cfg))

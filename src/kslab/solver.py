@@ -50,6 +50,7 @@ __all__ = [
     "make_radial_grid",
     "initial_condition_rect",
     "initial_condition_radial",
+    "initial_condition",
 ]
 
 
@@ -306,8 +307,17 @@ class SolverConfig:
     advection: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("lx", "ly", "radial_n", "radial_ratio", "dt_fixed", "t_end", "snapshot_dt",
+                     "flag_umax_factor", "stop_umax_factor"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:  # snapshot_dt may be None
+                raise ValueError(f"{name} must be positive, got {value}")
+        if not min(self.nx, self.ny) >= 2:  # the rectangle stencil needs an interior face each way
+            raise ValueError(f"nx and ny must be at least 2, got {self.nx} x {self.ny}")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
+        if self.dt_policy not in ("cfl", "fixed"):
+            raise ValueError(f"dt_policy must be cfl or fixed, got {self.dt_policy!r}")
 
 
 @dataclass
@@ -656,3 +666,17 @@ def initial_condition_rect(
     f = Field(hx, hy, vals)
     f.values *= params["mass"] / f.mass()
     return f
+
+
+def initial_condition(domain: str, config: SolverConfig, kind: str, params: dict) -> Field | RadialField:
+    """Catalog state ``kind`` on the grid that ``config`` sets for ``domain``
+    ("disk" or "rectangle"); rectangle centers come as ``<name>_x``, ``<name>_y``."""
+    if domain == "disk":
+        return initial_condition_radial(make_radial_grid(config.radial_n, config.radial_ratio), kind, **params)
+    params = dict(params)
+    for name in ("center", "center1", "center2"):
+        cx = params.pop(f"{name}_x", None)
+        cy = params.pop(f"{name}_y", None)
+        if cx is not None:
+            params[name] = (cx, cy if cy is not None else cx)
+    return initial_condition_rect(config.nx, config.ny, config.lx, config.ly, kind, **params)

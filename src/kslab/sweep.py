@@ -20,14 +20,7 @@ import numpy as np
 
 from . import diagnostics, io
 from .config import ConfigError, RunConfig, SweepPlanConfig, emit_run_config
-from .solver import (
-    RadialField,
-    RegKind,
-    Trajectory,
-    initial_condition_radial,
-    make_radial_grid,
-    radial_run,
-)
+from .solver import RadialField, RegKind, Trajectory, initial_condition, radial_run
 from .testfn import phi as phi_profile
 
 __all__ = [
@@ -83,16 +76,11 @@ class SweepReport:
 
 
 def _single_run(cfg: RunConfig, out_root: Path):
-    grid = make_radial_grid(cfg.solver.radial_n, cfg.solver.radial_ratio)
-    params = dict(cfg.initial_params)
-    u0 = initial_condition_radial(grid, cfg.initial_kind, **params)
-    text = emit_run_config(cfg)
-    digest = io.config_hash(text + f"|seed={cfg.seed}")
+    u0 = initial_condition(cfg.domain, cfg.solver, cfg.initial_kind, cfg.initial_params)
+    digest = io.run_config_hash(cfg)
     run_dir = out_root / f"run_{cfg.reg.variant}_{digest}"
     traj = radial_run(cfg.solver, cfg.reg, u0)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.ini").write_text(text)
-    io.save_trajectory(traj, run_dir, {"config_hash": digest, "seed": cfg.seed})
+    io.save_run(traj, run_dir, cfg)
     return traj, str(run_dir), digest
 
 

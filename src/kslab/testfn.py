@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DomainGeometry, GeometryError, distance_to_boundary
+from .geometry import DomainGeometry, GeometryError, distance_to_boundary, smoothstep5, smoothstep5_d1, smoothstep5_d2
 
 __all__ = [
     "PHI_LOG_KNEE",
@@ -270,19 +270,6 @@ class _LensQuadrature:
             out[far] = -(self.mass * Xf / R2f + 0.5 * gq) / (2.0 * np.pi)
         return out
 
-def _hermite_p(s):
-    """Quintic taper: value 1 slope 0 curvature 0 at s=0, all zero at s=1."""
-    return 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
-
-
-def _hermite_p_d1(s):
-    return -30.0 * s**2 + 60.0 * s**3 - 30.0 * s**4
-
-
-def _hermite_p_d2(s):
-    return -60.0 * s + 180.0 * s**2 - 120.0 * s**3
-
-
 def _hermite_q(s):
     """Quintic taper: value 0 slope 1 curvature 0 at s=0, all zero at s=1."""
     return s - 6.0 * s**3 + 8.0 * s**4 - 3.0 * s**5
@@ -460,12 +447,13 @@ class BoundaryBump:
             gv = self._ring_lookup(th, self._gval)
             gs = self._ring_lookup(th, self._gslope)
             cap = self._phi_coef * (self.lambda0 + 1.0 - rr) ** 2
-            w = gv * _hermite_p(s) + gs * _hermite_q(s)
+            taper = 1.0 - smoothstep5(s)
+            w = gv * taper + gs * _hermite_q(s)
             val[ring] = self.SCALE * (cap + w)
             if want_grad:
                 dr = -2.0 * self._phi_coef * (self.lambda0 + 1.0 - rr)
-                dr = dr + gv * _hermite_p_d1(s) + gs * _hermite_q_d1(s)
-                dth_w = self._ring_lookup(th, self._gval_d1) * _hermite_p(s) + self._ring_lookup(
+                dr = dr - gv * smoothstep5_d1(s) + gs * _hermite_q_d1(s)
+                dth_w = self._ring_lookup(th, self._gval_d1) * taper + self._ring_lookup(
                     th, self._gslope_d1
                 ) * _hermite_q(s)
                 e_r = flat[ring] / rr[:, None]
@@ -494,9 +482,9 @@ class BoundaryBump:
             gs = self._ring_lookup(th, self._gslope)
             cap_rr = 2.0 * self._phi_coef
             cap_r = -2.0 * self._phi_coef * (self.lambda0 + 1.0 - rr)
-            w_rr = gv * _hermite_p_d2(s) + gs * _hermite_q_d2(s)
-            w_r = gv * _hermite_p_d1(s) + gs * _hermite_q_d1(s)
-            w_tt = self._ring_lookup(th, self._gval_d2) * _hermite_p(s) + self._ring_lookup(
+            w_rr = gs * _hermite_q_d2(s) - gv * smoothstep5_d2(s)
+            w_r = gs * _hermite_q_d1(s) - gv * smoothstep5_d1(s)
+            w_tt = self._ring_lookup(th, self._gval_d2) * (1.0 - smoothstep5(s)) + self._ring_lookup(
                 th, self._gslope_d2
             ) * _hermite_q(s)
             out[ring] = self.SCALE * (cap_rr + w_rr + (cap_r + w_r) / rr + w_tt / rr**2)
@@ -522,13 +510,12 @@ class BoundaryBump:
             gs1 = self._ring_lookup(th, self._gslope_d1)
             gv2 = self._ring_lookup(th, self._gval_d2)
             gs2 = self._ring_lookup(th, self._gslope_d2)
-            p_r = -2.0 * self._phi_coef * (self.lambda0 + 1.0 - rr) + gv * _hermite_p_d1(
-                s
-            ) + gs * _hermite_q_d1(s)
-            p_rr = 2.0 * self._phi_coef + gv * _hermite_p_d2(s) + gs * _hermite_q_d2(s)
-            p_t = gv1 * _hermite_p(s) + gs1 * _hermite_q(s)
-            p_tt = gv2 * _hermite_p(s) + gs2 * _hermite_q(s)
-            p_rt = gv1 * _hermite_p_d1(s) + gs1 * _hermite_q_d1(s)
+            p_r = -2.0 * self._phi_coef * (self.lambda0 + 1.0 - rr) - gv * smoothstep5_d1(s) + gs * _hermite_q_d1(s)
+            p_rr = 2.0 * self._phi_coef - gv * smoothstep5_d2(s) + gs * _hermite_q_d2(s)
+            taper = 1.0 - smoothstep5(s)
+            p_t = gv1 * taper + gs1 * _hermite_q(s)
+            p_tt = gv2 * taper + gs2 * _hermite_q(s)
+            p_rt = gs1 * _hermite_q_d1(s) - gv1 * smoothstep5_d1(s)
             ct = np.cos(th)
             st = np.sin(th)
             out[ring] = self.SCALE * (

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import smoothstep5, smoothstep5_d1, smoothstep5_d2
 from .greens import cutoff_z_value, g_normal, g_tangential
 from .solver import Field, RadialField, Trajectory, f_eps, solve_poisson_neumann
 from .testfn import PHI_SUPPORT
@@ -45,23 +46,6 @@ __all__ = [
     "weak_residual",
     "limit_test_phi",
 ]
-
-
-def _smooth5(s):
-    s = np.clip(s, 0.0, 1.0)
-    return s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
-
-
-def _smooth5_d1(s):
-    inside = (s > 0.0) & (s < 1.0)
-    s = np.clip(s, 0.0, 1.0)
-    return np.where(inside, 30.0 * s**2 - 60.0 * s**3 + 30.0 * s**4, 0.0)
-
-
-def _smooth5_d2(s):
-    inside = (s > 0.0) & (s < 1.0)
-    s = np.clip(s, 0.0, 1.0)
-    return np.where(inside, 60.0 * s - 180.0 * s**2 + 120.0 * s**3, 0.0)
 
 
 class RadialProfileTest:
@@ -104,12 +88,12 @@ class RadialProfileTest:
     # time window ------------------------------------------------------------
     def zeta(self, t):
         s = (np.asarray(t, dtype=float) - self.t_hold) / max(self.t_off - self.t_hold, 1e-300)
-        return 1.0 - _smooth5(s)
+        return 1.0 - smoothstep5(s)
 
     def zeta_t(self, t):
         span = max(self.t_off - self.t_hold, 1e-300)
         s = (np.asarray(t, dtype=float) - self.t_hold) / span
-        return -_smooth5_d1(s) / span
+        return -smoothstep5_d1(s) / span
 
     # point oracles (2D), used by kernel_H1 and limit_test_phi ---------------
     def gradient(self, x, t):
@@ -140,13 +124,13 @@ def interior_bump_test(radius: float = 0.45, t_hold: float = 0.3, t_off: float =
     R = radius
 
     def p(r):
-        return 1.0 - _smooth5(r / R)
+        return 1.0 - smoothstep5(r / R)
 
     def dp(r):
-        return -_smooth5_d1(r / R) / R
+        return -smoothstep5_d1(r / R) / R
 
     def ddp(r):
-        return -_smooth5_d2(r / R) / R**2
+        return -smoothstep5_d2(r / R) / R**2
 
     return RadialProfileTest("interior_bump", p, dp, ddp, R, t_hold, t_off)
 
@@ -157,13 +141,13 @@ def quadratic_window_test(radius: float = 0.5, t_hold: float = 0.3, t_off: float
     plateau = 0.6 * R  # window = 1 inside, tapers on [0.6R, R]
 
     def w(r):
-        return 1.0 - _smooth5((r - plateau) / (R - plateau))
+        return 1.0 - smoothstep5((r - plateau) / (R - plateau))
 
     def dw(r):
-        return -_smooth5_d1((r - plateau) / (R - plateau)) / (R - plateau)
+        return -smoothstep5_d1((r - plateau) / (R - plateau)) / (R - plateau)
 
     def ddw(r):
-        return -_smooth5_d2((r - plateau) / (R - plateau)) / (R - plateau) ** 2
+        return -smoothstep5_d2((r - plateau) / (R - plateau)) / (R - plateau) ** 2
 
     def p(r):
         return 0.5 * r**2 * w(r)

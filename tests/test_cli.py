@@ -1,3 +1,4 @@
+import copy
 import os
 import re
 import subprocess
@@ -213,6 +214,140 @@ def test_sweep_plan_round_trip():
     plan2 = parse_sweep_plan(None, text=text2)
     assert plan2.epsilons == plan.epsilons
     assert emit_sweep_plan(plan2) == text2
+
+
+# each config below fails in the parse call itself, with a message naming the key
+BAD_RUN_CONFIGS = {
+    "misspelled key": ("radial_nn", RUN_TEXT.replace("radial_n = 256", "radial_nn = 64")),
+    "unknown section": ("[solver]", RUN_TEXT + "\n[solver]\nt_end = 1.0\n"),
+    "rectangle key on the disk": ("nx", RUN_TEXT.replace("radial_ratio = 1.0", "radial_ratio = 1.0\nnx = 64")),
+    "cfl_safety 0": ("cfl_safety", RUN_TEXT.replace("dt_policy = cfl", "dt_policy = cfl\ncfl_safety = 0")),
+    "cfl_safety 1.5": ("cfl_safety", RUN_TEXT.replace("dt_policy = cfl", "dt_policy = cfl\ncfl_safety = 1.5")),
+    "radial_n 0": ("radial_n", RUN_TEXT.replace("radial_n = 256", "radial_n = 0")),
+    "radial_ratio -1": ("radial_ratio", RUN_TEXT.replace("radial_ratio = 1.0", "radial_ratio = -1")),
+    "nx 1": ("nx", TWO_BUMP_TEXT.replace("nx = 24", "nx = 1")),
+    "dt_policy": ("dt_policy", RUN_TEXT.replace("dt_policy = cfl", "dt_policy = adaptive")),
+    "initial key off its kind": ("r0", RUN_TEXT.replace("width = 0.2", "width = 0.2\nr0 = 0.5")),
+}
+SWEEP_HEAD = "[sweep]\nepsilons = 0.003 0.001\n"
+BAD_SWEEP_PLANS = {
+    "epsilon token": ("epsilons", "[sweep]\nepsilons = 1e-3 abc\n\n" + RUN_TEXT),
+    "seed token": ("seed", SWEEP_HEAD + "seed = x\n\n" + RUN_TEXT),
+    "unknown [sweep] key": ("epsilon", SWEEP_HEAD + "epsilon = 1e-3\n\n" + RUN_TEXT),
+    "unknown base key": ("stop_factr", SWEEP_HEAD + "\n" + RUN_TEXT + "\n[stopping]\nstop_factr = 2.0\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RUN_CONFIGS))
+def test_config_rejects_invalid_run_config_at_parse(case):
+    name, text = BAD_RUN_CONFIGS[case]
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        parse_run_config(None, text=text)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SWEEP_PLANS))
+def test_config_rejects_invalid_sweep_plan_at_parse(case):
+    name, text = BAD_SWEEP_PLANS[case]
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        parse_sweep_plan(None, text=text)
+
+
+def test_cmd_sweep_bad_epsilon_token_is_an_error_line(tmp_path, capsys):
+    plan = tmp_path / "plan.ini"
+    plan.write_text(BAD_SWEEP_PLANS["epsilon token"][1])
+    assert main(["--out", str(tmp_path / "s"), "sweep", str(plan)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "abc" in err and "Traceback" not in err
+    assert not (tmp_path / "s").exists()
+
+
+RUN_TEXT_EMITTED = """\
+[domain]
+kind = disk
+
+[grid]
+radial_n = 256
+radial_ratio = 1.0
+
+[regularization]
+kind = cutoff_flux
+epsilon = 0.001
+
+[initial]
+kind = gaussian
+mass = 4.0
+width = 0.2
+
+[time]
+t_end = 0.0005
+dt_policy = cfl
+dt = 1e-06
+cfl_safety = 0.9
+snapshot_dt = 0.0001
+
+[stopping]
+dt_min = 1e-12
+flag_factor = 0.8
+stop_factor = 16.0
+
+[output]
+seed = 7
+"""
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [("RUN_TEXT", "ffe8a817e180269b"), ("TWO_BUMP_TEXT", "f195f3207f4626fe"), ("SUPERCRITICAL_TEXT", "f83c0f9ab433c611")],
+)
+def test_emitted_run_config_and_hash_are_pinned(name, digest):
+    # the hash names run directories and manifests, so emission must not move
+    cfg = parse_run_config(None, text=globals()[name])
+    text = emit_run_config(cfg)
+    if name == "RUN_TEXT":
+        assert text == RUN_TEXT_EMITTED
+    if name == "TWO_BUMP_TEXT":
+        assert "[grid]\nnx = 24\nny = 16\nlx = 1.5\nly = 1.0\n\n" in text
+        assert "[initial]\nkind = two_bump\nmass = 6.0\ncenter1_x = 0.5\ncenter1_y = 0.4\nwidth1 = 0.1\n" in text
+    assert io.config_hash(text + f"|seed={cfg.seed}") == digest
+    assert io.run_config_hash(cfg) == digest
+
+
+def test_emitted_sweep_plan_and_run_hashes_are_pinned():
+    text = (
+        "[sweep]\nepsilons = 0.003 0.001\nregs = cutoff_flux nonlinear_diffusion\nseed = 2\ndir = sweeps\n\n"
+        + RUN_TEXT.replace("[regularization]\nkind = cutoff_flux\nepsilon = 1e-3\n\n", "")
+    )
+    plan = parse_sweep_plan(None, text=text)
+    emitted = emit_sweep_plan(plan)
+    head = (
+        "[sweep]\nepsilons = 0.003 0.001\nregs = cutoff_flux nonlinear_diffusion\n"
+        "matched_offsets = 0.01 0.02 0.05\nrho_ladder = 0.02 0.03 0.05 0.08 0.12\nseed = 2\ndir = sweeps\n"
+    )
+    base = RUN_TEXT_EMITTED.replace("kind = cutoff_flux", "kind = nonlinear_diffusion")
+    assert emitted == head + base
+    assert io.config_hash(emitted) == "2c55655a729e1b42"
+    # the per-run hashes name the sweep's run directories
+    digests = {}
+    for reg in plan.regs:
+        for eps in plan.epsilons:
+            cfg = copy.deepcopy(plan.base)
+            cfg.reg, cfg.seed = RegKind(reg, eps), plan.seed
+            digests[(reg, eps)] = io.run_config_hash(cfg)
+    assert digests == {
+        ("cutoff_flux", 0.003): "c8690f05fb4575c4",
+        ("cutoff_flux", 0.001): "d1be1a0647165364",
+        ("nonlinear_diffusion", 0.003): "66983ec3d709a628",
+        ("nonlinear_diffusion", 0.001): "066640f3b0c88ed3",
+    }
+
+
+def test_readme_minimal_config_parses_and_round_trips():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        text = emit_run_config(parse_run_config(None, text=block))
+        assert emit_run_config(parse_run_config(None, text=text)) == text
 
 
 def test_snapshot_round_trip(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kslab import checks, greens
 from kslab.geometry import unit_disk
@@ -327,7 +327,9 @@ def _assert_matches(new, ref, name):
     nan = np.isnan(ref)
     assert np.array_equal(np.isnan(new), nan), name
     scale = np.max(np.abs(ref[~nan]), initial=0.0)
-    assert np.all(np.abs(new[~nan] - ref[~nan]) <= 1e-13 * scale), name
+    new, ref = new[~nan], ref[~nan]
+    # equal entries match, also equal infinities (inf - inf is nan)
+    assert np.all((new == ref) | (np.abs(new - ref) <= 1e-13 * scale)), name
 
 
 _DISK = unit_disk()
@@ -359,6 +361,7 @@ def point_arguments(draw):
 
 
 @given(point_arguments())
+@example((np.array([[1.0, 0.0]]), np.array([[1.0, 7.1557689e-10]])))  # both give w_remainder = inf
 @settings(max_examples=300, deadline=None)
 def test_component_evaluation_matches_reference(args):
     x, y = args
