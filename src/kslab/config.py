@@ -29,7 +29,8 @@ normalized order so that parse(emit(parse(text))) == parse(text).  Example:
 
 Parsing and emission both walk the key tables ``_RUN_KEYS`` and
 ``_SWEEP_KEYS``.  A key they do not list for the config's domain is a
-``ConfigError``, and ``SolverConfig`` checks the solver values.
+``ConfigError``; ``SolverConfig`` checks the solver values and
+``SweepPlanConfig`` that a sweep plan can run.
 """
 
 from __future__ import annotations
@@ -58,16 +59,21 @@ class RunConfig:
     seed: int = 0
 
 
+# per domain, the initial kinds its catalog builds and the [initial] keys of each
 _INITIAL_PARAM_KEYS = {
-    "gaussian": ["mass", "width", "center_x", "center_y"],
-    "annulus": ["mass", "r0", "width"],
-    "constant": ["value"],
-    "two_bump": ["mass", "center1_x", "center1_y", "width1", "center2_x", "center2_y", "width2", "ratio"],
+    "disk": {
+        "gaussian": ["mass", "width"],
+        "annulus": ["mass", "r0", "width"],
+        "constant": ["value"],
+    },
+    "rectangle": {
+        "gaussian": ["mass", "width", "center_x", "center_y"],
+        "constant": ["value"],
+        "two_bump": ["mass", "center1_x", "center1_y", "width1", "center2_x", "center2_y", "width2", "ratio"],
+    },
 }
 # the [initial] keys a kind may leave out; every other listed key is required
 _OPTIONAL_INITIAL_KEYS = ("center_x", "center_y", "ratio")
-# initial kinds each domain's catalog builds
-_DOMAIN_INITIAL_KINDS = {"disk": ("gaussian", "annulus", "constant"), "rectangle": ("gaussian", "constant", "two_bump")}
 # the [grid] keys each domain reads
 _GRID_KEYS = {"disk": ("radial_n", "radial_ratio"), "rectangle": ("nx", "ny", "lx", "ly")}
 
@@ -94,7 +100,7 @@ _RUN_KEYS = (
     ("grid", "ly", "solver.ly", _FLOAT),
     ("regularization", "kind", "reg.variant", _WORD),
     ("regularization", "epsilon", "reg.epsilon", _FLOAT),
-    ("initial", "kind", "initial_kind", _WORD),  # then the kind's _INITIAL_PARAM_KEYS
+    ("initial", "kind", "initial_kind", _WORD),  # then the domain's _INITIAL_PARAM_KEYS for the kind
     ("time", "t_end", "solver.t_end", _FLOAT),
     ("time", "dt_policy", "solver.dt_policy", _WORD),
     ("time", "dt", "solver.dt_fixed", _FLOAT),
@@ -124,7 +130,7 @@ def _run_keys(domain: str, initial_kind: str) -> list:
         if row[0] != "grid" or row[1] in _GRID_KEYS[domain]:
             rows.append(row)
         if row[2] == "initial_kind":
-            rows += [("initial", k, f"initial_params.{k}", _FLOAT) for k in _INITIAL_PARAM_KEYS[initial_kind]]
+            rows += [("initial", k, f"initial_params.{k}", _FLOAT) for k in _INITIAL_PARAM_KEYS[domain][initial_kind]]
     return rows
 
 
@@ -178,16 +184,16 @@ def _run_config(cp: configparser.ConfigParser) -> RunConfig:
         kind = cp.get("initial", "kind")
     except configparser.Error as exc:
         raise ConfigError(f"missing required field: {exc}") from exc
-    if dom not in _DOMAIN_INITIAL_KINDS:
+    if dom not in _INITIAL_PARAM_KEYS:
         raise ConfigError(f"unknown domain kind {dom!r}")
-    if kind not in _DOMAIN_INITIAL_KINDS[dom]:
+    if kind not in _INITIAL_PARAM_KEYS[dom]:
         raise ConfigError(f"initial kind {kind!r} is not available on domain {dom!r}")
     rows = _run_keys(dom, kind)
     unknown = set(cp.sections()) - {row[0] for row in rows}
     if unknown:
         raise ConfigError(f"unknown section [{min(unknown)}]")
     values = _read(cp, rows)
-    missing = [k for k in _INITIAL_PARAM_KEYS[kind] if k not in _OPTIONAL_INITIAL_KEYS and k not in cp["initial"]]
+    missing = [k for k in _INITIAL_PARAM_KEYS[dom][kind] if k not in _OPTIONAL_INITIAL_KEYS and k not in cp["initial"]]
     if missing:
         raise ConfigError(f"[initial] kind = {kind} needs {', '.join(missing)}")
     if "reg.variant" not in values or "reg.epsilon" not in values:
@@ -222,15 +228,19 @@ class SweepPlanConfig:
 
     def __post_init__(self):
         eps = list(self.epsilons)
-        if not eps:
-            raise ConfigError("epsilon list must not be empty")
+        if len(eps) < 2:
+            raise ConfigError(f"trend fitting needs at least two epsilons, got {len(eps)}")
         if not all(e > 0 for e in eps):
             raise ConfigError("epsilons must be positive")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("epsilon list must be strictly decreasing")
+        if not self.regs:
+            raise ConfigError("regs must name at least one regularization")
         for rg in self.regs:
             if rg not in ("cutoff_flux", "nonlinear_diffusion"):
                 raise ConfigError(f"unknown regularization {rg!r} in sweep plan")
+        if self.base.domain != "disk":
+            raise ConfigError("sweeps run on the radial disk backend; the base domain must be disk")
 
 
 def parse_sweep_plan(path, text: str | None = None) -> SweepPlanConfig:

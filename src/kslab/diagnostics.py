@@ -16,14 +16,14 @@ the inequality pair (beta <= alpha, beta^2 <= 8 pi alpha) for the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
 from .solver import Field, RadialField, RadialGrid, RegKind, Trajectory, f_eps
-from .testfn import PHI_SUPPORT, BoundaryBump, InteriorBump, build_boundary_bump
-from .geometry import distance_to_boundary, smoothstep5, unit_disk
+from .testfn import PHI_SUPPORT, InteriorBump, build_boundary_bump
+from .geometry import distance_to_boundary, smoothstep5
 
 __all__ = [
     "M0_CUTOFF",
@@ -235,13 +235,38 @@ def ball_mass_map_rect(u: Field, rho: float) -> np.ndarray:
     return scipy.signal.fftconvolve(u.values, kernel, mode="same")
 
 
-def _ball_mass(u, center, rho: float) -> float:
+def _ball_weights(u: Field | RadialField, center, rho: float) -> np.ndarray:
+    """Per-cell weights w with sum(w * u.values) = int_{B_rho(center)} u."""
     if isinstance(u, RadialField):
         c = float(np.hypot(*center))
         if c == 0.0:
-            return ball_mass_radial(u, rho)
-        return float(np.sum(offcenter_ball_weights_radial(u.grid, c, rho) * u.values))
-    return float(np.sum(ball_weights_rect(u, center, rho) * u.values))
+            return ball_weights_radial(u.grid, rho)
+        return offcenter_ball_weights_radial(u.grid, c, rho)
+    return ball_weights_rect(u, center, rho)
+
+
+def _point_weights(u: Field | RadialField, f, n_radii: int, n_ang: int) -> np.ndarray:
+    """Per-cell weights w with sum(w * u.values) ~ int f u for a point function f.
+
+    Rectangle: f at the cell centers times the cell area.  Disk: per cell,
+    ``n_radii`` Gauss-Legendre radii (a single one is the cell center)
+    times ``n_ang`` midpoint angles, so f need not be radial.
+    """
+    if isinstance(u, RadialField):
+        gl, glw = np.polynomial.legendre.leggauss(n_radii)
+        r_lo, r_hi = u.grid.faces[:-1][:, None], u.grid.faces[1:][:, None]
+        r = 0.5 * (r_hi + r_lo) + 0.5 * (r_hi - r_lo) * gl[None, :]
+        wr = 0.5 * (r_hi - r_lo) * glw[None, :]
+        th = 2.0 * np.pi * (np.arange(n_ang) + 0.5) / n_ang
+        pts = np.stack([r[..., None] * np.cos(th), r[..., None] * np.sin(th)], axis=-1)
+        ang_avg = np.asarray(f(pts)).mean(axis=-1) * 2.0 * np.pi
+        return np.sum(ang_avg * r * wr, axis=1)
+    return np.asarray(f(np.stack(u.cell_centers(), axis=-1))) * u.cell_area
+
+
+def _sums(w: np.ndarray, arrays) -> np.ndarray:
+    """sum(w * a) for each array a, e.g. one weight vector over the snapshots."""
+    return np.array([float(np.sum(w * a)) for a in arrays])
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +350,12 @@ def atom_estimate(
             or center[1] + rho_ladder[-1] > u.ny * u.hy
         )
     if reg.is_cutoff:
-        companion_vals = f_eps(u.values, reg.epsilon)
+        companion = f_eps(u.values, reg.epsilon)
     else:
-        companion_vals = u.values + reg.epsilon * u.values ** (7.0 / 6.0)
-    if isinstance(u, RadialField):
-        companion = RadialField(u.grid, companion_vals)
-    else:
-        companion = Field(u.hx, u.hy, companion_vals)
-    alpha = np.array([_ball_mass(u, center, r) for r in rho_ladder])
-    beta = np.array([_ball_mass(companion, center, r) for r in rho_ladder])
+        companion = u.values + reg.epsilon * u.values ** (7.0 / 6.0)
+    weights = [_ball_weights(u, center, r) for r in rho_ladder]
+    alpha = np.array([float(np.sum(w * u.values)) for w in weights])
+    beta = np.array([float(np.sum(w * companion)) for w in weights])
     gamma = beta**2
     # flattest window of three consecutive ladder radii
     spreads = [alpha[i : i + 3].max() - alpha[i : i + 3].min() for i in range(len(alpha) - 2)]
@@ -383,41 +405,17 @@ class ProbeSeries:
     ball_u76: np.ndarray | None = None
 
 
-def _probe_weights(traj: Trajectory, x0: np.ndarray, rho: float):
-    """Quadrature weights of the probe cutoff on the trajectory's grid."""
-    domain = unit_disk()
-    if traj.backend == "radial":
-        grid = traj.grid
-        d = 1.0 - float(np.hypot(*x0))
-        if d >= PHI_SUPPORT * rho - 1e-12:
-            bump = InteriorBump(x0, rho)
-            kind = "interior"
-        elif d <= 2.0 * rho + 1e-12:
-            bump = build_boundary_bump(domain, x0, rho)
-            kind = "boundary"
-        else:
-            raise ValueError("probe center neither interior-admissible nor within 2*rho of the wall")
-        gl, glw = np.polynomial.legendre.leggauss(4)
-        r_lo, r_hi = grid.faces[:-1][:, None], grid.faces[1:][:, None]
-        r = 0.5 * (r_hi + r_lo) + 0.5 * (r_hi - r_lo) * gl[None, :]
-        wr = 0.5 * (r_hi - r_lo) * glw[None, :]
-        n_ang = 128
-        th = 2.0 * np.pi * (np.arange(n_ang) + 0.5) / n_ang
-        pts = np.stack(
-            [r[..., None] * np.cos(th), r[..., None] * np.sin(th)], axis=-1
-        )
-        psi = bump.value(pts)
-        ang_avg = psi.mean(axis=-1) * 2.0 * np.pi
-        w = np.sum(ang_avg * r * wr, axis=1)
-        return w, kind
-    # rectangle: interior probes only (no smooth boundary)
-    u0 = traj.field_at(0)
-    x = (np.arange(u0.nx) + 0.5) * u0.hx
-    y = (np.arange(u0.ny) + 0.5) * u0.hy
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    pts = np.stack([X, Y], axis=-1)
-    bump = InteriorBump(x0, rho)
-    return bump.value(pts) * u0.cell_area, "interior"
+def _probe_weights(u: Field | RadialField, x0: np.ndarray, rho: float):
+    """Quadrature weights of the probe cutoff on the field's grid: the
+    interior bump where it fits, else (disk only) the boundary bump."""
+    d = distance_to_boundary(u.domain, x0)
+    if d >= PHI_SUPPORT * rho - 1e-12:
+        bump, kind = InteriorBump(x0, rho), "interior"
+    elif d <= 2.0 * rho + 1e-12:
+        bump, kind = build_boundary_bump(u.domain, x0, rho), "boundary"
+    else:
+        raise ValueError("probe center neither interior-admissible nor within 2*rho of the wall")
+    return _point_weights(u, bump.value, 4, 128), kind
 
 
 def local_mass_rate(traj: Trajectory, probe) -> ProbeSeries:
@@ -429,9 +427,10 @@ def local_mass_rate(traj: Trajectory, probe) -> ProbeSeries:
     violation measure), scaled by rho^2.
     """
     x0, rho = np.asarray(probe[0], dtype=float), float(probe[1])
-    w, kind = _probe_weights(traj, x0, rho)
+    u0 = traj.field_at(0)
+    w, kind = _probe_weights(u0, x0, rho)
     times = np.asarray(traj.times)
-    pm = np.array([float(np.sum(w * snap)) for snap in traj.snapshots])
+    pm = _sums(w, traj.snapshots)
     dt = np.diff(times)
     keep = dt > 1e-14
     rate = np.where(keep, np.diff(pm) / np.where(keep, dt, 1.0), 0.0)
@@ -448,11 +447,7 @@ def local_mass_rate(traj: Trajectory, probe) -> ProbeSeries:
     )
     if not traj.reg.is_cutoff and traj.reg.epsilon > 0:
         eps = traj.reg.epsilon
-        if traj.backend == "radial":
-            bw = ball_weights_radial(traj.grid, rho)
-        else:
-            bw = ball_weights_rect(traj.field_at(0), x0, rho)
-        u76 = np.asarray([float(np.sum(bw * snap ** (7.0 / 6.0))) for snap in traj.snapshots])
+        u76 = _sums(_ball_weights(u0, x0, rho), (snap ** (7.0 / 6.0) for snap in traj.snapshots))
         u76_mid = 0.5 * (u76[1:] + u76[:-1])
         series.ball_u76 = u76
         series.rho2_onesided = rho**2 * np.maximum(
@@ -465,20 +460,10 @@ def local_lp(traj: Trajectory, probe, p: float) -> dict:
     """Series of int_{B_rho} u^p plus the small-mass hypothesis column
     int_{B_{4 rho}} u (to check the local theory's applicability)."""
     x0, rho = np.asarray(probe[0], dtype=float), float(probe[1])
-    out = {"t": np.asarray(traj.times), "lp": [], "mass4": []}
-    for snap in traj.snapshots:
-        if traj.backend == "radial":
-            fld = RadialField(traj.grid, snap)
-            fldp = RadialField(traj.grid, snap**p)
-        else:
-            fld = Field(traj.hx, traj.hy, snap)
-            fldp = Field(traj.hx, traj.hy, snap**p)
-        out["lp"].append(_ball_mass(fldp, x0, rho))
-        out["mass4"].append(_ball_mass(fld, x0, 4.0 * rho))
-    out["lp"] = np.asarray(out["lp"])
-    out["mass4"] = np.asarray(out["mass4"])
-    out["rho4_lp"] = rho**4 * out["lp"]
-    return out
+    u0 = traj.field_at(0)
+    lp = _sums(_ball_weights(u0, x0, rho), (snap**p for snap in traj.snapshots))
+    mass4 = _sums(_ball_weights(u0, x0, 4.0 * rho), traj.snapshots)
+    return {"t": np.asarray(traj.times), "lp": lp, "mass4": mass4, "rho4_lp": rho**4 * lp}
 
 
 # ---------------------------------------------------------------------------
@@ -493,23 +478,15 @@ def sobolev_check(u: Field, eta: Field, delta: float, C: float = DEFAULT_SOBOLEV
           + (C/delta^5) ||grad eta||_inf^6 (int_{supp eta} u)^3 |supp eta|.
     Returns (lhs, rhs, passed).
     """
-    area = u.cell_area
     uv, ev = u.values, eta.values
-    lhs = float(np.sum(uv**3 * ev**6) * area)
-    gx = np.zeros_like(uv)
-    gy = np.zeros_like(uv)
-    gx[1:-1, :] = (uv[2:, :] - uv[:-2, :]) / (2 * u.hx)
-    gy[:, 1:-1] = (uv[:, 2:] - uv[:, :-2]) / (2 * u.hy)
+    lhs = u.integral(uv**3 * ev**6)
+    gx, gy = u.gradient()
     grad2 = gx**2 + gy**2
-    egx = np.zeros_like(ev)
-    egy = np.zeros_like(ev)
-    egx[1:-1, :] = (ev[2:, :] - ev[:-2, :]) / (2 * u.hx)
-    egy[:, 1:-1] = (ev[:, 2:] - ev[:, :-2]) / (2 * u.hy)
-    grad_eta_inf = float(np.max(np.hypot(egx, egy)))
+    grad_eta_inf = float(np.max(np.hypot(*eta.gradient())))
     supp = ev > 0
-    mass_supp = float(np.sum(uv[supp]) * area)
-    supp_area = float(np.sum(supp) * area)
-    t1 = (9.0 * (1.0 + delta) / (16.0 * np.pi)) * float(np.sum(grad2 * ev**6) * area) * mass_supp
+    mass_supp = u.integral(uv[supp])
+    supp_area = u.integral(supp)
+    t1 = (9.0 * (1.0 + delta) / (16.0 * np.pi)) * u.integral(grad2 * ev**6) * mass_supp
     t2 = (C / delta**5) * grad_eta_inf**6 * mass_supp**3 * supp_area
     rhs = t1 + t2
     return lhs, rhs, bool(lhs <= rhs)
@@ -528,12 +505,10 @@ def random_band_limited_field(nx: int, lx: float, rng, k_max: int = 6, kind: str
 
 
 def _sobolev_eta(nx: int, lx: float) -> Field:
-    hx = lx / nx
-    x = (np.arange(nx) + 0.5) * hx
-    X, Y = np.meshgrid(x, x, indexing="ij")
+    eta = Field(lx / nx, lx / nx, np.empty((nx, nx)))
+    X, Y = eta.cell_centers()
     r = np.hypot(X - lx / 2, Y - lx / 2)
-    vals = 1.0 - smoothstep5((r - 0.25 * lx) / (0.15 * lx))
-    return Field(hx, hx, vals)
+    return eta.like(1.0 - smoothstep5((r - 0.25 * lx) / (0.15 * lx)))
 
 
 def calibrate_sobolev_constant(
@@ -545,11 +520,7 @@ def calibrate_sobolev_constant(
     area = (lx / nx) ** 2
     supp = eta.values > 0
     supp_area = float(np.sum(supp) * area)
-    egx = np.zeros_like(eta.values)
-    egy = np.zeros_like(eta.values)
-    egx[1:-1, :] = (eta.values[2:, :] - eta.values[:-2, :]) / (2 * eta.hx)
-    egy[:, 1:-1] = (eta.values[:, 2:] - eta.values[:, :-2]) / (2 * eta.hy)
-    gi = float(np.max(np.hypot(egx, egy)))
+    gi = float(np.max(np.hypot(*eta.gradient())))
 
     def required(u: Field) -> float:
         lhs, t1, _ = sobolev_check(u, eta, delta, C=0.0)  # rhs = gradient term alone
@@ -562,15 +533,13 @@ def calibrate_sobolev_constant(
     for _ in range(n_fields):
         worst = max(worst, required(random_band_limited_field(nx, lx, rng)))
     # gradient-free profiles are the ones that genuinely need the C term
-    hx = lx / nx
-    x = (np.arange(nx) + 0.5) * hx
-    X, Y = np.meshgrid(x, x, indexing="ij")
+    X, Y = eta.cell_centers()
     r = np.hypot(X - lx / 2, Y - lx / 2)
     for level in (0.5, 1.0, 2.0, 5.0):
-        worst = max(worst, required(Field(hx, hx, np.full((nx, nx), level))))
+        worst = max(worst, required(eta.like(np.full((nx, nx), level))))
         for rad in (0.1 * lx, 0.2 * lx, 0.35 * lx):
             plateau = level * (1.0 - smoothstep5((r - rad) / (0.1 * lx)))
-            worst = max(worst, required(Field(hx, hx, plateau)))
+            worst = max(worst, required(eta.like(plateau)))
     return worst
 
 
@@ -590,43 +559,27 @@ def quadratic_weak_limit_probe(traj: Trajectory, phi_terms) -> float:
     times = np.asarray(traj.times)
     if times.size < 2:
         raise ValueError("trajectory too short for a time integral")
+    u0 = traj.field_at(0)
 
-    def factor_integral(factor, snap) -> float:
+    def factor_integrals(factor) -> np.ndarray:
+        """int factor u at every snapshot."""
         if isinstance(factor, tuple) and factor and factor[0] == "ball":
             _, center, rho = factor
-            if traj.backend == "radial":
-                fld = RadialField(traj.grid, snap)
-            else:
-                fld = Field(traj.hx, traj.hy, snap)
-            return _ball_mass(fld, np.asarray(center, dtype=float), float(rho))
-        if not callable(factor):
+            w = _ball_weights(u0, np.asarray(center, dtype=float), float(rho))
+        elif callable(factor):
+            w = _point_weights(u0, factor, 1, 64)
+        else:
             raise ValueError("unsupported (non-separable?) test factor")
-        if traj.backend == "radial":
-            grid = traj.grid
-            n_ang = 64
-            th = 2.0 * np.pi * (np.arange(n_ang) + 0.5) / n_ang
-            c = grid.centers
-            pts = np.stack(
-                [c[:, None] * np.cos(th)[None, :], c[:, None] * np.sin(th)[None, :]], axis=-1
-            )
-            gavg = np.asarray(factor(pts)).mean(axis=1)
-            return float(2.0 * np.pi * np.sum(gavg * snap * grid.vol))
-        u0 = traj.field_at(0)
-        x = (np.arange(u0.nx) + 0.5) * u0.hx
-        y = (np.arange(u0.ny) + 0.5) * u0.hy
-        X, Y = np.meshgrid(x, y, indexing="ij")
-        pts = np.stack([X, Y], axis=-1)
-        return float(np.sum(np.asarray(factor(pts)) * snap) * u0.cell_area)
+        return _sums(w, traj.snapshots)
 
+    terms = [(factor_integrals(g), factor_integrals(h)) for g, h in phi_terms]
     total = 0.0
     for k in range(times.size - 1):
         dt = times[k + 1] - times[k]
         if dt <= 0:
             continue
         mid_val = 0.0
-        for g, h in phi_terms:
-            ga = 0.5 * (factor_integral(g, traj.snapshots[k]) + factor_integral(g, traj.snapshots[k + 1]))
-            ha = 0.5 * (factor_integral(h, traj.snapshots[k]) + factor_integral(h, traj.snapshots[k + 1]))
-            mid_val += ga * ha
+        for gi, hi in terms:
+            mid_val += (0.5 * (gi[k] + gi[k + 1])) * (0.5 * (hi[k] + hi[k + 1]))
         total += dt * mid_val
-    return total
+    return float(total)

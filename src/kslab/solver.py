@@ -30,6 +30,8 @@ from functools import cached_property
 import numpy as np
 import scipy.fft
 
+from .geometry import DomainGeometry, rectangle, unit_disk
+
 __all__ = [
     "Field",
     "RadialGrid",
@@ -89,16 +91,39 @@ class Field:
     def cell_area(self) -> float:
         return self.hx * self.hy
 
+    @property
+    def domain(self) -> DomainGeometry:
+        return rectangle(self.nx * self.hx, self.ny * self.hy)
+
+    def like(self, values: np.ndarray) -> "Field":
+        """A field on the same grid."""
+        return Field(self.hx, self.hy, values)
+
+    def integral(self, values: np.ndarray) -> float:
+        """Domain integral of per-cell ``values`` (midpoint rule)."""
+        return float(np.sum(values) * self.cell_area)
+
     def mass(self) -> float:
-        return float(self.values.sum() * self.cell_area)
+        return self.integral(self.values)
 
     def copy(self) -> "Field":
-        return Field(self.hx, self.hy, self.values.copy())
+        return self.like(self.values.copy())
 
-    def cell_centers(self):
+    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cell-center coordinates X, Y, each of the grid's shape."""
         x = (np.arange(self.nx) + 0.5) * self.hx
         y = (np.arange(self.ny) + 0.5) * self.hy
-        return x, y
+        return np.meshgrid(x, y, indexing="ij")
+
+    def gradient(self) -> tuple[np.ndarray, np.ndarray]:
+        """Central differences d/dx, d/dy; zero on the first and last row
+        (d/dx) and column (d/dy)."""
+        vals = self.values
+        gx = np.zeros_like(vals)
+        gy = np.zeros_like(vals)
+        gx[1:-1, :] = (vals[2:, :] - vals[:-2, :]) / (2 * self.hx)
+        gy[:, 1:-1] = (vals[:, 2:] - vals[:, :-2]) / (2 * self.hy)
+        return gx, gy
 
 
 @dataclass(frozen=True)
@@ -156,11 +181,23 @@ class RadialField:
     grid: RadialGrid
     values: np.ndarray
 
+    @property
+    def domain(self) -> DomainGeometry:
+        return unit_disk()
+
+    def like(self, values: np.ndarray) -> "RadialField":
+        """A field on the same grid."""
+        return RadialField(self.grid, values)
+
+    def integral(self, values: np.ndarray) -> float:
+        """Disk integral of per-cell ``values`` (exact r dr cell measures)."""
+        return float(2.0 * np.pi * np.sum(values * self.grid.vol))
+
     def mass(self) -> float:
-        return float(2.0 * np.pi * np.sum(self.values * self.grid.vol))
+        return self.integral(self.values)
 
     def copy(self) -> "RadialField":
-        return RadialField(self.grid, self.values.copy())
+        return self.like(self.values.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +434,7 @@ class _Stencil:
     ``axes`` lists, per direction, the (lower, upper) cell slices of its
     faces, the center spacing across them, the face measure and the
     measures of the lower and upper cells.  A subclass supplies the
-    potential solve (``_solve``), the CFL rate, the potential field and the
-    integral over the domain.
+    potential solve (``_solve``), the CFL rate and the potential field.
     """
 
     backend: str
@@ -429,7 +465,6 @@ class _RectStencil(_Stencil):
 
     def __init__(self, u: Field):
         self.hx, self.hy = u.hx, u.hy
-        self.cell_area = u.cell_area
         self.geometry = {"hx": u.hx, "hy": u.hy}
         self.axes = tuple((*_sides(a, 2), h, 1.0, h, h) for a, h in enumerate((u.hx, u.hy)))
 
@@ -449,9 +484,6 @@ class _RectStencil(_Stencil):
 
     def potential(self, f: _Faces) -> Field:
         return f.v
-
-    def integral(self, vals: np.ndarray) -> float:
-        return float(np.sum(vals) * self.cell_area)
 
 
 class _RadialStencil(_Stencil):
@@ -478,9 +510,6 @@ class _RadialStencil(_Stencil):
 
     def potential(self, f: _Faces) -> RadialField:
         return RadialField(self.grid, radial_potential(self.grid, f.v))
-
-    def integral(self, vals: np.ndarray) -> float:
-        return float(2.0 * np.pi * np.sum(vals * self.grid.vol))
 
 
 def _stencil(u: Field | RadialField) -> _Stencil:
@@ -557,7 +586,7 @@ def _run_driver(state: RunState, config: SolverConfig) -> Trajectory:
                 "entropy": E,
                 "dissipation": D,
                 "h_t": f.h_t,
-                "int_u76": stencil.integral(vals ** (7.0 / 6.0)),
+                "int_u76": state.u.integral(vals ** (7.0 / 6.0)),
             }
         )
 
@@ -645,12 +674,10 @@ def initial_condition_radial(grid: RadialGrid, kind: str, **params) -> RadialFie
 def initial_condition_rect(
     nx: int, ny: int, lx: float, ly: float, kind: str, **params
 ) -> Field:
-    hx, hy = lx / nx, ly / ny
-    x = (np.arange(nx) + 0.5) * hx
-    y = (np.arange(ny) + 0.5) * hy
-    X, Y = np.meshgrid(x, y, indexing="ij")
+    blank = Field(lx / nx, ly / ny, np.empty((nx, ny)))
     if kind == "constant":
-        return Field(hx, hy, np.full((nx, ny), float(params["value"])))
+        return blank.like(np.full((nx, ny), float(params["value"])))
+    X, Y = blank.cell_centers()
     if kind == "gaussian":
         cx, cy = params.get("center", (lx / 2, ly / 2))
         w = params["width"]
@@ -663,7 +690,7 @@ def initial_condition_rect(
         ) + np.exp(-(((X - c2x) ** 2 + (Y - c2y) ** 2) / (2.0 * w2**2)))
     else:
         raise ValueError(f"unknown rectangle initial kind {kind!r}")
-    f = Field(hx, hy, vals)
+    f = blank.like(vals)
     f.values *= params["mass"] / f.mass()
     return f
 

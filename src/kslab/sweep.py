@@ -110,10 +110,6 @@ def fit_trend(eps: np.ndarray, vals: np.ndarray) -> dict:
 
 def run_sweep(plan: SweepPlanConfig, out_dir, threads: int = 1) -> SweepReport:
     """Execute the plan and assemble the cross-epsilon report."""
-    if len(plan.epsilons) < 2:
-        raise ConfigError("trend fitting needs at least two epsilon values")
-    if plan.base.domain != "disk":
-        raise ConfigError("sweeps run on the radial disk backend")
     out_root = Path(out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
 
@@ -312,14 +308,11 @@ def mass_change_modulus(traj: Trajectory, cover, tol: float = 1e-8) -> dict:
     total = np.sum(cover, axis=0)
     if float(np.max(np.abs(total - 1.0))) > tol:
         raise ValueError("cover is not a partition of unity")
-    if traj.backend == "radial":
-        meas = 2.0 * np.pi * traj.grid.vol
-    else:
-        meas = np.full(traj.snapshots[0].shape, traj.hx * traj.hy)
+    u0 = traj.field_at(0)
     times = np.asarray(traj.times)
     moduli = []
     for psi in cover:
-        P = np.asarray([float(np.sum(psi * s * meas)) for s in traj.snapshots])
+        P = np.asarray([u0.integral(psi * s) for s in traj.snapshots])
         dt = np.diff(times)
         keep = dt > 1e-14
         rates = np.abs(np.diff(P)[keep] / dt[keep])

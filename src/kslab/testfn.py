@@ -129,7 +129,7 @@ def psi_interior(x, x0, rho: float, domain: DomainGeometry | None = None) -> Psi
 
 
 class InteriorBump:
-    """Callable wrapper around ``psi_interior`` for probe integrals."""
+    """The interior profile phi(|x - x0| / rho) as a point function, for probe integrals."""
 
     def __init__(self, x0, rho: float, domain: DomainGeometry | None = None):
         self.x0 = np.asarray(x0, dtype=float)
@@ -141,13 +141,6 @@ class InteriorBump:
     def value(self, x):
         dx = np.asarray(x, dtype=float) - self.x0
         return np.asarray(phi(np.hypot(dx[..., 0], dx[..., 1]) / self.rho))
-
-    def gradient(self, x):
-        return psi_interior(x, self.x0, self.rho).gradient
-
-    def laplacian(self, x):
-        dx = np.asarray(x, dtype=float) - self.x0
-        return np.asarray(phi_radial_laplacian(np.hypot(dx[..., 0], dx[..., 1]) / self.rho)) / self.rho**2
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import numpy as np
 
 from .geometry import smoothstep5, smoothstep5_d1, smoothstep5_d2
 from .greens import cutoff_z_value, g_normal, g_tangential
-from .solver import Field, RadialField, Trajectory, f_eps, solve_poisson_neumann
+from .solver import Trajectory, f_eps, solve_poisson_neumann
 from .testfn import PHI_SUPPORT
 
 __all__ = [
@@ -446,11 +446,8 @@ def _weak_residual_rect(traj: Trajectory, test: RadialProfileTest) -> QBreakdown
         raise ValueError("rectangle backend supports interior tests only")
     hx, hy = traj.hx, traj.hy
     f0 = traj.field_at(0)
-    nx, ny = f0.nx, f0.ny
-    x = (np.arange(nx) + 0.5) * hx
-    y = (np.arange(ny) + 0.5) * hy
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    cx, cy = 0.5 * nx * hx, 0.5 * ny * hy
+    X, Y = f0.cell_centers()
+    cx, cy = 0.5 * f0.nx * hx, 0.5 * f0.ny * hy
     rr = np.hypot(X - cx, Y - cy)
     if float(rr.min()) + test.support_radius > min(cx, cy):
         raise ValueError("test support reaches the rectangle wall")
@@ -500,11 +497,7 @@ def _weak_residual_rect(traj: Trajectory, test: RadialProfileTest) -> QBreakdown
         Q1 += dt * zv * q1_t
         # drift against the full Green's gradient via the potential of m
         mean = float(m_mid.mean())
-        v = solve_poisson_neumann(Field(hx, hy, m_mid - mean))
-        vx = np.zeros_like(v.values)
-        vy = np.zeros_like(v.values)
-        vx[1:-1, :] = (v.values[2:, :] - v.values[:-2, :]) / (2 * hx)
-        vy[:, 1:-1] = (v.values[:, 2:] - v.values[:, :-2]) / (2 * hy)
+        vx, vy = solve_poisson_neumann(f0.like(m_mid - mean)).gradient()
         drift = float(np.sum(m_mid * (gpx * vx + gpy * vy)) * area)
         Q5 += dt * zv * (-drift - q1_t)
     return QBreakdown(L1=L1, Q1=Q1, Q2=0.0, Q3=0.0, Q3_1=0.0, Q3_2=0.0, Q4=0.0, Q5=Q5)

@@ -228,6 +228,7 @@ BAD_RUN_CONFIGS = {
     "nx 1": ("nx", TWO_BUMP_TEXT.replace("nx = 24", "nx = 1")),
     "dt_policy": ("dt_policy", RUN_TEXT.replace("dt_policy = cfl", "dt_policy = adaptive")),
     "initial key off its kind": ("r0", RUN_TEXT.replace("width = 0.2", "width = 0.2\nr0 = 0.5")),
+    "disk gaussian center": ("center_x", RUN_TEXT.replace("width = 0.2", "width = 0.2\ncenter_x = 0.1")),
 }
 SWEEP_HEAD = "[sweep]\nepsilons = 0.003 0.001\n"
 BAD_SWEEP_PLANS = {
@@ -235,6 +236,9 @@ BAD_SWEEP_PLANS = {
     "seed token": ("seed", SWEEP_HEAD + "seed = x\n\n" + RUN_TEXT),
     "unknown [sweep] key": ("epsilon", SWEEP_HEAD + "epsilon = 1e-3\n\n" + RUN_TEXT),
     "unknown base key": ("stop_factr", SWEEP_HEAD + "\n" + RUN_TEXT + "\n[stopping]\nstop_factr = 2.0\n"),
+    "empty regs": ("regs", SWEEP_HEAD + "regs =\n\n" + RUN_TEXT),
+    "single epsilon": ("epsilon", "[sweep]\nepsilons = 1e-3\n\n" + RUN_TEXT),
+    "rectangle base": ("domain", SWEEP_HEAD + "\n" + TWO_BUMP_TEXT),
 }
 
 

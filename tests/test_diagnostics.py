@@ -5,6 +5,8 @@ from hypothesis.extra.numpy import arrays
 
 from kslab import diagnostics as D
 from kslab import solver as S
+from kslab import sweep as SW
+from kslab.testfn import phi
 
 
 def test_entropy_constant_state():
@@ -313,6 +315,26 @@ def test_pure_diffusion_far_bump_rate_near_zero():
     assert np.max(np.abs(series.rate)) < 1e-8
 
 
+def test_offcenter_disk_probe_ball_u76_is_taken_at_the_probe():
+    # an annulus run concentrates nothing at the origin, so a ball taken
+    # there instead of at the probe reads ~0
+    grid = S.make_radial_grid(128, 1.0)
+    u0 = S.initial_condition_radial(grid, "annulus", mass=20.0, r0=0.5, width=0.1)
+    cfg = S.SolverConfig(t_end=5e-4, snapshot_dt=1e-4)
+    traj = S.radial_run(cfg, S.RegKind("nonlinear_diffusion", 1e-2), u0)
+    series = D.local_mass_rate(traj, ((0.5, 0.0), 0.1))
+    w = D.offcenter_ball_weights_radial(grid, 0.5, 0.1)
+    expected = [float(np.sum(w * snap ** (7.0 / 6.0))) for snap in traj.snapshots]
+    assert series.ball_u76 == pytest.approx(expected, rel=1e-13)
+
+
+def test_rect_probe_leaving_the_rectangle_rejected():
+    u0 = S.initial_condition_rect(24, 24, 1.0, 1.0, "gaussian", mass=1.0, width=0.2)
+    traj = S.run(S.SolverConfig(t_end=1e-4), S.RegKind("cutoff_flux", 1e-2), u0)
+    with pytest.raises(ValueError):
+        D.local_mass_rate(traj, ((0.1, 0.5), 0.1))
+
+
 # --------------------------------------------------------------------------
 # Sobolev inequality
 # --------------------------------------------------------------------------
@@ -399,3 +421,145 @@ def test_quadratic_probe_rejects_nonseparable():
     traj = _short_traj()
     with pytest.raises(ValueError):
         D.quadratic_weak_limit_probe(traj, [("not-a-factor", "x")])
+
+
+# --------------------------------------------------------------------------
+# trajectory analyses against per-snapshot formulas
+# --------------------------------------------------------------------------
+
+
+def _oracle_ball_mass(u, center, rho):
+    if isinstance(u, S.RadialField):
+        c = float(np.hypot(*center))
+        if c == 0.0:
+            return D.ball_mass_radial(u, rho)
+        return float(np.sum(D.offcenter_ball_weights_radial(u.grid, c, rho) * u.values))
+    return float(np.sum(D.ball_weights_rect(u, center, rho) * u.values))
+
+
+def _oracle_factor_integral(traj, factor, snap):
+    u = traj.field_at(0)
+    if isinstance(factor, tuple):
+        return _oracle_ball_mass(u.like(snap), np.asarray(factor[1], dtype=float), float(factor[2]))
+    if traj.backend == "radial":
+        grid = traj.grid
+        th = 2.0 * np.pi * (np.arange(64) + 0.5) / 64
+        c = grid.centers
+        pts = np.stack([c[:, None] * np.cos(th)[None, :], c[:, None] * np.sin(th)[None, :]], axis=-1)
+        return float(2.0 * np.pi * np.sum(np.asarray(factor(pts)).mean(axis=1) * snap * grid.vol))
+    X, Y = u.cell_centers()
+    return float(np.sum(np.asarray(factor(np.stack([X, Y], axis=-1))) * snap) * u.cell_area)
+
+
+def _oracle_quadratic(traj, phi_terms):
+    times = np.asarray(traj.times)
+    total = 0.0
+    for k in range(times.size - 1):
+        dt = times[k + 1] - times[k]
+        if dt <= 0:
+            continue
+        mid_val = 0.0
+        for g, h in phi_terms:
+            ga = 0.5 * (_oracle_factor_integral(traj, g, traj.snapshots[k]) + _oracle_factor_integral(traj, g, traj.snapshots[k + 1]))
+            ha = 0.5 * (_oracle_factor_integral(traj, h, traj.snapshots[k]) + _oracle_factor_integral(traj, h, traj.snapshots[k + 1]))
+            mid_val += ga * ha
+        total += dt * mid_val
+    return total
+
+
+def _oracle_probe_weights(traj, x0, rho):
+    """Interior probes only: phi(|x - x0| / rho) on 4 Gauss radii x 128
+    angles per disk cell, at the cell centers of the rectangle."""
+    bump = lambda pts: np.asarray(phi(np.hypot(pts[..., 0] - x0[0], pts[..., 1] - x0[1]) / rho))
+    if traj.backend == "radial":
+        gl, glw = np.polynomial.legendre.leggauss(4)
+        r_lo, r_hi = traj.grid.faces[:-1][:, None], traj.grid.faces[1:][:, None]
+        r = 0.5 * (r_hi + r_lo) + 0.5 * (r_hi - r_lo) * gl[None, :]
+        wr = 0.5 * (r_hi - r_lo) * glw[None, :]
+        th = 2.0 * np.pi * (np.arange(128) + 0.5) / 128
+        psi = bump(np.stack([r[..., None] * np.cos(th), r[..., None] * np.sin(th)], axis=-1))
+        return np.sum(psi.mean(axis=-1) * 2.0 * np.pi * r * wr, axis=1)
+    u0 = traj.field_at(0)
+    X, Y = u0.cell_centers()
+    return bump(np.stack([X, Y], axis=-1)) * u0.cell_area
+
+
+def _oracle_moduli(traj, cover):
+    if traj.backend == "radial":
+        meas = 2.0 * np.pi * traj.grid.vol
+    else:
+        meas = np.full(traj.snapshots[0].shape, traj.hx * traj.hy)
+    dt = np.diff(np.asarray(traj.times))
+    keep = dt > 1e-14
+    moduli = []
+    for psi in cover:
+        P = np.asarray([float(np.sum(psi * s * meas)) for s in traj.snapshots])
+        rates = np.abs(np.diff(P)[keep] / dt[keep])
+        moduli.append(float(rates.max()) if rates.size else 0.0)
+    return np.asarray(moduli)
+
+
+@st.composite
+def random_trajectories(draw):
+    """A disk or rectangle trajectory of random nonnegative snapshots (some
+    at a repeated time), with an interior probe and a partition of unity."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_snap = draw(st.integers(2, 5))
+    times = np.cumsum(rng.uniform(1e-4, 1e-3, n_snap)) - 1e-4
+    if draw(st.booleans()):
+        times[-1] = times[-2]
+    reg = S.RegKind(draw(st.sampled_from(["cutoff_flux", "nonlinear_diffusion"])), 1e-2)
+    rho = draw(st.floats(0.04, 0.12))  # interior bumps fit at every drawn center
+    if draw(st.booleans()):
+        grid = S.make_radial_grid(draw(st.integers(16, 96)), draw(st.sampled_from([1.0, 1.02])))
+        snaps = [rng.uniform(0.0, 2.0, grid.n) for _ in range(n_snap)]
+        traj = S.Trajectory("radial", reg, S.SolverConfig(), list(times), snaps, [], grid=grid)
+        radius = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.6)))
+        angle = draw(st.floats(0.0, 2.0 * np.pi))
+        x0 = (radius * np.cos(angle), radius * np.sin(angle))
+        cover = SW.build_radial_partition(grid, draw(st.integers(3, 8)))
+    else:
+        nx, ny = draw(st.integers(8, 32)), draw(st.integers(8, 32))
+        hx, hy = 1.0 / nx, draw(st.floats(0.8, 1.2)) / ny
+        snaps = [rng.uniform(0.0, 2.0, (nx, ny)) for _ in range(n_snap)]
+        traj = S.Trajectory("rect", reg, S.SolverConfig(), list(times), snaps, [], hx=hx, hy=hy)
+        x0 = (draw(st.floats(0.35, 0.65)), draw(st.floats(0.35, 0.65)) * ny * hy)
+        X, _ = traj.field_at(0).cell_centers()
+        cover = [X, 1.0 - X]
+    return traj, (x0, rho), cover
+
+
+@given(random_trajectories())
+@settings(max_examples=40, deadline=None)
+def test_trajectory_analyses_match_per_snapshot_formulas(case):
+    traj, (x0, rho), cover = case
+    x0 = np.asarray(x0)
+    fields = [traj.field_at(k) for k in range(len(traj.times))]
+    rel = dict(rtol=1e-12, atol=0.0)
+
+    lp = D.local_lp(traj, (x0, rho), 1.5)
+    np.testing.assert_allclose(lp["lp"], [_oracle_ball_mass(u.like(u.values**1.5), x0, rho) for u in fields], **rel)
+    np.testing.assert_allclose(lp["mass4"], [_oracle_ball_mass(u, x0, 4.0 * rho) for u in fields], **rel)
+
+    series = D.local_mass_rate(traj, (x0, rho))
+    w = _oracle_probe_weights(traj, x0, rho)
+    pm = np.array([float(np.sum(w * snap)) for snap in traj.snapshots])
+    np.testing.assert_allclose(series.weighted_mass, pm, **rel)
+    dt = np.diff(np.asarray(traj.times))
+    keep = dt > 1e-14
+    rate = np.where(keep, np.diff(pm) / np.where(keep, dt, 1.0), 0.0)
+    np.testing.assert_allclose(series.rate, rate, **rel)
+    if not traj.reg.is_cutoff:
+        # the ball sits at the probe center, off-center disk probes included
+        u76 = [_oracle_ball_mass(u.like(u.values ** (7.0 / 6.0)), x0, rho) for u in fields]
+        np.testing.assert_allclose(series.ball_u76, u76, **rel)
+
+    g = lambda pts: np.exp(-((pts[..., 0] - x0[0]) ** 2 + (pts[..., 1] - x0[1]) ** 2) / 0.1)
+    h = lambda pts: 1.0 + pts[..., 0] ** 2
+    for terms in ([(g, h)], [(("ball", x0, rho), g)], [(("ball", x0, rho), ("ball", (0.0, 0.0), 2.0 * rho))]):
+        got = D.quadratic_weak_limit_probe(traj, terms)
+        np.testing.assert_allclose(got, _oracle_quadratic(traj, terms), **rel)
+
+    # independent random snapshots: the patch masses differ by O(1) from one
+    # snapshot to the next, so the quotients keep the masses' relative rounding
+    np.testing.assert_allclose(SW.mass_change_modulus(traj, cover)["moduli"], _oracle_moduli(traj, cover), **rel)

@@ -317,3 +317,14 @@ def test_radial_invariants_and_step_replay(u0, reg):
 @settings(max_examples=100, deadline=None)
 def test_rect_invariants_and_step_replay(u0, reg):
     _check_invariants_and_replay(u0, reg)
+
+
+@given(st.integers(2, 24), st.integers(2, 24), st.floats(1e-3, 1.0), st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_field_gradient_matches_inline_central_differences(nx, ny, hx, hy, seed):
+    vals = np.random.default_rng(seed).normal(size=(nx, ny))
+    gx, gy = S.Field(hx, hy, vals).gradient()
+    ref_x, ref_y = np.zeros_like(vals), np.zeros_like(vals)
+    ref_x[1:-1, :] = (vals[2:, :] - vals[:-2, :]) / (2 * hx)
+    ref_y[:, 1:-1] = (vals[:, 2:] - vals[:, :-2]) / (2 * hy)
+    assert gx.tobytes() == ref_x.tobytes() and gy.tobytes() == ref_y.tobytes()

@@ -30,8 +30,8 @@ def _mini_plan(tmp_path, epsilons=(3e-3, 1e-3), mass=12 * np.pi, t_end=3e-3, reg
 
 
 def test_single_epsilon_plan_rejected(tmp_path):
-    plan = _mini_plan(tmp_path, epsilons=(1e-3,))
     with pytest.raises(ConfigError):
+        plan = _mini_plan(tmp_path, epsilons=(1e-3,))
         SW.run_sweep(plan, tmp_path / "out")
 
 

@@ -165,8 +165,7 @@ def test_rect_interior_matches_disk_scale():
     qbd = W.weak_residual(trad, test, n_theta=96)
     # scale: the gross linear payload |int psi(0) u0| (the summands of L1
     # cancel to the residual, so L1 itself is not a scale)
-    x, y = trar.field_at(0).cell_centers()
-    X, Y = np.meshgrid(x, y, indexing="ij")
+    X, Y = trar.field_at(0).cell_centers()
     rr = np.hypot(X - 1.0, Y - 1.0)
     gross = float(np.sum(test.p(rr) * trar.snapshots[0]) * trar.hx * trar.hy)
     assert abs(qbr.residual) < 0.02 * gross
