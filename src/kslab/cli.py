@@ -15,9 +15,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import checks, io
 from .config import ConfigError, parse_run_config, parse_sweep_plan
-from .solver import initial_condition, radial_run, run as rect_run
+from .solver import diffusive_dt_limit, initial_condition, radial_run, run as rect_run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -140,7 +142,25 @@ def cmd_report(args) -> int:
                     first = lines[1].split(",")
                     drift = abs(float(last[mass_idx]) - float(first[mass_idx]))
                     print(f"  steps = {len(lines) - 1}, final mass drift = {drift!r}")
+                config = m.parent / "config.ini"
+                if "t" in cols and config.exists():
+                    t_idx = cols.index("t")
+                    _report_dt_regime(config, [float(line.split(",")[t_idx]) for line in lines[1:]])
     return 0
+
+
+def _report_dt_regime(config_path: Path, times: list) -> None:
+    """Median dt and median dt over the pure-diffusion CFL bound of the
+    run's grid: near ``cfl_safety`` diffusion sets the step, well below it
+    advection does."""
+    try:
+        cfg = parse_run_config(config_path)
+    except (ConfigError, OSError) as exc:
+        print(f"  dt regime unavailable: {exc}")
+        return
+    dt = np.diff(np.concatenate([[0.0], times]))  # runs start at t = 0
+    ratio = dt / diffusive_dt_limit(cfg.domain, cfg.solver)
+    print(f"  median dt = {float(np.median(dt))!r}, median dt / diffusive CFL = {float(np.median(ratio)):.4f}")
 
 
 def main(argv=None) -> int:

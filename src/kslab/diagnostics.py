@@ -61,7 +61,7 @@ DEFAULT_SOBOLEV_C = 5e-7
 _ULOG_FLOOR = 1e-280
 
 
-def entropy(u: Field | RadialField, v, epsilon: float, w=None) -> tuple[float, float]:
+def entropy(u: Field | RadialField, v, epsilon: float, w=None):
     """Free energy E and its dissipation D for the current (u, v) pair.
 
     E = int [ u(log u - 1) + 6 eps u^{7/6} - |grad v|^2 / 2 ],
@@ -73,16 +73,33 @@ def entropy(u: Field | RadialField, v, epsilon: float, w=None) -> tuple[float, f
     given, is the face gradient of v per axis (rectangle: x then y faces;
     disk: the interior faces) and is used instead of differentiating v.
 
+    ``u`` may also hold a stack of states on one grid: ``u.values``, and
+    ``v.values`` or each ``w``, then carry a leading row axis, and E and D
+    come back as arrays with one entry per row.  One state is the one-row
+    case of the same code; each row is reduced over its flattened cells, so
+    a row of a stack gives the bits of the one-state call.
+
     One pass: log u and u^{1/6} are taken once per cell and each face
     combines the values of its two cells (sqrt u only on vacuum faces).
     """
+    cell_meas, axes, cell_ndim = _entropy_axes(u)
     vals = u.values
-    cell_meas, axes = _entropy_axes(u)
+    stacked = vals.ndim > cell_ndim
+    if not stacked:
+        vals = vals[None]
+        if w is not None:
+            w = tuple(wa[None] for wa in w)
     if w is None:
+        vv = None if v is None else v.values if stacked else v.values[None]
         w = tuple(
-            np.zeros(vals[lo].shape) if v is None else (v.values[hi] - v.values[lo]) / spacing
+            np.zeros(vals[lo].shape) if vv is None else (vv[hi] - vv[lo]) / spacing
             for lo, hi, spacing, _ in axes
         )
+    n_rows = len(vals)
+
+    def row_sums(a):
+        return a.reshape(n_rows, -1).sum(axis=1)
+
     # per cell, once: log u (0 at vacuum) and u^{1/6}.  Everything after
     # works in place in ``work``, whose rows every axis reuses: fresh
     # full-grid temporaries cost more in page faults than in arithmetic.
@@ -97,13 +114,13 @@ def entropy(u: Field | RadialField, v, epsilon: float, w=None) -> tuple[float, f
     bulk *= vals
     np.copyto(bulk, 0.0, where=~pos)
     bulk *= cell_meas
-    E = float(bulk.sum())
-    D = 0.0
+    E = row_sums(bulk)
+    D = np.zeros(n_rows)
     for (lo, hi, spacing, face_meas), wa in zip(axes, w):
         g, du, lm, dlog = (row[: wa.size].reshape(wa.shape) for row in work)
         np.square(wa, out=g)
         g *= face_meas
-        E -= 0.5 * float(g.sum())
+        E -= 0.5 * row_sums(g)
         both = pos[lo] & pos[hi]
         np.subtract(vals[hi], vals[lo], out=du)
         # logarithmic mean (b - a) / dlog, or (a + b) / 2 where the two
@@ -125,22 +142,24 @@ def entropy(u: Field | RadialField, v, epsilon: float, w=None) -> tuple[float, f
             vac = (np.sqrt(vals[hi]) - np.sqrt(vals[lo])) / spacing
             lm = np.where(both, lm, 4.0 * vac**2)
         lm *= face_meas
-        D += float(lm.sum())
-    return E, D
+        D += row_sums(lm)
+    if stacked:
+        return E, D
+    return float(E[0]), float(D[0])
 
 
 def _entropy_axes(u: Field | RadialField):
-    """Cell measure and, per axis, the (lower, upper) cell slices of its
-    faces, the center spacing across them and the face measure."""
+    """Cell measure, per axis the (lower, upper) cell slices of its faces,
+    the center spacing across them and the face measure, and the number of
+    cell axes.  The slices leave a leading row axis alone."""
     if isinstance(u, RadialField):
         grid = u.grid
-        face_meas = 2.0 * np.pi * grid.faces[1:-1] * grid.dcen
-        return 2.0 * np.pi * grid.vol, ((slice(None, -1), slice(1, None), grid.dcen, face_meas),)
+        return grid.cell_areas, ((np.s_[..., :-1], np.s_[..., 1:], grid.dcen, grid.dual_areas),), 1
     cell = u.hx * u.hy
     return cell, (
-        ((slice(None, -1), slice(None)), (slice(1, None), slice(None)), u.hx, cell),
-        ((slice(None), slice(None, -1)), (slice(None), slice(1, None)), u.hy, cell),
-    )
+        (np.s_[..., :-1, :], np.s_[..., 1:, :], u.hx, cell),
+        (np.s_[..., :-1], np.s_[..., 1:], u.hy, cell),
+    ), 2
 
 
 def entropy_epsilon_bound(traj: Trajectory, alpha_exp: float = 0.1) -> float:

@@ -25,7 +25,7 @@ face velocities grad v, which with the CFL bound keeps u nonnegative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
@@ -47,6 +47,7 @@ __all__ = [
     "solve_poisson_neumann",
     "radial_poisson_face_gradient",
     "step",
+    "diffusive_dt_limit",
     "run",
     "radial_run",
     "make_radial_grid",
@@ -102,6 +103,12 @@ class Field:
     def integral(self, values: np.ndarray) -> float:
         """Domain integral of per-cell ``values`` (midpoint rule)."""
         return float(np.sum(values) * self.cell_area)
+
+    def row_integrals(self, rows: np.ndarray) -> np.ndarray:
+        """``integral`` of each row of a stack of per-cell values; each row is
+        summed over its flattened cells, so row k equals
+        ``integral(rows[k])`` bit for bit."""
+        return rows.reshape(len(rows), -1).sum(axis=1) * self.cell_area
 
     def mass(self) -> float:
         return self.integral(self.values)
@@ -163,6 +170,27 @@ class RadialGrid:
         """Center-to-center spacing across the interior faces."""
         return np.diff(self.centers)
 
+    @cached_property
+    def inv_dcen(self) -> np.ndarray:
+        """1 / dcen: the diffusive face rate at unit coefficient (read-only)."""
+        return _read_only(1.0 / self.dcen)
+
+    @cached_property
+    def cell_areas(self) -> np.ndarray:
+        """Disk area of each cell, 2 pi vol (read-only)."""
+        return _read_only(2.0 * np.pi * self.vol)
+
+    @cached_property
+    def dual_areas(self) -> np.ndarray:
+        """Disk area 2 pi r dcen of the dual cell around each interior face
+        (read-only)."""
+        return _read_only(2.0 * np.pi * self.faces[1:-1] * self.dcen)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
 
 def make_radial_grid(n: int = 4096, ratio: float = 1.0005) -> RadialGrid:
     """Geometric grid, finest at r = 0 (``ratio`` is the outward growth)."""
@@ -192,6 +220,10 @@ class RadialField:
     def integral(self, values: np.ndarray) -> float:
         """Disk integral of per-cell ``values`` (exact r dr cell measures)."""
         return float(2.0 * np.pi * np.sum(values * self.grid.vol))
+
+    def row_integrals(self, rows: np.ndarray) -> np.ndarray:
+        """``integral`` of each row of a stack of per-cell values, bit for bit."""
+        return 2.0 * np.pi * np.sum(rows * self.grid.vol, axis=1)
 
     def mass(self) -> float:
         return self.integral(self.values)
@@ -279,16 +311,22 @@ def solve_poisson_neumann(rhs: Field, tol: float = 1e-10, scale: float | None = 
         scale = float(np.max(np.abs(vals))) or 1.0
     if abs(mean) > tol * scale + 1e-300:
         raise SolverError(f"rhs mean {mean} exceeds tolerance; subtract it first")
-    nx, ny = vals.shape
     rhat = scipy.fft.dctn(vals, type=2, norm="ortho")
-    kx = (2.0 - 2.0 * np.cos(np.pi * np.arange(nx) / nx)) / rhs.hx**2
-    ky = (2.0 - 2.0 * np.cos(np.pi * np.arange(ny) / ny)) / rhs.hy**2
-    lam = kx[:, None] + ky[None, :]
-    lam[0, 0] = 1.0
-    vhat = rhat / lam
+    vhat = rhat / _poisson_eigenvalues(*vals.shape, rhs.hx, rhs.hy)
     vhat[0, 0] = 0.0
     v = scipy.fft.idctn(vhat, type=2, norm="ortho")
     return Field(rhs.hx, rhs.hy, v)
+
+
+@lru_cache(maxsize=8)
+def _poisson_eigenvalues(nx: int, ny: int, hx: float, hy: float) -> np.ndarray:
+    """Eigenvalues of the discrete Neumann Laplacian in the cosine basis,
+    with the constant mode's 0 replaced by 1; built once per grid, read-only."""
+    kx = (2.0 - 2.0 * np.cos(np.pi * np.arange(nx) / nx)) / hx**2
+    ky = (2.0 - 2.0 * np.cos(np.pi * np.arange(ny) / ny)) / hy**2
+    lam = kx[:, None] + ky[None, :]
+    lam[0, 0] = 1.0
+    return _read_only(lam)
 
 
 def radial_poisson_face_gradient(grid: RadialGrid, rhs: np.ndarray) -> np.ndarray:
@@ -297,10 +335,12 @@ def radial_poisson_face_gradient(grid: RadialGrid, rhs: np.ndarray) -> np.ndarra
     v'(r_j) = -(1/r_j) * sum of rhs * vol over cells inside r_j; the outer
     value vanishes exactly when the discrete disk mean of rhs is zero.
     """
-    S = np.concatenate([[0.0], np.cumsum(rhs * grid.vol)])
-    vr = np.zeros(grid.faces.size)
-    inner = grid.faces > 0
-    vr[inner] = -S[inner] / grid.faces[inner]
+    vr = np.empty(grid.faces.size)
+    vr[0] = 0.0
+    inner = vr[1:]  # faces[0] = 0 is the only face at the center
+    np.cumsum(rhs * grid.vol, out=inner)
+    np.divide(inner, grid.faces[1:], out=inner)
+    np.negative(inner, out=inner)
     return vr
 
 
@@ -403,21 +443,29 @@ class _Faces:
     """Face data of one step, taken from the state before the update."""
 
     h_t: float  # mean of the chemoattractant source
-    m: np.ndarray  # per-cell mobility; for nonlinear diffusion the values themselves
-    dc: tuple  # per axis: diffusion coefficient at the faces
+    m: np.ndarray  # per-cell mobility; the values themselves wherever it equals them
+    dc: tuple  # per axis: diffusion coefficient at the faces (the scalar 1.0 for cutoff flux)
     w: tuple  # per axis: face velocity grad v (zero without advection)
     v: object  # what the potential is built from (rect: v; radial: v' at all faces)
 
 
-def _mobility(vals: np.ndarray, reg: RegKind) -> np.ndarray:
-    """Advected density, which is also the chemoattractant source."""
-    return f_eps(vals, reg.epsilon) if reg.is_cutoff else vals
+def _mobility(vals: np.ndarray, reg: RegKind, bounds: tuple | None = None) -> np.ndarray:
+    """Advected density, which is also the chemoattractant source.
+
+    ``bounds`` is (min u, max u) when the caller knows it.  f_eps(u) == u
+    exactly on [0, 1/eps - 1], so there the cutoff flux skips ``f_eps``.
+    """
+    if not reg.is_cutoff:
+        return vals
+    if bounds is not None and bounds[0] >= 0.0 and bounds[1] <= 1.0 / reg.epsilon - 1.0:
+        return vals
+    return f_eps(vals, reg.epsilon)
 
 
-def _face_diffusion(lo: np.ndarray, hi: np.ndarray, reg: RegKind) -> np.ndarray:
-    """1 for cutoff flux; 1 + eps (7/6) u^{1/6} at the face-mean u otherwise."""
+def _face_diffusion(lo: np.ndarray, hi: np.ndarray, reg: RegKind) -> np.ndarray | float:
+    """1.0 for cutoff flux; 1 + eps (7/6) u^{1/6} at the face-mean u otherwise."""
     if reg.is_cutoff:
-        return np.ones(lo.shape)
+        return 1.0
     uf = 0.5 * (hi + lo)
     return 1.0 + reg.epsilon * (7.0 / 6.0) * uf ** (1.0 / 6.0)
 
@@ -435,14 +483,26 @@ class _Stencil:
     faces, the center spacing across them, the face measure and the
     measures of the lower and upper cells.  A subclass supplies the
     potential solve (``_solve``), the CFL rate and the potential field.
+    ``apply`` works in arrays that the stencil keeps from step to step.
     """
 
     backend: str
     geometry: dict  # Trajectory fields that describe the grid
     axes: tuple
 
-    def faces(self, vals: np.ndarray, reg: RegKind, advection: bool) -> _Faces:
-        m = _mobility(vals, reg)
+    def _workspace(self, shape: tuple) -> None:
+        """The arrays ``apply`` reuses: per axis the flux, the upwinded
+        mobility and its mask (views of three cell-sized buffers), and the
+        lower and upper sides of the divergence."""
+        div = self._div = np.empty(shape)
+        buffers = (np.empty(div.size), np.empty(div.size), np.empty(div.size, dtype=bool))
+        self._work = [
+            (*(b[: div[lo].size].reshape(div[lo].shape) for b in buffers), div[lo], div[hi])
+            for lo, hi, *_ in self.axes
+        ]
+
+    def faces(self, vals: np.ndarray, reg: RegKind, advection: bool, bounds: tuple | None = None) -> _Faces:
+        m = _mobility(vals, reg, bounds)
         h_t, v, w = self._solve(m)
         if not advection:
             w = tuple(np.zeros_like(wa) for wa in w)
@@ -450,14 +510,29 @@ class _Stencil:
         return _Faces(h_t, m, dc, w, v)
 
     def apply(self, vals: np.ndarray, f: _Faces, dt: float) -> None:
-        """Conservative update: central diffusion, first-order upwind advection."""
-        div = np.zeros_like(vals)
-        for (lo, hi, dist, face, cell_lo, cell_hi), dc, w in zip(self.axes, f.dc, f.w):
-            m_up = np.where(w > 0.0, f.m[lo], f.m[hi])
-            q = face * (-dc * (vals[hi] - vals[lo]) / dist + m_up * w)
-            div[lo] += q / cell_lo
-            div[hi] -= q / cell_hi
-        vals -= dt * div
+        """Conservative update: central diffusion, first-order upwind advection.
+
+        The face flux is face * (m_up w - dc (u_hi - u_lo) / dist), with the
+        mobility upwinded by the sign of w; negation and the order of the two
+        terms are exact, so it has the bits of -dc (u_hi - u_lo) / dist + m_up w.
+        """
+        self._div.fill(0.0)
+        for (lo, hi, dist, face, cell_lo, cell_hi), (q, m_up, up, div_lo, div_hi), dc, w in zip(
+            self.axes, self._work, f.dc, f.w
+        ):
+            np.subtract(vals[hi], vals[lo], out=q)
+            q *= dc
+            q /= dist
+            np.greater(w, 0.0, out=up)
+            np.copyto(m_up, f.m[hi])
+            np.copyto(m_up, f.m[lo], where=up)
+            m_up *= w
+            np.subtract(m_up, q, out=q)
+            q *= face
+            div_lo += np.divide(q, cell_lo, out=m_up)
+            div_hi -= np.divide(q, cell_hi, out=m_up)
+        self._div *= dt
+        vals -= self._div
 
 
 class _RectStencil(_Stencil):
@@ -467,6 +542,7 @@ class _RectStencil(_Stencil):
         self.hx, self.hy = u.hx, u.hy
         self.geometry = {"hx": u.hx, "hy": u.hy}
         self.axes = tuple((*_sides(a, 2), h, 1.0, h, h) for a, h in enumerate((u.hx, u.hy)))
+        self._workspace(u.values.shape)
 
     def _solve(self, m):
         h_t = float(m.mean())
@@ -476,7 +552,7 @@ class _RectStencil(_Stencil):
 
     def rate(self, f: _Faces) -> float:
         (dcx, dcy), (wx, wy) = f.dc, f.w
-        dmax = max(float(dcx.max()), float(dcy.max()))
+        dmax = max(float(np.max(dcx)), float(np.max(dcy)))
         rate = 2.0 * dmax / self.hx**2 + 2.0 * dmax / self.hy**2
         rate += 2.0 * float(np.max(np.abs(wx))) / self.hx
         rate += 2.0 * float(np.max(np.abs(wy))) / self.hy
@@ -494,19 +570,23 @@ class _RadialStencil(_Stencil):
         self.geometry = {"grid": grid}
         self.rf = grid.faces[1:-1]  # interior faces; the wall faces carry no flux
         self.axes = ((*_sides(0, 1), grid.dcen, self.rf, grid.vol[:-1], grid.vol[1:]),)
+        self._workspace(u.values.shape)
 
     def _solve(self, m):
-        h_t = float(2.0 * np.sum(m * self.grid.vol))  # disk mean (|disk| = pi)
+        h_t = float(2.0 * (m * self.grid.vol).sum())  # disk mean (|disk| = pi)
         vr = radial_poisson_face_gradient(self.grid, m - h_t)
         return h_t, vr, (vr[1:-1],)
 
     def rate(self, f: _Faces) -> float:
         grid = self.grid
-        face_rate = self.rf * (f.dc[0] / grid.dcen + np.abs(f.w[0]))
+        dc = f.dc[0]
+        # cutoff flux: dc is the scalar 1.0, and 1.0 / dcen is cached
+        diffusive = grid.inv_dcen if isinstance(dc, float) else dc / grid.dcen
+        face_rate = self.rf * (diffusive + np.abs(f.w[0]))
         cell_rate = np.zeros(grid.n)
         cell_rate[:-1] += face_rate
         cell_rate[1:] += face_rate
-        return float(np.max(cell_rate / grid.vol))
+        return float((cell_rate / grid.vol).max())
 
     def potential(self, f: _Faces) -> RadialField:
         return RadialField(self.grid, radial_potential(self.grid, f.v))
@@ -520,16 +600,21 @@ def _dt_limit(safety: float, rate: float) -> float:
     return safety / rate if rate > 0 else np.inf
 
 
-def _advance(state: RunState, stencil: _Stencil, config: SolverConfig, dt: float | None = None):
-    """Advance ``state`` by one explicit step and return its face data.
+def _advance(
+    state: RunState, stencil: _Stencil, config: SolverConfig, dt: float | None = None, bounds: tuple | None = None
+):
+    """Advance ``state`` by one explicit step; return its face data and the
+    smallest cell value after the update.
 
+    ``bounds`` is (min u, max u) of the state, when the caller knows it.
     With ``dt=None`` the step follows ``config.dt_policy`` clipped to
     ``t_end``; then None is returned, and nothing changes, when that step
     is shorter than ``dt_min``.  A dt above the stable limit raises
     ``CFLError``; a cell below ``-positivity_tol`` after the update raises
     ``SolverError``.
     """
-    f = stencil.faces(state.u.values, state.reg, config.advection)
+    vals = state.u.values
+    f = stencil.faces(vals, state.reg, config.advection, bounds)
     rate = stencil.rate(f)
     dt_stable = _dt_limit(1.0, rate)
     policy = dt is None
@@ -541,12 +626,12 @@ def _advance(state: RunState, stencil: _Stencil, config: SolverConfig, dt: float
         dt = min(dt, config.t_end - state.t)
         if dt < config.dt_min:
             return None
-    stencil.apply(state.u.values, f, dt)
-    state.v = stencil.potential(f)
-    if float(state.u.values.min()) < -config.positivity_tol:
-        raise SolverError(f"positivity lost: min u = {state.u.values.min()}")
+    stencil.apply(vals, f, dt)
+    umin = float(vals.min())
+    if umin < -config.positivity_tol:
+        raise SolverError(f"positivity lost: min u = {umin}")
     state.t += dt
-    return f
+    return f, umin
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +640,97 @@ def _advance(state: RunState, stencil: _Stencil, config: SolverConfig, dt: float
 
 
 def step(state: RunState, dt: float, config: SolverConfig | None = None) -> RunState:
-    """Advance one explicit step of ``dt``; checks CFL and positivity."""
-    _advance(state, _stencil(state.u), config or SolverConfig(), dt)
+    """Advance one explicit step of ``dt``; checks CFL and positivity.
+
+    ``state.v`` becomes the potential of the state before the update, the
+    one that drove the step.
+    """
+    stencil = _stencil(state.u)
+    f, _ = _advance(state, stencil, config or SolverConfig(), dt)
+    state.v = stencil.potential(f)
     return state
+
+
+def diffusive_dt_limit(domain: str, config: SolverConfig) -> float:
+    """Largest stable explicit dt of pure diffusion (coefficient 1, no
+    advection) on the grid that ``config`` sets for ``domain`` ("disk" or
+    "rectangle"): a run's dt over it shows whether diffusion sets the step."""
+    if domain == "disk":
+        u = RadialField(make_radial_grid(config.radial_n, config.radial_ratio), np.zeros(config.radial_n))
+    else:
+        u = Field(config.lx / config.nx, config.ly / config.ny, np.zeros((config.nx, config.ny)))
+    stencil = _stencil(u)
+    axes = stencil.axes
+    f = _Faces(0.0, u.values, (1.0,) * len(axes), tuple(np.zeros(u.values[lo].shape) for lo, *_ in axes), None)
+    return _dt_limit(1.0, stencil.rate(f))
+
+
+# Cells in one block of diagnostics rows: 8,192 float64 cells are 64 KiB,
+# so each block array stays under glibc's 128 KiB mmap threshold.
+_DIAG_BLOCK_CELLS = 8192
+
+
+class _DiagRows:
+    """The per-step diagnostics rows of one run, computed a block at a time.
+
+    ``add`` keeps a step's scalars and copies u_{n+1} and the step's face
+    gradient w_n into the block; a full block, and ``flush``, compute E, D,
+    mass and int_u76 of the pending rows with one stacked
+    ``diagnostics.entropy`` call and append the rows to ``out``.  A block
+    holds max(1, _DIAG_BLOCK_CELLS // cells) rows; a one-row block is
+    computed from the live arrays, without a copy.  Each value has the bits
+    of the one-state computation.
+    """
+
+    def __init__(self, u: Field | RadialField, epsilon: float, out: list, diagnostics):
+        self.u, self.epsilon, self.out = u, epsilon, out
+        self.diagnostics = diagnostics  # ``entropy`` is looked up per call, so patches apply
+        self.size = max(1, _DIAG_BLOCK_CELLS // u.values.size)
+        self.pending = []  # (t, min_u, max_u, h_t) of the rows not yet computed
+        self.ublock = self.wblock = None  # made on the first add
+
+    def add(self, t: float, f: _Faces, umin: float, umax: float) -> None:
+        k = len(self.pending)
+        self.pending.append((t, umin, umax, f.h_t))
+        if self.size == 1:
+            self._compute(self.u.values[None], tuple(wa[None] for wa in f.w))
+            return
+        if self.ublock is None:
+            self.ublock = np.empty((self.size, *self.u.values.shape))
+            self.wblock = tuple(np.empty((self.size, *wa.shape)) for wa in f.w)
+        np.copyto(self.ublock[k], self.u.values)
+        for block, wa in zip(self.wblock, f.w):
+            np.copyto(block[k], wa)
+        if k + 1 == self.size:
+            self.flush()
+
+    def flush(self) -> None:
+        k = len(self.pending)
+        if k:
+            self._compute(self.ublock[:k], tuple(block[:k] for block in self.wblock))
+
+    def _compute(self, rows: np.ndarray, w: tuple) -> None:
+        # the step's face gradient, zero with advection disabled: then the
+        # free energy of the dynamics carries no potential term
+        E, D = self.diagnostics.entropy(self.u.like(rows), None, self.epsilon, w=w)
+        mass = self.u.row_integrals(rows)
+        int_u76 = self.u.row_integrals(rows ** (7.0 / 6.0))
+        for (t, umin, umax, h_t), e, d, m, i76 in zip(
+            self.pending, E.tolist(), D.tolist(), mass.tolist(), int_u76.tolist()
+        ):
+            self.out.append(
+                {
+                    "t": t,
+                    "mass": m,
+                    "min_u": umin,
+                    "max_u": umax,
+                    "entropy": e,
+                    "dissipation": d,
+                    "h_t": h_t,
+                    "int_u76": i76,
+                }
+            )
+        self.pending.clear()
 
 
 def _run_driver(state: RunState, config: SolverConfig) -> Trajectory:
@@ -567,28 +740,11 @@ def _run_driver(state: RunState, config: SolverConfig) -> Trajectory:
     traj = Trajectory(
         backend=stencil.backend, reg=state.reg, config=config, times=[], snapshots=[], diag=[], **stencil.geometry
     )
+    rows = _DiagRows(state.u, state.reg.epsilon, traj.diag, diag_mod)
 
     def record_snapshot():
         traj.times.append(state.t)
         traj.snapshots.append(state.u.values.copy())
-
-    def record_diag(f: _Faces):
-        vals = state.u.values
-        # the step's face gradient, zero with advection disabled: then the
-        # free energy of the dynamics carries no potential term
-        E, D = diag_mod.entropy(state.u, state.v, state.reg.epsilon, w=f.w)
-        traj.diag.append(
-            {
-                "t": state.t,
-                "mass": state.u.mass(),
-                "min_u": float(vals.min()),
-                "max_u": float(vals.max()),
-                "entropy": E,
-                "dissipation": D,
-                "h_t": f.h_t,
-                "int_u76": state.u.integral(vals ** (7.0 / 6.0)),
-            }
-        )
 
     record_snapshot()
     eps = state.reg.epsilon
@@ -596,22 +752,27 @@ def _run_driver(state: RunState, config: SolverConfig) -> Trajectory:
     stop_level = config.stop_umax_factor / eps if eps > 0 else np.inf
     next_snap = state.t + (config.snapshot_dt or np.inf)
     steps = 0
-    try:
-        # one numeric policy for library and command-line runs: an
-        # overflow or an invalid operation in a step is an error
-        with np.errstate(over="raise", invalid="raise"):
+    bounds = (float(state.u.values.min()), float(state.u.values.max()))
+    failure = None
+    # one numeric policy for library and command-line runs: an overflow or
+    # an invalid operation in a step, or in a diagnostics row (raised when
+    # the row's block is computed), is an error
+    with np.errstate(over="raise", invalid="raise"):
+        try:
             while state.t < config.t_end - 1e-15 and steps < config.max_steps:
                 # ``faces`` holds the step's face arrays until the next step
                 # replaces it; freeing them before the diagnostics lets the
                 # allocator hand the pages back, and on 256^2 grids the page
                 # faults that follow cost more than the memory.
-                faces = _advance(state, stencil, config)
-                if faces is None:
+                advanced = _advance(state, stencil, config, bounds=bounds)
+                if advanced is None:
                     traj.stop_reason = "dt_min"
                     break
-                record_diag(faces)
-                steps += 1
+                faces, umin = advanced
                 umax = float(state.u.values.max())
+                bounds = (umin, umax)
+                rows.add(state.t, faces, umin, umax)
+                steps += 1
                 if not traj.concentrated and umax > flag_level:
                     traj.concentrated = True
                     traj.concentrated_time = state.t
@@ -625,9 +786,12 @@ def _run_driver(state: RunState, config: SolverConfig) -> Trajectory:
             else:
                 if steps >= config.max_steps:
                     traj.stop_reason = "max_steps"
-    except SolverError as exc:
+        except SolverError as exc:
+            failure = exc
+        rows.flush()  # a failed run keeps every row before the failure
+    if failure is not None:
         traj.failed = True
-        traj.failure_message = str(exc)
+        traj.failure_message = str(failure)
         traj.stop_reason = "error"
     if not traj.times or traj.times[-1] != state.t:
         record_snapshot()

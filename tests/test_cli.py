@@ -485,3 +485,24 @@ def test_import_leaves_out_scipy_signal_and_stats():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("text", [RUN_TEXT, TWO_BUMP_TEXT], ids=["disk", "rectangle"])
+def test_cmd_report_shows_dt_over_diffusive_cfl(tmp_path, capsys, text):
+    # the explicit step is at most cfl_safety of the pure-diffusion bound
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert main(["--out", str(tmp_path / "out"), "run", str(cfg)]) == 0
+    artifacts = _tree_bytes(tmp_path / "out")
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "out")]) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if "diffusive CFL" in ln)
+    ratio = float(line.rsplit("=", 1)[1])
+    median_dt = float(line.split("median dt = ", 1)[1].split(",", 1)[0])
+    assert median_dt > 0.0
+    assert 0.0 < ratio <= parse_run_config(cfg).solver.cfl_safety
+    assert _tree_bytes(tmp_path / "out") == artifacts  # reporting writes nothing
+
+
+def _tree_bytes(root):
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}

@@ -563,3 +563,65 @@ def test_trajectory_analyses_match_per_snapshot_formulas(case):
     # independent random snapshots: the patch masses differ by O(1) from one
     # snapshot to the next, so the quotients keep the masses' relative rounding
     np.testing.assert_allclose(SW.mass_change_modulus(traj, cover)["moduli"], _oracle_moduli(traj, cover), **rel)
+
+
+# --------------------------------------------------------------------------
+# stacked states: the driver computes its per-step rows a block at a time
+# --------------------------------------------------------------------------
+
+_SPECIAL_VALUES = np.array([0.0, 1e-300, 0.7, 1.0, 1.0 + 1e-13, 3.0, 3.0 + 3e-13])
+
+
+@st.composite
+def entropy_stacks(draw):
+    n_rows = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        grid = S.make_radial_grid(draw(st.integers(2, 256)), draw(st.floats(1.0, 1.01)))
+        field = S.RadialField(grid, np.empty(grid.n))
+        face_shapes = [(grid.n - 1,)]
+    else:
+        nx, ny = draw(st.integers(2, 48)), draw(st.integers(2, 48))
+        field = S.Field(draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 1.0)), np.empty((nx, ny)))
+        face_shapes = [(nx - 1, ny), (nx, ny - 1)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = n_rows * field.values.size
+    # exact zeros, values under the log floor, and equal and nearly equal
+    # neighbours (in memory order) among log-normal values
+    vals = np.where(
+        rng.random(size) < draw(st.floats(0.0, 1.0)),
+        rng.choice(_SPECIAL_VALUES, size),
+        rng.lognormal(0.0, 3.0, size),
+    )
+    same = rng.random(size - 1) < 0.2
+    vals[1:][same] = vals[:-1][same]
+    near = rng.random(size - 1) < 0.1
+    vals[1:][near] = vals[:-1][near] * (1.0 + 1e-13)
+    rows = vals.reshape(n_rows, *field.values.shape)
+    w = None
+    if draw(st.booleans()):
+        w = tuple(rng.normal(0.0, 30.0, (n_rows, *shape)) for shape in face_shapes)
+    epsilon = draw(st.sampled_from([0.0, 1e-4, 1e-2, 0.3]))
+    return field, rows, w, epsilon
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@given(entropy_stacks())
+@settings(max_examples=200, deadline=None)
+def test_stacked_rows_match_one_state_calls(case):
+    field, rows, w, epsilon = case
+    with np.errstate(over="raise", invalid="raise"):
+        E, Dv = D.entropy(field.like(rows), None, epsilon, w=w)
+        mass = field.row_integrals(rows)
+        int_u76 = field.row_integrals(rows ** (7.0 / 6.0))
+        one = [
+            D.entropy(field.like(row), None, epsilon, w=None if w is None else tuple(wa[k] for wa in w))
+            for k, row in enumerate(rows)
+        ]
+    assert E.shape == Dv.shape == mass.shape == int_u76.shape == (len(rows),)
+    assert _bits(E) == _bits([e for e, _ in one])
+    assert _bits(Dv) == _bits([d for _, d in one])
+    assert _bits(mass) == _bits([field.like(row).mass() for row in rows])
+    assert _bits(int_u76) == _bits([field.integral(row ** (7.0 / 6.0)) for row in rows])

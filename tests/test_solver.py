@@ -232,23 +232,24 @@ def test_snapshot_cadence_and_flag():
 def test_run_applies_numeric_error_policy(monkeypatch):
     # inside the step loop an overflow or invalid operation raises, for
     # library and command-line runs alike; the caller's numpy state is
-    # left as it was
+    # left as it was.  The rows are computed in blocks, so one ``entropy``
+    # call may cover several rows (its states carry a leading row axis).
     from kslab import diagnostics
 
     seen = []
     entropy = diagnostics.entropy
 
-    def spy(*args, **kwargs):
-        seen.append(np.geterr())
-        return entropy(*args, **kwargs)
+    def spy(u, *args, **kwargs):
+        seen.append((np.geterr(), len(u.values)))
+        return entropy(u, *args, **kwargs)
 
     monkeypatch.setattr(diagnostics, "entropy", spy)
     before = np.geterr()
     grid = S.make_radial_grid(32, 1.0)
     u0 = S.initial_condition_radial(grid, "gaussian", mass=4.0, width=0.2)
     traj = S.radial_run(S.SolverConfig(t_end=1.0, max_steps=3), S.RegKind("cutoff_flux", 1e-2), u0)
-    assert len(seen) == len(traj.diag) == 3
-    assert all(e["over"] == "raise" and e["invalid"] == "raise" for e in seen)
+    assert sum(rows for _, rows in seen) == len(traj.diag) == 3
+    assert all(e["over"] == "raise" and e["invalid"] == "raise" for e, _ in seen)
     assert np.geterr() == before
 
 
@@ -328,3 +329,124 @@ def test_field_gradient_matches_inline_central_differences(nx, ny, hx, hy, seed)
     ref_x[1:-1, :] = (vals[2:, :] - vals[:-2, :]) / (2 * hx)
     ref_y[:, 1:-1] = (vals[:, 2:] - vals[:, :-2]) / (2 * hy)
     assert gx.tobytes() == ref_x.tobytes() and gy.tobytes() == ref_y.tobytes()
+
+
+# --------------------------------------------------------------------------
+# diagnostics rows computed in blocks, and the potential that step() leaves
+# --------------------------------------------------------------------------
+
+
+def _reference_rows(u0, reg, cfg):
+    """The per-step rows of a fixed-dt disk run, each computed on its own:
+    public ``step`` calls, with the step's face gradient w_n rebuilt from
+    the state before the update.  Returns the rows and whether a step failed."""
+    from kslab import diagnostics as D
+
+    grid = u0.grid
+    state = S.RunState(u=u0.copy(), v=None, t=0.0, reg=reg)
+    rows = []
+    while state.t < cfg.t_end - 1e-15 and len(rows) < cfg.max_steps:
+        vals = state.u.values
+        m = S.f_eps(vals, reg.epsilon) if reg.is_cutoff else vals
+        h_t = float(2.0 * np.sum(m * grid.vol))
+        w = S.radial_poisson_face_gradient(grid, m - h_t)[1:-1] if cfg.advection else np.zeros(grid.n - 1)
+        dt = min(cfg.dt_fixed, cfg.t_end - state.t)
+        if dt < cfg.dt_min:
+            break
+        try:
+            S.step(state, dt, cfg)
+        except S.SolverError:
+            return rows, True
+        vals = state.u.values
+        E, Dv = D.entropy(state.u, None, reg.epsilon, w=(w,))
+        rows.append(
+            {
+                "t": state.t,
+                "mass": state.u.mass(),
+                "min_u": float(vals.min()),
+                "max_u": float(vals.max()),
+                "entropy": E,
+                "dissipation": Dv,
+                "h_t": h_t,
+                "int_u76": state.u.integral(vals ** (7.0 / 6.0)),
+            }
+        )
+    return rows, False
+
+
+def _stable_dt(u0, reg):
+    state = S.RunState(u=u0.copy(), v=None, t=0.0, reg=reg)
+    with pytest.raises(S.CFLError) as exc:
+        S.step(state, np.inf)
+    return exc.value.suggested_dt
+
+
+def _assert_same_rows(rows, ref):
+    assert len(rows) == len(ref)
+    for row, want in zip(rows, ref):
+        assert list(row) == list(want)
+        assert all(type(row[key]) is float and repr(row[key]) == repr(want[key]) for key in want)
+
+
+@pytest.mark.parametrize(
+    "n,ratio,variant,eps,advection",
+    [
+        (256, 1.0, "cutoff_flux", 1e-2, True),  # 32 rows per block; f_eps saturates
+        (256, 1.0, "nonlinear_diffusion", 1e-3, False),
+        (768, 1.0, "cutoff_flux", 1e-4, True),  # 10 rows per block
+        (1000, 1.001, "nonlinear_diffusion", 1e-2, True),  # 8 rows per block
+    ],
+)
+def test_block_rows_match_per_row_reference(n, ratio, variant, eps, advection):
+    grid = S.make_radial_grid(n, ratio)
+    u0 = S.initial_condition_radial(grid, "gaussian", mass=12 * np.pi, width=0.05)
+    reg = S.RegKind(variant, eps)
+    cfg = S.SolverConfig(
+        t_end=1.0, dt_policy="fixed", dt_fixed=0.5 * _stable_dt(u0, reg), max_steps=75,
+        stop_umax_factor=1e30, advection=advection,
+    )
+    traj = S.radial_run(cfg, reg, u0)
+    ref, failed = _reference_rows(u0, reg, cfg)
+    assert not traj.failed and not failed
+    assert len(traj.diag) == 75  # several blocks and a partial one
+    _assert_same_rows(traj.diag, ref)
+
+
+def test_failed_run_keeps_every_row_before_the_failure():
+    # a fixed dt that the collapse outgrows: CFLError part way into a block
+    grid = S.make_radial_grid(256, 1.0)
+    u0 = S.initial_condition_radial(grid, "gaussian", mass=12 * np.pi, width=0.05)
+    reg = S.RegKind("nonlinear_diffusion", 1e-3)
+    cfg = S.SolverConfig(
+        t_end=1.0, dt_policy="fixed", dt_fixed=0.95 * _stable_dt(u0, reg), max_steps=400, stop_umax_factor=1e30
+    )
+    traj = S.radial_run(cfg, reg, u0)
+    ref, failed = _reference_rows(u0, reg, cfg)
+    assert traj.failed and failed and traj.stop_reason == "error"
+    assert len(traj.diag) > 32 and len(traj.diag) % 32 != 0
+    _assert_same_rows(traj.diag, ref)
+
+
+def _potential_before(u, reg):
+    m = S.f_eps(u.values, reg.epsilon) if reg.is_cutoff else u.values
+    if isinstance(u, S.RadialField):
+        h_t = float(2.0 * np.sum(m * u.grid.vol))
+        return S.radial_potential(u.grid, S.radial_poisson_face_gradient(u.grid, m - h_t))
+    h_t = float(m.mean())
+    return S.solve_poisson_neumann(u.like(m - h_t), scale=float(np.max(np.abs(m)))).values
+
+
+@pytest.mark.parametrize("variant", ["cutoff_flux", "nonlinear_diffusion"])
+@pytest.mark.parametrize("backend", ["radial", "rect"])
+def test_step_sets_potential_of_state_before_update(backend, variant):
+    if backend == "radial":
+        u0 = S.initial_condition_radial(S.make_radial_grid(128, 1.005), "gaussian", mass=30.0, width=0.1)
+    else:
+        u0 = S.initial_condition_rect(24, 20, 1.0, 1.0, "gaussian", mass=30.0, width=0.1)
+    reg = S.RegKind(variant, 1e-2)
+    state = S.RunState(u=u0.copy(), v=None, t=0.0, reg=reg)
+    for _ in range(3):
+        want = _potential_before(state.u, reg)
+        S.step(state, 0.5 * _stable_dt(state.u, reg))
+        assert type(state.v) is type(u0)
+        assert state.v.values.tobytes() == want.tobytes()

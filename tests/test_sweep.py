@@ -65,6 +65,21 @@ def test_sweep_determinism(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def _tree(root):
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_threaded_sweep_writes_the_serial_artifacts(tmp_path):
+    # the runs of a threaded sweep share no workspace or grid: every file,
+    # snapshots and per-step diagnostics included, has the serial bytes
+    plan = _mini_plan(tmp_path, epsilons=(1e-2, 3e-3, 1e-3), t_end=1.5e-3)
+    SW.run_sweep(plan, tmp_path / "serial", threads=1)
+    SW.run_sweep(plan, tmp_path / "threaded", threads=2)
+    serial, threaded = _tree(tmp_path / "serial"), _tree(tmp_path / "threaded")
+    assert sum(name.endswith("diagnostics.csv") for name in serial) == 6
+    assert threaded == serial
+
+
 def test_trend_fit_recovers_offset():
     eps = np.array([1e-2, 3e-3, 1e-3, 3e-4])
     vals = 1.07 + 2.0 * np.sqrt(eps)
