@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .solver import Field, RadialField, RadialGrid, RegKind, Trajectory, f_eps
 from .testfn import PHI_SUPPORT, InteriorBump, build_boundary_bump
@@ -515,6 +514,8 @@ def random_band_limited_field(nx: int, lx: float, rng, k_max: int = 6, kind: str
     """Nonnegative smooth random field: low-pass Gaussian noise, squared."""
     hx = lx / nx
     noise = rng.normal(size=(nx, nx))
+    import scipy.fft  # deferred: it pulls in scipy.special, and only the Sobolev check needs it
+
     spec = scipy.fft.fft2(noise)
     k = np.fft.fftfreq(nx, d=1.0 / nx)
     mask = (np.abs(k)[:, None] <= k_max) & (np.abs(k)[None, :] <= k_max)

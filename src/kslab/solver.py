@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .geometry import DomainGeometry, rectangle, unit_disk
 
@@ -311,10 +310,14 @@ def solve_poisson_neumann(rhs: Field, tol: float = 1e-10, scale: float | None = 
         scale = float(np.max(np.abs(vals))) or 1.0
     if abs(mean) > tol * scale + 1e-300:
         raise SolverError(f"rhs mean {mean} exceeds tolerance; subtract it first")
-    rhat = scipy.fft.dctn(vals, type=2, norm="ortho")
-    vhat = rhat / _poisson_eigenvalues(*vals.shape, rhs.hx, rhs.hy)
+    import scipy.fft  # deferred: it pulls in scipy.special, and only rectangle runs need it
+
+    # the forward transform reads the caller's rhs and returns a fresh
+    # array, which the division and the inverse transform then reuse
+    vhat = scipy.fft.dctn(vals, type=2, norm="ortho")
+    vhat /= _poisson_eigenvalues(*vals.shape, rhs.hx, rhs.hy)
     vhat[0, 0] = 0.0
-    v = scipy.fft.idctn(vhat, type=2, norm="ortho")
+    v = scipy.fft.idctn(vhat, type=2, norm="ortho", overwrite_x=True)
     return Field(rhs.hx, rhs.hy, v)
 
 
@@ -445,7 +448,7 @@ class _Faces:
     h_t: float  # mean of the chemoattractant source
     m: np.ndarray  # per-cell mobility; the values themselves wherever it equals them
     dc: tuple  # per axis: diffusion coefficient at the faces (the scalar 1.0 for cutoff flux)
-    w: tuple  # per axis: face velocity grad v (zero without advection)
+    w: tuple  # per axis: face velocity grad v (zero without advection); valid until the stencil's next step
     v: object  # what the potential is built from (rect: v; radial: v' at all faces)
 
 
@@ -481,9 +484,11 @@ class _Stencil:
 
     ``axes`` lists, per direction, the (lower, upper) cell slices of its
     faces, the center spacing across them, the face measure and the
-    measures of the lower and upper cells.  A subclass supplies the
-    potential solve (``_solve``), the CFL rate and the potential field.
-    ``apply`` works in arrays that the stencil keeps from step to step.
+    measures of the lower and upper cells; on the rectangle the face
+    measure is the scalar 1.0 and both cells measure the one float h.  A
+    subclass supplies the potential solve (``_solve``), the CFL rate and
+    the potential field.  ``apply``, and the rectangle's ``_solve`` for the
+    face gradient, work in arrays that the stencil keeps from step to step.
     """
 
     backend: str
@@ -521,16 +526,19 @@ class _Stencil:
             self.axes, self._work, f.dc, f.w
         ):
             np.subtract(vals[hi], vals[lo], out=q)
-            q *= dc
+            if not isinstance(dc, float):  # cutoff flux: the scalar 1.0
+                q *= dc
             q /= dist
             np.greater(w, 0.0, out=up)
             np.copyto(m_up, f.m[hi])
             np.copyto(m_up, f.m[lo], where=up)
             m_up *= w
             np.subtract(m_up, q, out=q)
-            q *= face
+            if not isinstance(face, float):  # rectangle: the scalar 1.0
+                q *= face
             div_lo += np.divide(q, cell_lo, out=m_up)
-            div_hi -= np.divide(q, cell_hi, out=m_up)
+            # rectangle: both cells are the one h, so the quotient serves both sides
+            div_hi -= m_up if cell_hi is cell_lo else np.divide(q, cell_hi, out=m_up)
         self._div *= dt
         vals -= self._div
 
@@ -543,12 +551,15 @@ class _RectStencil(_Stencil):
         self.geometry = {"hx": u.hx, "hy": u.hy}
         self.axes = tuple((*_sides(a, 2), h, 1.0, h, h) for a, h in enumerate((u.hx, u.hy)))
         self._workspace(u.values.shape)
+        self._w = tuple(np.empty(u.values[lo].shape) for lo, *_ in self.axes)
 
     def _solve(self, m):
         h_t = float(m.mean())
         v = solve_poisson_neumann(Field(self.hx, self.hy, m - h_t), scale=float(np.max(np.abs(m))))
-        w = tuple((v.values[hi] - v.values[lo]) / dist for lo, hi, dist, *_ in self.axes)
-        return h_t, v, w
+        for (lo, hi, dist, *_), wa in zip(self.axes, self._w):
+            np.subtract(v.values[hi], v.values[lo], out=wa)
+            wa /= dist
+        return h_t, v, self._w
 
     def rate(self, f: _Faces) -> float:
         (dcx, dcy), (wx, wy) = f.dc, f.w

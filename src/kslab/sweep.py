@@ -12,7 +12,6 @@ byte-identically.
 from __future__ import annotations
 
 import copy
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -131,6 +130,8 @@ def run_sweep(plan: SweepPlanConfig, out_dir, threads: int = 1) -> SweepReport:
             return (cfg.reg.variant, cfg.reg.epsilon), (None, "", str(exc))
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # deferred: only threaded sweeps need it
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for key, val in pool.map(work, jobs):
                 results[key] = val

@@ -476,15 +476,49 @@ def test_manifest_reexecution_identity(tmp_path):
     assert (tmp_path / "a" / "diagnostics.csv").read_bytes() == (tmp_path / "b" / "diagnostics.csv").read_bytes()
 
 
-def test_import_leaves_out_scipy_signal_and_stats():
-    # every CLI start imports these modules; scipy.signal drags in
-    # scipy.stats and scipy.interpolate, which only concentration detection needs
-    code = "import sys, kslab, kslab.cli, kslab.checks; print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+DEFERRED_MODULES = ("scipy.signal", "scipy.stats", "scipy.fft", "scipy.special", "concurrent.futures")
+
+
+def _fresh_python(code, cwd):
+    """Run ``code`` in a new interpreter that imports kslab from this tree;
+    return its last stdout line."""
     src = str(Path(kslab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=cwd, timeout=300)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    return res.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_out_scipy_signal_and_stats(tmp_path):
+    # every CLI start imports these modules; scipy.signal drags in scipy.stats
+    # and scipy.interpolate, which only concentration detection needs;
+    # scipy.fft drags in scipy.special, which only rectangle runs and the
+    # Sobolev check need; only threaded sweeps need concurrent.futures
+    code = f"import sys, kslab, kslab.cli, kslab.checks, kslab.sweep; print(sorted(m for m in {DEFERRED_MODULES!r} if m in sys.modules))"
+    assert _fresh_python(code, tmp_path) == "[]"
+
+
+def test_disk_run_and_sweep_leave_out_scipy_fft(tmp_path):
+    (tmp_path / "run.ini").write_text(RUN_TEXT)
+    (tmp_path / "plan.ini").write_text("[sweep]\nepsilons = 0.003 0.001\nregs = cutoff_flux\n\n" + RUN_TEXT)
+    code = (
+        "import sys; from kslab.cli import main; "
+        "rcs = [main(['--out', 'run', 'run', 'run.ini']), main(['--out', 'sweep', 'sweep', 'plan.ini'])]; "
+        "print(rcs, 'scipy.fft' in sys.modules)"
+    )
+    assert _fresh_python(code, tmp_path) == "[0, 0] False"
+    assert (tmp_path / "run" / "diagnostics.csv").exists() and (tmp_path / "sweep" / "sweep_report.csv").exists()
+
+
+def test_rectangle_run_loads_scipy_fft_inside_the_step(tmp_path):
+    # the first Poisson solve imports scipy.fft inside the run's np.errstate
+    (tmp_path / "run.ini").write_text(TWO_BUMP_TEXT)
+    code = (
+        "import sys; from kslab.cli import main; "
+        "before = 'scipy.fft' in sys.modules; rc = main(['--out', 'out', 'run', 'run.ini']); "
+        "print(before, rc, 'scipy.fft' in sys.modules)"
+    )
+    assert _fresh_python(code, tmp_path) == "False 0 True"
 
 
 @pytest.mark.parametrize("text", [RUN_TEXT, TWO_BUMP_TEXT], ids=["disk", "rectangle"])

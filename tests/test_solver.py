@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.integrate
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kslab import solver as S
 
@@ -95,6 +96,30 @@ def test_poisson_discrete_residual_and_mean():
     p = np.pad(v.values, 1, mode="edge")
     lap = (p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2] - 4 * p[1:-1, 1:-1]) / h**2
     assert np.max(np.abs(-lap - vals)) < 1e-10
+
+
+def _reference_poisson(rhs, hx, hy):
+    """The cosine-basis Neumann solve, written out: divide the DCT by the
+    eigenvalues of the discrete Laplacian, drop the constant mode."""
+    nx, ny = rhs.shape
+    kx = (2.0 - 2.0 * np.cos(np.pi * np.arange(nx) / nx)) / hx**2
+    ky = (2.0 - 2.0 * np.cos(np.pi * np.arange(ny) / ny)) / hy**2
+    lam = kx[:, None] + ky[None, :]
+    lam[0, 0] = 1.0
+    vhat = scipy.fft.dctn(rhs, type=2, norm="ortho") / lam
+    vhat[0, 0] = 0.0
+    return scipy.fft.idctn(vhat, type=2, norm="ortho")
+
+
+@pytest.mark.parametrize("nx,ny", [(256, 256), (37, 64), (2, 3)])
+def test_poisson_leaves_rhs_unchanged(nx, ny):
+    vals = np.random.default_rng(nx * ny).normal(size=(nx, ny))
+    vals -= vals.mean()
+    rhs = S.Field(1.0 / nx, 2.0 / ny, vals)
+    before = vals.copy()
+    v = S.solve_poisson_neumann(rhs)
+    assert rhs.values.tobytes() == before.tobytes()
+    assert v.values.tobytes() == _reference_poisson(before, rhs.hx, rhs.hy).tobytes()
 
 
 def test_poisson_rejects_nonzero_mean():
@@ -329,6 +354,62 @@ def test_field_gradient_matches_inline_central_differences(nx, ny, hx, hy, seed)
     ref_x[1:-1, :] = (vals[2:, :] - vals[:-2, :]) / (2 * hx)
     ref_y[:, 1:-1] = (vals[:, 2:] - vals[:, :-2]) / (2 * hy)
     assert gx.tobytes() == ref_x.tobytes() and gy.tobytes() == ref_y.tobytes()
+
+
+def _reference_rect_step(vals, reg, dt, advection, hx, hy):
+    """One explicit rectangle step by the scheme's formula: the face flux
+    face * (m_up w - dc (u_hi - u_lo) / h) with every face of measure 1.0,
+    its divergence over cells of measure h, each side divided on its own.
+    Returns the new values, the source mean h_t and the face gradient w
+    that drove the step."""
+    m = S.f_eps(vals, reg.epsilon) if reg.is_cutoff else vals
+    h_t = float(m.mean())
+    v = _reference_poisson(m - h_t, hx, hy)
+    div = np.zeros_like(vals)
+    ws = []
+    for lo, hi, h in (
+        ((slice(None, -1), slice(None)), (slice(1, None), slice(None)), hx),
+        ((slice(None), slice(None, -1)), (slice(None), slice(1, None)), hy),
+    ):
+        w = (v[hi] - v[lo]) / h if advection else np.zeros_like(v[lo])
+        if reg.is_cutoff:
+            dc = 1.0
+        else:
+            dc = 1.0 + reg.epsilon * (7.0 / 6.0) * (0.5 * (vals[hi] + vals[lo])) ** (1.0 / 6.0)
+        m_up = np.where(w > 0.0, m[lo], m[hi])
+        q = (m_up * w - (vals[hi] - vals[lo]) * dc / h) * 1.0
+        div[lo] += q / h
+        div[hi] -= q / h
+        ws.append(w)
+    return vals - div * dt, h_t, tuple(ws)
+
+
+@given(
+    st.integers(2, 64), st.integers(2, 64), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+    regs, st.booleans(), st.floats(0.1, 300.0), st.integers(0, 2**32 - 1),
+)
+@example(72, 64, 1.0, 1.0, S.RegKind("cutoff_flux", 1e-2), True, 200.0, 1)  # one-row diagnostics blocks
+@settings(max_examples=60, deadline=None)
+def test_rect_steps_match_reference_formula(nx, ny, lx, ly, reg, advection, level, seed):
+    # a fixed-dt run, a snapshot after every step: each step, and the
+    # face gradient its diagnostics row saw, has the bits of the formula
+    from kslab import diagnostics as D
+
+    vals = level * np.exp(np.random.default_rng(seed).normal(size=(nx, ny)))
+    u0 = S.Field(lx / nx, ly / ny, vals)
+    dt = 0.5 * _stable_dt(u0, reg)
+    cfg = S.SolverConfig(
+        t_end=1.0, dt_policy="fixed", dt_fixed=dt, snapshot_dt=dt, max_steps=6,
+        flag_umax_factor=1e30, stop_umax_factor=1e30, advection=advection,
+    )
+    traj = S.run(cfg, reg, u0)
+    assert len(traj.diag) >= 1 and len(traj.snapshots) == len(traj.diag) + 1
+    ref = vals
+    for snap, row in zip(traj.snapshots[1:], traj.diag):
+        ref, h_t, w = _reference_rect_step(ref, reg, dt, advection, u0.hx, u0.hy)
+        assert snap.tobytes() == ref.tobytes()
+        E, Dv = D.entropy(u0.like(ref), None, reg.epsilon, w=w)
+        assert (row["h_t"], row["entropy"], row["dissipation"]) == (h_t, E, Dv)
 
 
 # --------------------------------------------------------------------------
