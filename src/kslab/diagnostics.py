@@ -185,13 +185,14 @@ def ball_mass_radial(u: RadialField, rho: float) -> float:
     return float(np.sum(ball_weights_radial(u.grid, rho) * u.values))
 
 
-def offcenter_ball_weights_radial(grid: RadialGrid, center_r: float, rho: float, n_quad: int = 8) -> np.ndarray:
+def offcenter_ball_weights_radial(grid: RadialGrid, center_r: float, rho: float) -> np.ndarray:
     """Weights so that sum(w * u) = int_{B_rho((center_r, 0))} u for radial u.
 
     Angular extent at radius r: the circle |x - c| <= rho covers angles
-    with cos(theta) >= (r^2 + c^2 - rho^2) / (2 r c).
+    with cos(theta) >= (r^2 + c^2 - rho^2) / (2 r c); eight Gauss-Legendre
+    radii per cell.
     """
-    gl, glw = np.polynomial.legendre.leggauss(n_quad)
+    gl, glw = np.polynomial.legendre.leggauss(8)
     r_lo = grid.faces[:-1][:, None]
     r_hi = grid.faces[1:][:, None]
     r = 0.5 * (r_hi + r_lo) + 0.5 * (r_hi - r_lo) * gl[None, :]
@@ -292,15 +293,14 @@ def _sums(w: np.ndarray, arrays) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def detect_concentrations(u: Field | RadialField, m0: float, rho: float, u0_mass: float | None = None):
+def detect_concentrations(u: Field | RadialField, m0: float, rho: float):
     """Centers where the ball-mass map has a local maximum above m0/2.
 
     Deduplicated within 2*rho; the count may not exceed
     N = floor(4 * initial mass / m0).  Radial fields report at most the
     origin (any radially symmetric atom sits there).
     """
-    total = u.mass() if u0_mass is None else u0_mass
-    n_max = int(np.floor(4.0 * total / m0))
+    n_max = int(np.floor(4.0 * u.mass() / m0))
     if isinstance(u, RadialField):
         if ball_mass_radial(u, rho) >= 0.5 * m0:
             return [np.zeros(2)] if n_max >= 1 else []
@@ -352,9 +352,11 @@ def atom_estimate(
     center,
     reg: RegKind,
     rho_ladder=None,
-    plateau_tol: float = 0.10,
 ) -> AtomEstimate:
-    """Ladder masses, plateau extraction, and the eight-pi attachments."""
+    """Ladder masses, plateau extraction, and the eight-pi attachments.
+
+    No atom is reported when the flattest window of three ladder masses
+    spreads by more than 10 % of its mean."""
     center = np.asarray(center, dtype=float)
     if rho_ladder is None:
         rho_ladder = np.array([0.02, 0.03, 0.05, 0.08, 0.12, 0.18])
@@ -381,7 +383,7 @@ def atom_estimate(
     window = (k, k + 3)
     pa = float(alpha[k : k + 3].mean())
     pb = float(beta[k : k + 3].mean())
-    no_atom = pa <= 0 or spreads[k] > plateau_tol * max(pa, 1e-300)
+    no_atom = pa <= 0 or spreads[k] > 0.10 * max(pa, 1e-300)
     est = AtomEstimate(
         center=center,
         rho_ladder=rho_ladder,
@@ -510,18 +512,18 @@ def sobolev_check(u: Field, eta: Field, delta: float, C: float = DEFAULT_SOBOLEV
     return lhs, rhs, bool(lhs <= rhs)
 
 
-def random_band_limited_field(nx: int, lx: float, rng, k_max: int = 6, kind: str = "squared") -> Field:
-    """Nonnegative smooth random field: low-pass Gaussian noise, squared."""
+def random_band_limited_field(nx: int, lx: float, rng) -> Field:
+    """Nonnegative smooth random field: Gaussian noise low-passed to
+    wavenumbers |k| <= 6 in each direction, squared."""
     hx = lx / nx
     noise = rng.normal(size=(nx, nx))
     import scipy.fft  # deferred: it pulls in scipy.special, and only the Sobolev check needs it
 
     spec = scipy.fft.fft2(noise)
     k = np.fft.fftfreq(nx, d=1.0 / nx)
-    mask = (np.abs(k)[:, None] <= k_max) & (np.abs(k)[None, :] <= k_max)
+    mask = (np.abs(k)[:, None] <= 6) & (np.abs(k)[None, :] <= 6)
     smooth = np.real(scipy.fft.ifft2(spec * mask))
-    vals = smooth**2 if kind == "squared" else np.abs(smooth)
-    return Field(hx, hx, vals)
+    return Field(hx, hx, smooth**2)
 
 
 def _sobolev_eta(nx: int, lx: float) -> Field:

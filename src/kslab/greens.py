@@ -80,12 +80,19 @@ def _sep2(x0, x1, y0, y1) -> np.ndarray:
     return sep2
 
 
+def _image2(sep2, rx2, ry2):
+    """Image distance ``|x|^2 |y|^2 - 2 x.y + 1``, written as
+    ``|x - y|^2 + (1 - |x|^2)(1 - |y|^2)`` so that it does not cancel for
+    close pairs at the boundary (on the circle it equals ``sep2``)."""
+    return sep2 + (1.0 - rx2) * (1.0 - ry2)
+
+
 def _greens(x0, x1, y0, y1) -> np.ndarray:
     """``greens_disk_exact`` on coordinate arrays (broadcasting)."""
     sep2 = _sep2(x0, x1, y0, y1)
     rx2 = x0**2 + x1**2
     ry2 = y0**2 + y1**2
-    image2 = rx2 * ry2 - 2.0 * (x0 * y0 + x1 * y1) + 1.0
+    image2 = _image2(sep2, rx2, ry2)
     return -(np.log(sep2) + np.log(image2)) / (4.0 * np.pi) + (rx2 + ry2) / (4.0 * np.pi) + C0_DISK
 
 
@@ -94,7 +101,7 @@ def _grad_x_greens(x0, x1, y0, y1):
     components and the squared separation."""
     sep2 = _sep2(x0, x1, y0, y1)
     ry2 = y0**2 + y1**2
-    image2 = (x0**2 + x1**2) * ry2 - 2.0 * (x0 * y0 + x1 * y1) + 1.0
+    image2 = _image2(sep2, x0**2 + x1**2, ry2)
     # grad_x log||y|x - y/|y|| = (|y|^2 x - y) / image2
     g0 = -((x0 - y0) / sep2 + (ry2 * x0 - y0) / image2) / (2.0 * np.pi) + x0 / (2.0 * np.pi)
     g1 = -((x1 - y1) / sep2 + (ry2 * x1 - y1) / image2) / (2.0 * np.pi) + x1 / (2.0 * np.pi)
@@ -128,11 +135,10 @@ def cutoff_z_value(d, sigma0: float):
 
 @dataclass(frozen=True)
 class GreensDecomposition:
-    """Immutable evaluation bundle: the disk domain (with its collar width)
-    and the mean-zero constant c0; shared freely across threads."""
+    """Immutable evaluation bundle: the disk domain (with its collar width);
+    shared freely across threads."""
 
     domain: DomainGeometry
-    normalization_c0: float = C0_DISK
 
     @property
     def sigma0(self) -> float:
@@ -156,7 +162,7 @@ def remainder_k_diagonal(decomp: GreensDecomposition, y) -> np.ndarray | float:
         term = np.where(z == 1.0, 0.0, (z - 1.0) * log_one_minus_r2)
         logr = np.where(r > 0.0, np.log(np.maximum(r, 1e-300)), 0.0)
         term = term - np.where(z > 0.0, z * logr, 0.0)
-    k = term / (2.0 * np.pi) + r * r / (2.0 * np.pi) + decomp.normalization_c0
+    k = term / (2.0 * np.pi) + r * r / (2.0 * np.pi) + C0_DISK
     return float(k) if k.ndim == 0 else k
 
 

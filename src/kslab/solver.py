@@ -295,11 +295,11 @@ def big_F_eps(u, epsilon: float):
 # ---------------------------------------------------------------------------
 
 
-def solve_poisson_neumann(rhs: Field, tol: float = 1e-10, scale: float | None = None) -> Field:
+def solve_poisson_neumann(rhs: Field, scale: float | None = None) -> Field:
     """-Lap v = rhs with zero-flux walls, mean(v) = 0; cosine-basis exact solve.
 
     The caller must hand in a (numerically) mean-zero right side: its mean
-    may not exceed ``tol * scale``.  ``scale`` defaults to max|rhs|; a
+    may not exceed ``1e-10 * scale``.  ``scale`` defaults to max|rhs|; a
     caller that has just subtracted the mean passes the magnitude before the
     subtraction, which bounds the rounding left in the mean (for a constant
     source the right side is nothing but that rounding).
@@ -308,7 +308,7 @@ def solve_poisson_neumann(rhs: Field, tol: float = 1e-10, scale: float | None = 
     mean = vals.mean()
     if scale is None:
         scale = float(np.max(np.abs(vals))) or 1.0
-    if abs(mean) > tol * scale + 1e-300:
+    if abs(mean) > 1e-10 * scale + 1e-300:
         raise SolverError(f"rhs mean {mean} exceeds tolerance; subtract it first")
     import scipy.fft  # deferred: it pulls in scipy.special, and only rectangle runs need it
 

@@ -326,12 +326,12 @@ def mass_change_modulus(traj: Trajectory, cover, tol: float = 1e-8) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def singular_set_continuity_check(times, centers_series, reid_factor: float = 10.0) -> dict:
+def singular_set_continuity_check(times, centers_series) -> dict:
     """sqrt(t)-Hoelder modulus of detected concentration tracks.
 
     ``centers_series[k]`` lists centers at ``times[k]``.  Tracks link each
     center to the nearest one at the previous snapshot.  Steps jumping
-    beyond ``reid_factor`` times the running modulus estimate are flagged
+    beyond ten times the running modulus estimate are flagged
     as re-identifications, not continuity violations.
     """
     moduli = []
@@ -349,7 +349,7 @@ def singular_set_continuity_check(times, centers_series, reid_factor: float = 10
         return {"modulus": 0.0, "flagged": [], "n_steps": 0}
     vals = np.asarray([m for _, m in moduli])
     scale = float(np.median(vals))
-    flagged = [k for (k, m) in moduli if scale > 0 and m > reid_factor * scale]
+    flagged = [k for (k, m) in moduli if scale > 0 and m > 10.0 * scale]
     kept = [m for (k, m) in moduli if k not in flagged]
     return {
         "modulus": float(np.max(kept)) if kept else 0.0,

@@ -28,10 +28,16 @@ The whole profile is scaled by 2 so the core Laplacian is -2/rho^2; its
 maximum then exceeds 1, which is reported rather than clamped (the core
 Laplacian level, the 1/2 lower bound on the unit ball and the support
 bound cannot coexist with a [0, 1] range).
+
+Both bumps, ``InteriorBump`` and ``BoundaryBump``, answer the same three
+calls on disk points of shape ``(..., 2)``: ``value(x)``, ``gradient(x)``
+and ``laplacian(x)``.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +50,6 @@ __all__ = [
     "phi",
     "phi_deriv",
     "phi_radial_laplacian",
-    "PsiEval",
-    "psi_interior",
     "InteriorBump",
     "BoundaryBump",
     "build_boundary_bump",
@@ -99,48 +103,35 @@ def phi_radial_laplacian(r):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class PsiEval:
-    value: np.ndarray
-    gradient: np.ndarray
-    laplacian: np.ndarray
-
-
-def psi_interior(x, x0, rho: float, domain: DomainGeometry | None = None) -> PsiEval:
-    """Scaled interior bump psi(x) = phi(|x-x0|/rho) with derivatives.
+class InteriorBump:
+    """The interior bump psi(x) = phi(|x - x0| / rho) as a point function.
 
     When a domain is supplied the support condition
     d(x0) >= (3 e^{1/4}/2) rho is enforced.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if domain is not None:
-        if distance_to_boundary(domain, x0) < PHI_SUPPORT * rho - 1e-12:
-            raise GeometryError("interior bump support leaves the domain")
-    x = np.asarray(x, dtype=float)
-    dx = x - x0
-    r = np.hypot(dx[..., 0], dx[..., 1]) / rho
-    val = np.asarray(phi(r))
-    dphi = np.asarray(phi_deriv(r))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(r[..., None] > 0, dx / (r[..., None] * rho), 0.0)
-    grad = (dphi[..., None] / rho) * unit
-    lap = np.asarray(phi_radial_laplacian(r)) / rho**2
-    return PsiEval(value=val, gradient=grad, laplacian=lap)
-
-
-class InteriorBump:
-    """The interior profile phi(|x - x0| / rho) as a point function, for probe integrals."""
 
     def __init__(self, x0, rho: float, domain: DomainGeometry | None = None):
         self.x0 = np.asarray(x0, dtype=float)
         self.rho = float(rho)
         if domain is not None and distance_to_boundary(domain, self.x0) < PHI_SUPPORT * rho - 1e-12:
             raise GeometryError("interior bump support leaves the domain")
-        self.support_radius = PHI_SUPPORT * rho
 
-    def value(self, x):
+    def _offset(self, x):
+        """x - x0 and the scaled radius |x - x0| / rho."""
         dx = np.asarray(x, dtype=float) - self.x0
-        return np.asarray(phi(np.hypot(dx[..., 0], dx[..., 1]) / self.rho))
+        return dx, np.hypot(dx[..., 0], dx[..., 1]) / self.rho
+
+    def value(self, x) -> np.ndarray:
+        return np.asarray(phi(self._offset(x)[1]))
+
+    def gradient(self, x) -> np.ndarray:
+        dx, r = self._offset(x)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            unit = np.where(r[..., None] > 0, dx / (r[..., None] * self.rho), 0.0)
+        return (np.asarray(phi_deriv(r))[..., None] / self.rho) * unit
+
+    def laplacian(self, x) -> np.ndarray:
+        return np.asarray(phi_radial_laplacian(self._offset(x)[1])) / self.rho**2
 
 
 # ---------------------------------------------------------------------------
@@ -192,76 +183,70 @@ class _LensQuadrature:
     """
 
     R_NEAR = 3.0
+    N_NODES = 192  # Gauss-Legendre nodes in each direction
+    BLOCK = 1024  # near-field points summed at a time
 
-    def __init__(self, a: float, n1: int = 96, n2: int = 96):
+    def __init__(self, a: float):
+        n = self.N_NODES
         w = np.sqrt(max(1.0 - a * a, 0.0))
-        g1, w1 = np.polynomial.legendre.leggauss(n1)
-        g2, w2 = np.polynomial.legendre.leggauss(n2)
-        y1 = w * g1
+        g, gw = np.polynomial.legendre.leggauss(n)
+        y1 = w * g
         b = np.sqrt(np.maximum(1.0 - y1**2, 0.0)) - a  # half-height of the lens
-        Y1 = np.repeat(y1, n2)
-        Y2 = (b[:, None] * g2[None, :]).ravel()
+        Y1 = np.repeat(y1, n)
+        Y2 = (b[:, None] * g[None, :]).ravel()
         self.nodes = np.stack([Y1, Y2], axis=-1)
-        self.weights = (w * w1[:, None] * (b[:, None] * w2[None, :])).ravel()
+        self.weights = (w * gw[:, None] * (b[:, None] * gw[None, :])).ravel()
         self.mass = float(self.weights.sum())
         self.I1 = float(np.sum(self.weights * Y1**2))
         self.I2 = float(np.sum(self.weights * Y2**2))
         # Gradient kernels are regularized at the node-spacing scale; the
         # bias is O(spacing^2), far below the uses of the lens gradient.
-        self.reg2 = (2.0 * w / n1) ** 2
+        self.reg2 = (2.0 * w / n) ** 2
+
+    def _near_far(self, X: np.ndarray, out: np.ndarray, near_sums, far) -> np.ndarray:
+        """Fill ``out`` with the node sums ``near_sums`` / 2 pi inside
+        R_NEAR, in blocks of points, and with ``far(X, |X|^2)`` outside."""
+        R2 = X[:, 0] ** 2 + X[:, 1] ** 2
+        near = R2 < self.R_NEAR**2
+        out[~near] = far(X[~near], R2[~near])
+        idx = np.flatnonzero(near)
+        for lo in range(0, idx.size, self.BLOCK):
+            blk = idx[lo : lo + self.BLOCK]
+            out[blk] = near_sums(X[blk]) / (2.0 * np.pi)
+        return out
+
+    def _log_sums(self, blk: np.ndarray) -> np.ndarray:
+        d2 = (blk[:, None, 0] - self.nodes[None, :, 0]) ** 2 + (blk[:, None, 1] - self.nodes[None, :, 1]) ** 2
+        return -(0.5 * np.log(np.maximum(d2, 1e-300)) * self.weights[None, :]).sum(axis=1)
+
+    def _grad_sums(self, blk: np.ndarray) -> np.ndarray:
+        dx = blk[:, None, 0] - self.nodes[None, :, 0]
+        dy = blk[:, None, 1] - self.nodes[None, :, 1]
+        d2 = dx * dx + dy * dy + self.reg2
+        return np.stack(
+            [-(dx / d2 * self.weights[None, :]).sum(axis=1), -(dy / d2 * self.weights[None, :]).sum(axis=1)],
+            axis=-1,
+        )
+
+    def _multipole(self, X: np.ndarray, R2: np.ndarray) -> np.ndarray:
+        quad = (X[:, 0] ** 2 - X[:, 1] ** 2) * (self.I1 - self.I2) / R2**2
+        return -(0.5 * self.mass * np.log(R2) + 0.5 * quad) / (2.0 * np.pi)
+
+    def _multipole_grad(self, X: np.ndarray, R2: np.ndarray) -> np.ndarray:
+        Dm = self.I1 - self.I2
+        diff = X[:, 0] ** 2 - X[:, 1] ** 2
+        gq = np.stack(
+            [Dm * 2.0 * X[:, 0] * (R2 - 2.0 * diff) / R2**3, -Dm * 2.0 * X[:, 1] * (R2 + 2.0 * diff) / R2**3],
+            axis=-1,
+        )
+        return -(self.mass * X / R2[:, None] + 0.5 * gq) / (2.0 * np.pi)
 
     def potential(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        R2 = X[:, 0] ** 2 + X[:, 1] ** 2
-        out = np.empty(X.shape[0])
-        near = R2 < self.R_NEAR**2
-        if np.any(near):
-            Xn = X[near]
-            acc = np.zeros(Xn.shape[0])
-            for lo in range(0, Xn.shape[0], 1024):
-                blk = Xn[lo : lo + 1024]
-                d2 = (blk[:, None, 0] - self.nodes[None, :, 0]) ** 2 + (
-                    blk[:, None, 1] - self.nodes[None, :, 1]
-                ) ** 2
-                acc[lo : lo + 1024] = -(
-                    0.5 * np.log(np.maximum(d2, 1e-300)) * self.weights[None, :]
-                ).sum(axis=1)
-            out[near] = acc / (2.0 * np.pi)
-        far = ~near
-        if np.any(far):
-            Xf = X[far]
-            R2f = R2[far]
-            quad = (Xf[:, 0] ** 2 - Xf[:, 1] ** 2) * (self.I1 - self.I2) / R2f**2
-            out[far] = -(0.5 * self.mass * np.log(R2f) + 0.5 * quad) / (2.0 * np.pi)
-        return out
+        return self._near_far(X, np.empty(X.shape[0]), self._log_sums, self._multipole)
 
     def potential_grad(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        R2 = X[:, 0] ** 2 + X[:, 1] ** 2
-        out = np.empty_like(X)
-        near = R2 < self.R_NEAR**2
-        if np.any(near):
-            Xn = X[near]
-            acc = np.zeros_like(Xn)
-            for lo in range(0, Xn.shape[0], 1024):
-                blk = Xn[lo : lo + 1024]
-                dx = blk[:, None, 0] - self.nodes[None, :, 0]
-                dy = blk[:, None, 1] - self.nodes[None, :, 1]
-                d2 = dx * dx + dy * dy + self.reg2
-                acc[lo : lo + 1024, 0] = -(dx / d2 * self.weights[None, :]).sum(axis=1)
-                acc[lo : lo + 1024, 1] = -(dy / d2 * self.weights[None, :]).sum(axis=1)
-            out[near] = acc / (2.0 * np.pi)
-        far = ~near
-        if np.any(far):
-            Xf = X[far]
-            R2f = (R2[far])[:, None]
-            Dm = self.I1 - self.I2
-            gq = np.empty_like(Xf)
-            r2 = R2f[:, 0]
-            gq[:, 0] = Dm * 2.0 * Xf[:, 0] * (r2 - 2.0 * (Xf[:, 0] ** 2 - Xf[:, 1] ** 2)) / r2**3
-            gq[:, 1] = -Dm * 2.0 * Xf[:, 1] * (r2 + 2.0 * (Xf[:, 0] ** 2 - Xf[:, 1] ** 2)) / r2**3
-            out[far] = -(self.mass * Xf / R2f + 0.5 * gq) / (2.0 * np.pi)
-        return out
+        return self._near_far(X, np.empty(X.shape), self._grad_sums, self._multipole_grad)
+
 
 def _hermite_q(s):
     """Quintic taper: value 0 slope 1 curvature 0 at s=0, all zero at s=1."""
@@ -276,6 +261,25 @@ def _hermite_q_d2(s):
     return -36.0 * s + 96.0 * s**2 - 60.0 * s**3
 
 
+def _by_region(core: np.ndarray, core_vals, ring: np.ndarray, ring_vals: np.ndarray) -> np.ndarray:
+    """A half-plane quantity from its core and blend-ring values; zero beyond the ring."""
+    out = np.zeros(core.shape + ring_vals.shape[1:])
+    out[core] = core_vals
+    out[ring] = ring_vals
+    return out
+
+
+def _x1_stencil(X: np.ndarray, shift, h: float):
+    """X moved by ``shift`` along X1, and that point's neighbours at +-h."""
+    base = X.copy()
+    base[:, 0] += shift
+    plus = base.copy()
+    plus[:, 0] += h
+    minus = base.copy()
+    minus[:, 0] -= h
+    return base, plus, minus
+
+
 class BoundaryBump:
     """Boundary-adapted bump on the unit disk; see the module docstring.
 
@@ -286,11 +290,11 @@ class BoundaryBump:
     """
 
     SCALE = 2.0  # core Laplacian level over the half-plane value of -1
+    N_RING = 2048  # angular samples of the blend-ring tables
 
-    def __init__(self, domain: DomainGeometry, x0, rho: float, lambda0: float, n_ring: int = 2048):
+    def __init__(self, domain: DomainGeometry, x0, rho: float, lambda0: float):
         if not domain.is_disk:
             raise GeometryError("boundary bumps are disk-only")
-        self.domain = domain
         self.x0 = np.asarray(x0, dtype=float)
         self.rho = float(rho)
         self.lambda0 = float(lambda0)
@@ -300,97 +304,62 @@ class BoundaryBump:
             raise GeometryError(f"bump center too deep: d(x0)={d0} > 2*rho={2 * rho}")
         self.a = d0 / rho
         self.theta0 = float(np.arctan2(self.x0[1], self.x0[0])) if np.hypot(*self.x0) > 0 else 0.0
-        self.center_projection = np.array([np.cos(self.theta0), np.sin(self.theta0)])
         self.m = 2.0 * np.pi - lens_area(2.0 * self.a)
-        # Coincident source and mirror balls (center on the wall): the union
-        # is a single ball and everything is closed form.
-        self._single_ball = self.a < 1e-9
-        self.lens = (
-            _LensQuadrature(self.a, 192, 192) if (self.a < 1.0 and not self._single_ball) else None
-        )
         self.c1 = np.array([0.0, self.a])
         self.c2 = np.array([0.0, -self.a])
+        # Coincident source and mirror balls (center on the wall) make a
+        # single ball; apart, they overlap in a lens while a < 1.
+        self._centers = (self.c1,) if self.a < 1e-9 else (self.c1, self.c2)
+        self.lens = _LensQuadrature(self.a) if len(self._centers) == 2 and self.a < 1.0 else None
         self._phi_coef = self.m / (4.0 * np.pi * self.lambda0)
-        self._build_ring(n_ring)
-        self._table = None
+        self._build_ring()
 
     # -- half-plane profile ------------------------------------------------
 
+    def _over_balls(self, f, X: np.ndarray) -> np.ndarray:
+        """Sum of the closed-form ball term ``f`` over the bump's balls."""
+        return functools.reduce(operator.add, (f(X - c) for c in self._centers))
+
     def _psi_hat(self, X: np.ndarray) -> np.ndarray:
-        if self._single_ball:
-            return _ball_potential(X - self.c1)
-        val = _ball_potential(X - self.c1) + _ball_potential(X - self.c2)
-        if self.lens is not None:
-            val = val - self.lens.potential(X.reshape(-1, 2)).reshape(val.shape)
-        return val
+        val = self._over_balls(_ball_potential, X)
+        return val if self.lens is None else val - self.lens.potential(X)
 
     def _psi_hat_grad(self, X: np.ndarray) -> np.ndarray:
-        if self._single_ball:
-            return _ball_potential_grad(X - self.c1)
-        g = _ball_potential_grad(X - self.c1) + _ball_potential_grad(X - self.c2)
-        if self.lens is not None:
-            g = g - self.lens.potential_grad(X.reshape(-1, 2)).reshape(g.shape)
-        return g
+        g = self._over_balls(_ball_potential_grad, X)
+        return g if self.lens is None else g - self.lens.potential_grad(X)
+
+    def _in_balls(self, X: np.ndarray):
+        """Masks of the points in the source ball and in the mirror ball."""
+        return tuple(np.sum((X - c) ** 2, axis=-1) <= 1.0 for c in (self.c1, self.c2))
 
     def _in_lens(self, X: np.ndarray) -> np.ndarray:
-        d1 = (X[..., 0] - self.c1[0]) ** 2 + (X[..., 1] - self.c1[1]) ** 2
-        d2 = (X[..., 0] - self.c2[0]) ** 2 + (X[..., 1] - self.c2[1]) ** 2
-        return (d1 <= 1.0) & (d2 <= 1.0)
+        in1, in2 = self._in_balls(X)
+        return in1 & in2
 
     def _psi_hat_d11(self, X: np.ndarray) -> np.ndarray:
         """Second X1-derivative of the union potential (used only in the
         O(rho) chart metric correction, so a wide stencil for the lens
-        part is fine; the stencil never straddles the lens boundary, where
-        the second derivative jumps)."""
-        out = _ball_potential_d11(X - self.c1)
-        if self._single_ball:
-            return out
-        out = out + _ball_potential_d11(X - self.c2)
+        part is fine).  The second derivative jumps on the lens boundary,
+        so each point takes the first shift of 0, +2.5h, -2.5h whose
+        stencil stays on its own side of it, else 0."""
+        out = self._over_balls(_ball_potential_d11, X)
         if self.lens is None:
             return out
         h = 0.05
-        Xf = X.reshape(-1, 2)
-        corr = np.empty(Xf.shape[0])
-        for shift in (0.0, 2.5 * h, -2.5 * h):
-            base = Xf.copy()
-            base[:, 0] += shift
-            plus = base.copy()
-            plus[:, 0] += h
-            minus = base.copy()
-            minus[:, 0] -= h
-            same_side = (
-                (self._in_lens(base) == self._in_lens(plus))
-                & (self._in_lens(base) == self._in_lens(minus))
-                & (self._in_lens(base) == self._in_lens(Xf))
-            )
-            if shift == 0.0:
-                todo = np.ones(Xf.shape[0], dtype=bool)
-            if not np.any(todo & same_side):
-                continue
-            sel = todo & same_side
-            corr[sel] = (
-                self.lens.potential(plus[sel])
-                - 2.0 * self.lens.potential(base[sel])
-                + self.lens.potential(minus[sel])
-            ) / h**2
-            todo = todo & ~same_side
-        if np.any(todo):
-            # stencil straddles the interface in every shift: fall back to
-            # the plain centered stencil there
-            sel = todo
-            plus = Xf[sel].copy()
-            plus[:, 0] += h
-            minus = Xf[sel].copy()
-            minus[:, 0] -= h
-            corr[sel] = (
-                self.lens.potential(plus)
-                - 2.0 * self.lens.potential(Xf[sel])
-                + self.lens.potential(minus)
-            ) / h**2
-        return out - corr.reshape(out.shape)
+        side = self._in_lens(X)
+        shift = np.zeros(X.shape[0])
+        todo = np.ones(X.shape[0], dtype=bool)
+        for s in (0.0, 2.5 * h, -2.5 * h):
+            same = np.all([self._in_lens(p) == side for p in _x1_stencil(X, s, h)], axis=0)
+            shift[todo & same] = s
+            todo &= ~same
+        base, plus, minus = _x1_stencil(X, shift, h)
+        pot = self.lens.potential
+        return out - (pot(plus) - 2.0 * pot(base) + pot(minus)) / h**2
 
-    def _build_ring(self, n_ring: int) -> None:
-        th = 2.0 * np.pi * np.arange(n_ring) / n_ring
+    def _build_ring(self) -> None:
+        n = self.N_RING
+        th = 2.0 * np.pi * np.arange(n) / n
         ring = self.lambda0 * np.stack([np.cos(th), np.sin(th)], axis=-1)
         raw = self._psi_hat(ring) + (self.m / (2.0 * np.pi)) * np.log(self.lambda0)
         gbar = float(raw.mean())
@@ -399,126 +368,73 @@ class BoundaryBump:
         self.A = self.m / (4.0 * np.pi * self.lambda0) + (self.m / (2.0 * np.pi)) * np.log(
             self.lambda0
         ) - gbar
-        self._ring_th = th
-        self._gval = raw - gbar
+        gval = raw - gbar
         e_r = ring / self.lambda0
         radial = np.sum(self._psi_hat_grad(ring) * e_r, axis=-1)
-        self._gslope = radial + self.m / (2.0 * np.pi * self.lambda0)
-        dth = 2.0 * np.pi / n_ring
-        self._gval_d1 = (np.roll(self._gval, -1) - np.roll(self._gval, 1)) / (2 * dth)
-        self._gval_d2 = (np.roll(self._gval, -1) - 2 * self._gval + np.roll(self._gval, 1)) / dth**2
-        self._gslope_d1 = (np.roll(self._gslope, -1) - np.roll(self._gslope, 1)) / (2 * dth)
-        self._gslope_d2 = (
-            np.roll(self._gslope, -1) - 2 * self._gslope + np.roll(self._gslope, 1)
-        ) / dth**2
-        self.matching_mismatch = float(np.max(np.abs(self._gval)))
+        gslope = radial + self.m / (2.0 * np.pi * self.lambda0)
+        dth = 2.0 * np.pi / n
 
-    def _ring_lookup(self, th: np.ndarray, arr: np.ndarray) -> np.ndarray:
-        n = self._ring_th.size
+        def d1(t):
+            return (np.roll(t, -1) - np.roll(t, 1)) / (2 * dth)
+
+        def d2(t):
+            return (np.roll(t, -1) - 2 * t + np.roll(t, 1)) / dth**2
+
+        # value and slope mismatch on the ring and their angle derivatives
+        self._ring_tables = (gval, gslope, d1(gval), d1(gslope), d2(gval), d2(gslope))
+        self.matching_mismatch = float(np.max(np.abs(gval)))
+
+    def _ring(self, X: np.ndarray, rr: np.ndarray):
+        """Value, X-gradient, X-Laplacian and second X1-derivative of the
+        profile at points X of the blend ring, |X| = rr in (lambda0,
+        lambda0 + 1): the ring tables and blend factors are looked up once
+        per point."""
+        th = np.arctan2(X[:, 1], X[:, 0])
+        n = self.N_RING
         f = (th % (2.0 * np.pi)) / (2.0 * np.pi) * n
         i0 = f.astype(int) % n
         w = f - np.floor(f)
-        return (1.0 - w) * arr[i0] + w * arr[(i0 + 1) % n]
+        i1 = (i0 + 1) % n
+        gv, gs, gv1, gs1, gv2, gs2 = ((1.0 - w) * t[i0] + w * t[i1] for t in self._ring_tables)
+        s = rr - self.lambda0
+        taper = 1.0 - smoothstep5(s)
+        q, q1, q2 = _hermite_q(s), _hermite_q_d1(s), _hermite_q_d2(s)
+        sd1, sd2 = smoothstep5_d1(s), smoothstep5_d2(s)
+        cap_r = -2.0 * self._phi_coef * (self.lambda0 + 1.0 - rr)
+        cap_rr = 2.0 * self._phi_coef
+        p_r = cap_r - gv * sd1 + gs * q1
+        p_t = gv1 * taper + gs1 * q
+        p_tt = gv2 * taper + gs2 * q
 
-    def profile(self, X: np.ndarray, want_grad: bool = False):
-        """Half-plane profile (even in X2) and optionally its X-gradient."""
-        X = np.asarray(X, dtype=float)
-        flat = X.reshape(-1, 2)
-        r = np.hypot(flat[:, 0], flat[:, 1])
-        val = np.zeros(flat.shape[0])
-        grad = np.zeros_like(flat) if want_grad else None
+        value = self.SCALE * (self._phi_coef * (self.lambda0 + 1.0 - rr) ** 2 + (gv * taper + gs * q))
+        e_r = X / rr[:, None]
+        e_t = np.stack([-e_r[:, 1], e_r[:, 0]], axis=-1)
+        grad = self.SCALE * (p_r[:, None] * e_r + (p_t / rr)[:, None] * e_t)
+        w_rr = gs * q2 - gv * sd2
+        w_r = gs * q1 - gv * sd1
+        lap = self.SCALE * (cap_rr + w_rr + (cap_r + w_r) / rr + p_tt / rr**2)
+        p_rr = cap_rr - gv * sd2 + gs * q2
+        p_rt = gs1 * q1 - gv1 * sd1
+        ct = np.cos(th)
+        st = np.sin(th)
+        p11 = self.SCALE * (
+            ct**2 * p_rr
+            + st**2 / rr**2 * p_tt
+            - 2.0 * st * ct / rr * p_rt
+            + st**2 / rr * p_r
+            + 2.0 * st * ct / rr**2 * p_t
+        )
+        return value, grad, lap, p11
+
+    def _regions(self, X: np.ndarray):
+        """Core and blend-ring masks of half-plane points, and the ring pass."""
+        r = np.hypot(X[:, 0], X[:, 1])
         core = r <= self.lambda0
-        if np.any(core):
-            val[core] = self.SCALE * (self.A + self._psi_hat(flat[core]))
-            if want_grad:
-                grad[core] = self.SCALE * self._psi_hat_grad(flat[core])
         ring = (r > self.lambda0) & (r < self.lambda0 + 1.0)
-        if np.any(ring):
-            rr = r[ring]
-            th = np.arctan2(flat[ring, 1], flat[ring, 0])
-            s = rr - self.lambda0
-            gv = self._ring_lookup(th, self._gval)
-            gs = self._ring_lookup(th, self._gslope)
-            cap = self._phi_coef * (self.lambda0 + 1.0 - rr) ** 2
-            taper = 1.0 - smoothstep5(s)
-            w = gv * taper + gs * _hermite_q(s)
-            val[ring] = self.SCALE * (cap + w)
-            if want_grad:
-                dr = -2.0 * self._phi_coef * (self.lambda0 + 1.0 - rr)
-                dr = dr - gv * smoothstep5_d1(s) + gs * _hermite_q_d1(s)
-                dth_w = self._ring_lookup(th, self._gval_d1) * taper + self._ring_lookup(
-                    th, self._gslope_d1
-                ) * _hermite_q(s)
-                e_r = flat[ring] / rr[:, None]
-                e_t = np.stack([-e_r[:, 1], e_r[:, 0]], axis=-1)
-                grad[ring] = self.SCALE * (dr[:, None] * e_r + (dth_w / rr)[:, None] * e_t)
-        shape = X.shape[:-1]
-        if want_grad:
-            return val.reshape(shape), grad.reshape(X.shape)
-        return val.reshape(shape)
+        return core, ring, self._ring(X[ring], r[ring])
 
-    def profile_laplacian(self, X: np.ndarray) -> np.ndarray:
-        """Exact Laplacian of the half-plane profile, region by region."""
-        X = np.asarray(X, dtype=float)
-        flat = X.reshape(-1, 2)
-        r = np.hypot(flat[:, 0], flat[:, 1])
-        out = np.zeros(flat.shape[0])
-        in1 = np.sum((flat - self.c1) ** 2, axis=-1) <= 1.0
-        in2 = np.sum((flat - self.c2) ** 2, axis=-1) <= 1.0
-        out[(in1 | in2) & (r <= self.lambda0)] = -self.SCALE
-        ring = (r > self.lambda0) & (r < self.lambda0 + 1.0)
-        if np.any(ring):
-            rr = r[ring]
-            th = np.arctan2(flat[ring, 1], flat[ring, 0])
-            s = rr - self.lambda0
-            gv = self._ring_lookup(th, self._gval)
-            gs = self._ring_lookup(th, self._gslope)
-            cap_rr = 2.0 * self._phi_coef
-            cap_r = -2.0 * self._phi_coef * (self.lambda0 + 1.0 - rr)
-            w_rr = gs * _hermite_q_d2(s) - gv * smoothstep5_d2(s)
-            w_r = gs * _hermite_q_d1(s) - gv * smoothstep5_d1(s)
-            w_tt = self._ring_lookup(th, self._gval_d2) * (1.0 - smoothstep5(s)) + self._ring_lookup(
-                th, self._gslope_d2
-            ) * _hermite_q(s)
-            out[ring] = self.SCALE * (cap_rr + w_rr + (cap_r + w_r) / rr + w_tt / rr**2)
-        return out.reshape(X.shape[:-1])
-
-    def profile_p11(self, X: np.ndarray) -> np.ndarray:
-        """Second X1-derivative of the half-plane profile (metric correction)."""
-        X = np.asarray(X, dtype=float)
-        flat = X.reshape(-1, 2)
-        r = np.hypot(flat[:, 0], flat[:, 1])
-        out = np.zeros(flat.shape[0])
-        core = r <= self.lambda0
-        if np.any(core):
-            out[core] = self.SCALE * self._psi_hat_d11(flat[core])
-        ring = (r > self.lambda0) & (r < self.lambda0 + 1.0)
-        if np.any(ring):
-            rr = r[ring]
-            th = np.arctan2(flat[ring, 1], flat[ring, 0])
-            s = rr - self.lambda0
-            gv = self._ring_lookup(th, self._gval)
-            gs = self._ring_lookup(th, self._gslope)
-            gv1 = self._ring_lookup(th, self._gval_d1)
-            gs1 = self._ring_lookup(th, self._gslope_d1)
-            gv2 = self._ring_lookup(th, self._gval_d2)
-            gs2 = self._ring_lookup(th, self._gslope_d2)
-            p_r = -2.0 * self._phi_coef * (self.lambda0 + 1.0 - rr) - gv * smoothstep5_d1(s) + gs * _hermite_q_d1(s)
-            p_rr = 2.0 * self._phi_coef - gv * smoothstep5_d2(s) + gs * _hermite_q_d2(s)
-            taper = 1.0 - smoothstep5(s)
-            p_t = gv1 * taper + gs1 * _hermite_q(s)
-            p_tt = gv2 * taper + gs2 * _hermite_q(s)
-            p_rt = gs1 * _hermite_q_d1(s) - gv1 * smoothstep5_d1(s)
-            ct = np.cos(th)
-            st = np.sin(th)
-            out[ring] = self.SCALE * (
-                ct**2 * p_rr
-                + st**2 / rr**2 * p_tt
-                - 2.0 * st * ct / rr * p_rt
-                + st**2 / rr * p_r
-                + 2.0 * st * ct / rr**2 * p_t
-            )
-        return out.reshape(X.shape[:-1])
+    def _grad_X(self, X: np.ndarray, core: np.ndarray, ring: np.ndarray, ring_grad: np.ndarray) -> np.ndarray:
+        return _by_region(core, self.SCALE * self._psi_hat_grad(X[core]), ring, ring_grad)
 
     # -- disk-side evaluation ----------------------------------------------
 
@@ -532,78 +448,72 @@ class BoundaryBump:
         X2 = (1.0 - r) / self.rho
         return np.stack([X1, X2], axis=-1)
 
-    def value(self, x) -> np.ndarray:
+    def _chart(self, x):
+        """The disk points in the chart's band (and off the center): their
+        mask, the points, their radii and their coordinates X."""
         x = np.asarray(x, dtype=float)
         r = np.hypot(x[..., 0], x[..., 1])
-        out = np.zeros(r.shape)
-        live = (1.0 - r) <= (self.lambda0 + 1.0) * self.rho
-        if np.any(live):
-            out[live] = self.profile(self.x_coords(x[live]))
+        live = ((1.0 - r) <= (self.lambda0 + 1.0) * self.rho) & (r > 1e-12)
+        return live, x[live], r[live], self.x_coords(x[live])
+
+    def value(self, x) -> np.ndarray:
+        live, _, _, X = self._chart(x)
+        core, ring, (ring_val, _, _, _) = self._regions(X)
+        out = np.zeros(live.shape)
+        out[live] = _by_region(core, self.SCALE * (self.A + self._psi_hat(X[core])), ring, ring_val)
         return out
 
     def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        r = np.hypot(x[..., 0], x[..., 1])
-        out = np.zeros(x.shape)
-        live = ((1.0 - r) <= (self.lambda0 + 1.0) * self.rho) & (r > 1e-12)
-        if np.any(live):
-            xl = x[live]
-            rl = r[live]
-            _, gX = self.profile(self.x_coords(xl), want_grad=True)
-            e_r = xl / rl[:, None]
-            e_t = np.stack([-e_r[:, 1], e_r[:, 0]], axis=-1)
-            # grad X1 = e_t / (r rho); grad X2 = -e_r / rho
-            out[live] = gX[..., 0, None] * e_t / (rl * self.rho)[:, None] - gX[..., 1, None] * e_r / self.rho
+        live, xl, rl, X = self._chart(x)
+        core, ring, (_, ring_grad, _, _) = self._regions(X)
+        gX = self._grad_X(X, core, ring, ring_grad)
+        e_r = xl / rl[:, None]
+        e_t = np.stack([-e_r[:, 1], e_r[:, 0]], axis=-1)
+        out = np.zeros(live.shape + (2,))
+        # grad X1 = e_t / (r rho); grad X2 = -e_r / rho
+        out[live] = gX[:, 0, None] * e_t / (rl * self.rho)[:, None] - gX[:, 1, None] * e_r / self.rho
         return out
 
     def laplacian(self, x) -> np.ndarray:
         """Physical Laplacian: exact X-space Laplacian plus the metric
         corrections of the boundary-fitted chart (O(rho) relative)."""
-        x = np.asarray(x, dtype=float)
-        r = np.hypot(x[..., 0], x[..., 1])
-        out = np.zeros(r.shape)
-        live = ((1.0 - r) <= (self.lambda0 + 1.0) * self.rho) & (r > 1e-12)
-        if not np.any(live):
-            return out
-        X = self.x_coords(x[live])
-        lap_flat = self.profile_laplacian(X)
+        live, _, rl, X = self._chart(x)
+        core, ring, (_, ring_grad, ring_lap, ring_p11) = self._regions(X)
+        in1, in2 = self._in_balls(X)
+        lap_X = _by_region(core & (in1 | in2), -self.SCALE, ring, ring_lap)
+        p11 = _by_region(core, self.SCALE * self._psi_hat_d11(X[core]), ring, ring_p11)
+        p2 = self._grad_X(X, core, ring, ring_grad)[:, 1]
         # psi(r, th) = P(th/rho, (1-r)/rho):
         # Delta psi = [P_22 + P_11 / r^2] / rho^2 - P_2 / (rho r)
         #          = [Delta_X P + P_11 (1/r^2 - 1)] / rho^2 - P_2 / (rho r)
-        p11 = self.profile_p11(X)
-        _, gX = self.profile(X, want_grad=True)
-        rl = r[live]
-        out[live] = (lap_flat + p11 * (1.0 / rl**2 - 1.0)) / self.rho**2 - gX[..., 1] / (
-            self.rho * rl
-        )
+        out = np.zeros(live.shape)
+        out[live] = (lap_X + p11 * (1.0 / rl**2 - 1.0)) / self.rho**2 - p2 / (self.rho * rl)
         return out
 
-    def normal_derivative_residual(self, n_samples: int = 181) -> float:
+    def normal_derivative_residual(self) -> float:
         """max |nu . grad psi| on the boundary arc inside the support.
 
         The profile is even in X2, so this vanishes up to quadrature
         symmetry error in the lens potential.
         """
-        arcs = np.linspace(-(self.lambda0 + 1.0), self.lambda0 + 1.0, n_samples)
+        arcs = np.linspace(-(self.lambda0 + 1.0), self.lambda0 + 1.0, 181)
         X = np.stack([arcs, np.zeros_like(arcs)], axis=-1)
-        _, gX = self.profile(X, want_grad=True)
-        return float(np.max(np.abs(gX[:, 1])) / self.rho)
+        core, ring, (_, ring_grad, _, _) = self._regions(X)
+        p2 = self._grad_X(X, core, ring, ring_grad)[:, 1]
+        return float(np.max(np.abs(p2)) / self.rho)
 
 
-def build_boundary_bump(
-    domain: DomainGeometry,
-    x0,
-    rho: float,
-    lambda0: float = 8.0,
-    rho0: float = 0.1,
-) -> BoundaryBump:
+RHO_MAX = 0.1  # largest radius build_boundary_bump accepts
+
+
+def build_boundary_bump(domain: DomainGeometry, x0, rho: float, lambda0: float = 8.0) -> BoundaryBump:
     """Construct the boundary bump; centers must satisfy d(x0) <= 2*rho.
 
-    ``rho0`` is the configured build maximum; the Laplacian tolerance of
+    ``rho`` may not exceed ``RHO_MAX``; the Laplacian tolerance of
     ``verify_bump`` typically restricts usable radii further (metric
     distortion of the boundary chart grows like rho)."""
-    if rho > rho0 + 1e-15:
-        raise GeometryError(f"rho={rho} exceeds configured maximum rho0={rho0}")
+    if rho > RHO_MAX + 1e-15:
+        raise GeometryError(f"rho={rho} exceeds the build maximum {RHO_MAX}")
     return BoundaryBump(domain, x0, rho, lambda0)
 
 
@@ -638,26 +548,24 @@ def _bump_samples(bump: BoundaryBump, radius_lo: float, radius_hi: float, n: int
     return np.asarray(pts[:n])
 
 
-def verify_bump(
-    bump: BoundaryBump,
-    mesh: float = 1.0 / 512.0,
-    core_margin: float = 0.12,
-    n_samples: int = 1500,
-    lap_tol: float = 0.05,
-) -> BumpReport:
+CORE_MARGIN = 0.12  # relative margin around the core ball that verify_bump leaves unchecked
+LAP_TOL = 0.05  # verify_bump's gate on the relative core Laplacian error
+
+
+def verify_bump(bump: BoundaryBump, mesh: float = 1.0 / 512.0, n_samples: int = 1500) -> BumpReport:
     """Measure the defining properties of a built bump.
 
-    The core Laplacian is checked on B_{(1-margin) rho}(x0) (the margin
-    absorbs the O(rho) mismatch between the boundary chart and the true
-    metric near the core edge), the sign condition on the annulus out to
-    the support, and the Neumann property on the wall.
+    The core Laplacian is checked on B_{(1-CORE_MARGIN) rho}(x0) (the
+    margin absorbs the O(rho) mismatch between the boundary chart and the
+    true metric near the core edge), the sign condition on the annulus out
+    to the support, and the Neumann property on the wall.
     """
     rho = bump.rho
-    core = _bump_samples(bump, 0.0, (1.0 - core_margin) * rho, n_samples, mesh)
+    core = _bump_samples(bump, 0.0, (1.0 - CORE_MARGIN) * rho, n_samples, mesh)
     lap_core = bump.laplacian(core) * rho**2
     core_err = float(np.max(np.abs(lap_core / (-2.0) - 1.0)))
 
-    ann = _bump_samples(bump, (1.0 + core_margin) * rho, (bump.lambda0 + 1.0) * rho, 2 * n_samples, mesh)
+    ann = _bump_samples(bump, (1.0 + CORE_MARGIN) * rho, (bump.lambda0 + 1.0) * rho, 2 * n_samples, mesh)
     ann_min = float(np.min(bump.laplacian(ann) * rho**2))
 
     neumann = bump.normal_derivative_residual() * rho  # scale-free: rho |nu.grad|
@@ -687,7 +595,7 @@ def verify_bump(
     cbound = float(np.max(rho * gnorm + rho**2 * d2 + rho**2 * nd / np.maximum(dists, mesh)))
 
     passed = (
-        core_err <= lap_tol
+        core_err <= LAP_TOL
         and ann_min >= -0.12  # 6% of the core Laplacian magnitude
         and neumann <= 1e-6
         and min_core >= 0.5
@@ -714,7 +622,6 @@ def max_admissible_rho(
     depth_factor: float = 1.0,
     lambda0: float = 8.0,
     start: float = 0.08,
-    lap_tol: float = 0.05,
 ) -> float:
     """Largest rho (within a halving search) whose bump passes verify_bump."""
     rho = start
@@ -723,7 +630,7 @@ def max_admissible_rho(
             [np.cos(boundary_angle), np.sin(boundary_angle)]
         )
         bump = BoundaryBump(domain, x0, rho, lambda0)
-        if verify_bump(bump, lap_tol=lap_tol, n_samples=500).passed:
+        if verify_bump(bump, n_samples=500).passed:
             return rho
         rho *= 0.5
     return 0.0

@@ -192,9 +192,10 @@ class QBreakdown:
         return self.L1 + self.Q1 + self.Q2 + self.Q3 + self.Q4 + self.Q5
 
 
-def kernel_H1(x, y, psi, t, diag_threshold: float = 1e-8):
+def kernel_H1(x, y, psi, t):
     """Symmetrized Coulomb kernel of psi at a point pair, including the
-    angular-averaged diagonal value Lap(psi)/(8 pi) below the threshold."""
+    angular-averaged diagonal value Lap(psi)/(8 pi) for pairs closer than
+    1e-8."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dx = x - y
@@ -204,7 +205,7 @@ def kernel_H1(x, y, psi, t, diag_threshold: float = 1e-8):
     num = np.sum(dx * (gx - gy), axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
         val = num / np.where(sep2 > 0, sep2, 1.0) / (4.0 * np.pi)
-    diag = sep2 < diag_threshold**2
+    diag = sep2 < 1e-8**2
     if np.any(diag):
         lap = np.asarray(psi.laplacian(x, t))
         val = np.where(diag, lap / (8.0 * np.pi), val)

@@ -219,8 +219,8 @@ def _ref_greens(x, y):
         raise greens.SingularityError("singular")
     rx2 = x[..., 0] ** 2 + x[..., 1] ** 2
     ry2 = y[..., 0] ** 2 + y[..., 1] ** 2
-    dot = x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
-    image2 = rx2 * ry2 - 2.0 * dot + 1.0
+    # rx2 ry2 - 2 x.y + 1, in the form that does not cancel at the boundary
+    image2 = sep2 + (1.0 - rx2) * (1.0 - ry2)
     return -(np.log(sep2) + np.log(image2)) / (4.0 * np.pi) + (rx2 + ry2) / (4.0 * np.pi) + greens.C0_DISK
 
 
@@ -232,8 +232,7 @@ def _ref_grad_x_greens(x, y):
         raise greens.SingularityError("singular")
     rx2 = x[..., 0] ** 2 + x[..., 1] ** 2
     ry2 = y[..., 0] ** 2 + y[..., 1] ** 2
-    dot = x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
-    image2 = (rx2 * ry2 - 2.0 * dot + 1.0)[..., None]
+    image2 = (sep2 + (1.0 - rx2) * (1.0 - ry2))[..., None]
     return -(dx / sep2[..., None] + (ry2[..., None] * x - y) / image2) / (2.0 * np.pi) + x / (2.0 * np.pi)
 
 
@@ -360,8 +359,29 @@ def point_arguments(draw):
     return points(n)[:, None], points(draw(st.integers(1, 4)))
 
 
+_BOUNDARY_PAIR = (np.array([[1.0, 0.0]]), np.array([[1.0, 7.1557689e-10]]))
+
+
+def test_boundary_pair_is_finite(decomp):
+    # the image distance equals sep2 on the circle, so G there is the closed
+    # form -(1/2pi) log sep2 + (|x|^2 + |y|^2)/(4pi) + c0
+    x, y = _BOUNDARY_PAIR
+    sep2 = np.sum((x - y) ** 2, axis=-1)
+    rx2, ry2 = np.sum(x * x, axis=-1), np.sum(y * y, axis=-1)
+    closed = -np.log(sep2) / (2.0 * np.pi) + (rx2 + ry2) / (4.0 * np.pi) + greens.C0_DISK
+    g = greens.greens_disk_exact(x, y)
+    assert np.all(np.isfinite(g))
+    assert np.allclose(g, closed, rtol=1e-15, atol=0.0)
+    assert np.all(np.isfinite(greens.grad_x_greens_disk_exact(x, y)))
+    terms = greens.grad_x_G_terms(decomp, x, y)
+    for name in ("coulomb", "image", "curvature", "w_remainder"):
+        assert np.all(np.isfinite(getattr(terms, name))), name
+    assert np.all(np.isfinite(greens.remainder_k_exact(decomp, y, x)))
+    assert np.all(np.isfinite(greens.grad_x_remainder_k_exact(decomp, y, x)))
+
+
 @given(point_arguments())
-@example((np.array([[1.0, 0.0]]), np.array([[1.0, 7.1557689e-10]])))  # both give w_remainder = inf
+@example(_BOUNDARY_PAIR)  # distinct points on the circle 7e-10 apart
 @settings(max_examples=300, deadline=None)
 def test_component_evaluation_matches_reference(args):
     x, y = args

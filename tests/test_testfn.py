@@ -33,58 +33,128 @@ def test_phi_range(rng):
 
 def test_psi_interior_center_values():
     rho = 0.05
-    out = T.psi_interior(np.array([0.1, 0.2]), np.array([0.1, 0.2]), rho)
-    assert out.value == pytest.approx(1.0)
-    assert np.allclose(out.gradient, 0.0)
-    assert out.laplacian == pytest.approx(-2.0 / rho**2)
+    x0 = np.array([0.1, 0.2])
+    bump = T.InteriorBump(x0, rho)
+    assert bump.value(x0) == pytest.approx(1.0)
+    assert np.allclose(bump.gradient(x0), 0.0)
+    assert bump.laplacian(x0) == pytest.approx(-2.0 / rho**2)
 
 
 def test_psi_interior_laplacian_pieces():
     rho = 0.1
-    x0 = np.zeros(2)
+    bump = T.InteriorBump(np.zeros(2), rho)
     x_annulus = np.array([1.2 * rho, 0.0])
-    assert T.psi_interior(x_annulus, x0, rho).laplacian == 0.0
+    assert bump.laplacian(x_annulus) == 0.0
     x_outer = np.array([1.4 * rho, 0.0])
     expect = (2.0 / rho**2) * np.exp(-0.5) * (2.0 - T.PHI_SUPPORT / 1.4)
-    lap = T.psi_interior(x_outer, x0, rho).laplacian
+    lap = bump.laplacian(x_outer)
     assert lap == pytest.approx(expect)
     assert lap > 0.0
 
 
 def test_psi_interior_gradient_fd():
     rho = 0.07
-    x0 = np.array([0.1, -0.05])
+    bump = T.InteriorBump(np.array([0.1, -0.05]), rho)
     h = 1e-7
     for p in (np.array([0.13, -0.02]), np.array([0.1 + 0.09 * rho * 10, 0.0])):
-        out = T.psi_interior(p, x0, rho)
         fd = np.array(
             [
-                (T.psi_interior(p + [h, 0], x0, rho).value - T.psi_interior(p - [h, 0], x0, rho).value) / (2 * h),
-                (T.psi_interior(p + [0, h], x0, rho).value - T.psi_interior(p - [0, h], x0, rho).value) / (2 * h),
+                (bump.value(p + [h, 0]) - bump.value(p - [h, 0])) / (2 * h),
+                (bump.value(p + [0, h]) - bump.value(p - [0, h])) / (2 * h),
             ]
         )
-        assert np.allclose(out.gradient, fd, atol=1e-6)
+        assert np.allclose(bump.gradient(p), fd, atol=1e-6)
 
 
 def test_psi_interior_support_precondition():
     with pytest.raises(GeometryError):
-        T.psi_interior(np.zeros(2), np.array([0.95, 0.0]), 0.1, domain=DISK)
+        T.InteriorBump(np.array([0.95, 0.0]), 0.1, domain=DISK)
 
 
 def test_symmetrized_kernel_bound(rng):
     # |(x-y).(grad psi(x)-grad psi(y))| / |x-y|^2 <= C / rho^2
     rho = 0.08
-    x0 = np.zeros(2)
+    bump = T.InteriorBump(np.zeros(2), rho)
     pts = rng.uniform(-0.4, 0.4, size=(10_000, 2))
     x, y = pts[:5000], pts[5000:]
     sep2 = np.sum((x - y) ** 2, axis=-1)
     ok = sep2 > 1e-12
-    gx = T.psi_interior(x, x0, rho).gradient
-    gy = T.psi_interior(y, x0, rho).gradient
+    gx = bump.gradient(x)
+    gy = bump.gradient(y)
     ratio = np.abs(np.sum((x - y) * (gx - gy), axis=-1))[ok] / sep2[ok]
     C = np.max(ratio) * rho**2
     assert np.isfinite(C)
     assert C < 10.0
+
+
+def _stencil_gaps(bump, x, h_grad, h_lap):
+    """rho |grad - central differences of value| and rho^2 |laplacian -
+    five-point stencil of value|, maxima over the points x."""
+    e = np.eye(2)
+    fd_grad = np.stack(
+        [(bump.value(x + h_grad * e[k]) - bump.value(x - h_grad * e[k])) / (2 * h_grad) for k in range(2)], axis=-1
+    )
+    fd_lap = (sum(bump.value(x + s * h_lap * e[k]) for k in range(2) for s in (1, -1)) - 4 * bump.value(x)) / h_lap**2
+    rho = bump.rho
+    grad_gap = rho * np.max(np.hypot(*(bump.gradient(x) - fd_grad).T))
+    lap_gap = rho**2 * np.max(np.abs(bump.laplacian(x) - fd_lap))
+    return grad_gap, lap_gap
+
+
+def _interface_distance(bump, X):
+    """Distance in X of half-plane points to the nearest region interface:
+    the ball boundaries (which bound the lens), the core and ring edges,
+    and the lens quadrature's near/far switch."""
+    r = np.hypot(X[:, 0], X[:, 1])
+    d = [np.abs(r - bump.lambda0), np.abs(r - bump.lambda0 - 1.0)]
+    d += [np.abs(np.hypot(*(X - c).T) - 1.0) for c in (bump.c1, bump.c2)]
+    if bump.lens is not None:
+        d.append(np.abs(r - T._LensQuadrature.R_NEAR))
+    return np.min(d, axis=0)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 1.0, 2.0])
+def test_boundary_bump_derivatives_match_values(a):
+    # outside the overlap lens: gradient against central differences at
+    # h = 1e-3 rho, Laplacian against the five-point stencil at 0.02 rho
+    rho, th0 = 0.02, 0.7
+    rng = np.random.default_rng(int(100 * a))
+    bump = T.build_boundary_bump(DISK, (1.0 - a * rho) * np.array([np.cos(th0), np.sin(th0)]), rho)
+    # half-plane points over the support, mapped back to the disk
+    X = np.stack([rng.uniform(-9.5, 9.5, 6000), rng.uniform(0.0, 9.5, 6000)], axis=-1)
+    in_lens = bump._in_lens(X) if bump.lens is not None else np.zeros(len(X), dtype=bool)
+
+    def disk_points(X):
+        ang = th0 + rho * X[:, 0]
+        return (1.0 - rho * X[:, 1])[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+
+    away = _interface_distance(bump, X) > 0.05
+    x = disk_points(X[away & ~in_lens][:400])
+    assert np.allclose(bump.x_coords(x), X[away & ~in_lens][:400])
+    grad_gap, lap_gap = _stencil_gaps(bump, x, 1e-3 * rho, 0.02 * rho)
+    assert grad_gap <= 2e-3
+    assert lap_gap <= 3e-3
+    if 0.0 < a < 1.0:
+        # inside the lens the value is a point-mass quadrature: the
+        # stencil must span several node spacings (the gap there reaches
+        # about 0.05 at 0.1 rho and 0.5 at 0.02 rho)
+        Xl = np.stack([rng.uniform(-1.0, 1.0, 3000), rng.uniform(0.0, 1.0, 3000)], axis=-1)
+        Xl = Xl[bump._in_lens(Xl) & (_interface_distance(bump, Xl) > 0.15)][:60]
+        assert len(Xl) >= 20
+        grad_gap, lap_gap = _stencil_gaps(bump, disk_points(Xl), 0.1 * rho, 0.1 * rho)
+        assert grad_gap <= 2e-3
+        assert lap_gap <= 0.1
+
+
+def test_interior_bump_derivatives_match_values(rng):
+    rho = 0.07
+    bump = T.InteriorBump(np.array([0.1, -0.05]), rho)
+    x = bump.x0 + rng.uniform(-1.7 * rho, 1.7 * rho, size=(600, 2))
+    r = np.hypot(*(x - bump.x0).T) / rho
+    knees = np.min([np.abs(r - b) for b in (1.0, T.PHI_LOG_KNEE, T.PHI_SUPPORT)], axis=0)
+    grad_gap, lap_gap = _stencil_gaps(bump, x[knees > 0.05], 1e-3 * rho, 0.02 * rho)
+    assert grad_gap <= 2e-3
+    assert lap_gap <= 3e-3
 
 
 def test_lens_area_limits():
