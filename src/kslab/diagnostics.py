@@ -60,6 +60,16 @@ DEFAULT_SOBOLEV_C = 5e-7
 _ULOG_FLOOR = 1e-280
 
 
+class _EntropyPair(tuple):
+    """The (E, D) pair that ``entropy`` returns, carrying ``int_u76``: the
+    integral of u^{7/6} of the same state(s), from the same u^{1/6}."""
+
+    def __new__(cls, E, D, int_u76):
+        pair = super().__new__(cls, (E, D))
+        pair.int_u76 = int_u76
+        return pair
+
+
 def entropy(u: Field | RadialField, v, epsilon: float, w=None):
     """Free energy E and its dissipation D for the current (u, v) pair.
 
@@ -71,80 +81,122 @@ def entropy(u: Field | RadialField, v, epsilon: float, w=None):
     heat flow.  ``v`` may be None (treated as zero potential).  ``w``, if
     given, is the face gradient of v per axis (rectangle: x then y faces;
     disk: the interior faces) and is used instead of differentiating v.
+    The returned pair also carries ``int_u76``, int u^{7/6}, which the
+    per-step diagnostics rows take from it.
 
     ``u`` may also hold a stack of states on one grid: ``u.values``, and
-    ``v.values`` or each ``w``, then carry a leading row axis, and E and D
-    come back as arrays with one entry per row.  One state is the one-row
-    case of the same code; each row is reduced over its flattened cells, so
-    a row of a stack gives the bits of the one-state call.
-
-    One pass: log u and u^{1/6} are taken once per cell and each face
-    combines the values of its two cells (sqrt u only on vacuum faces).
+    ``v.values`` or each ``w``, then carry a leading row axis, and E, D
+    and int_u76 come back as arrays with one entry per row.  One state is
+    the one-row case of the same kernel (``_entropy_rows``); each row is
+    reduced over its flattened cells, so a row of a stack gives the bits
+    of the one-state call.
     """
-    cell_meas, axes, cell_ndim = _entropy_axes(u)
-    vals = u.values
-    stacked = vals.ndim > cell_ndim
+    _, axes, cell_ndim = _entropy_axes(u)
+    stacked = u.values.ndim > cell_ndim
     if not stacked:
-        vals = vals[None]
+        u = u.like(u.values[None])
         if w is not None:
             w = tuple(wa[None] for wa in w)
     if w is None:
         vv = None if v is None else v.values if stacked else v.values[None]
         w = tuple(
-            np.zeros(vals[lo].shape) if vv is None else (vv[hi] - vv[lo]) / spacing
+            np.zeros(u.values[lo].shape) if vv is None else (vv[hi] - vv[lo]) / spacing
             for lo, hi, spacing, _ in axes
         )
+    rows = _entropy_rows(u, epsilon, w)
+    return _EntropyPair(*rows) if stacked else _EntropyPair(*(float(a[0]) for a in rows))
+
+
+def _entropy_rows(u: Field | RadialField, epsilon: float, w: tuple):
+    """E, D (see ``entropy``) and int u^{7/6} of each row of a stack of
+    states: ``u.values`` and each face gradient in ``w`` carry a leading
+    row axis.
+
+    One pass: log u is taken once per cell, u^{1/6} as exp(log u / 6) and
+    u^{7/6} as u u^{1/6}; each face combines the values of its two cells.
+    The logarithmic mean (b - a) / log(b / a) is the quotient of the two
+    differences, except on the faces where |log b - log a| <= 1e-6: there
+    log(b / a) is log1p((b - a) / a), which the difference of two logs
+    carries only to about 1e-16 |log a|, and faces with
+    |b - a| <= 1e-12 (a + b) take (a + b) / 2 instead of the quotient.
+    Cells at or below ``_ULOG_FLOOR`` count as vacuum: u log u, u^{1/6}
+    and u^{7/6} are 0 there and a face touching one takes the weight
+    4 (sqrt b - sqrt a)^2 / h^2 of its D term.  The masks this needs are
+    built only when the stack holds such a cell, and the positive cells
+    go through the same arithmetic either way.
+    """
+    cell_meas, axes, _ = _entropy_axes(u)
+    vals = u.values
     n_rows = len(vals)
 
     def row_sums(a):
         return a.reshape(n_rows, -1).sum(axis=1)
 
-    # per cell, once: log u (0 at vacuum) and u^{1/6}.  Everything after
-    # works in place in ``work``, whose rows every axis reuses: fresh
-    # full-grid temporaries cost more in page faults than in arithmetic.
-    pos = vals > _ULOG_FLOOR
-    logu = np.log(vals, out=np.zeros_like(vals), where=pos)
-    root6 = vals ** (1.0 / 6.0)
+    vacuum = not vals.min() > _ULOG_FLOOR
+    if vacuum:
+        pos = vals > _ULOG_FLOOR
+        logu = np.log(np.where(pos, vals, 1.0))  # 0 at vacuum
+    else:
+        logu = np.log(vals)
+    root6 = np.divide(logu, 6.0)
+    np.exp(root6, out=root6)
+    if vacuum:
+        np.copyto(root6, 0.0, where=~pos)
+    # everything after works in place in ``work``, whose rows every axis
+    # reuses: fresh full-grid temporaries cost more in page faults than
+    # in arithmetic
     work = np.empty((4, vals.size))
     # u (log u - 1 + 6 eps u^{1/6}), 0 at vacuum
     bulk = np.multiply(root6, 6.0 * epsilon, out=work[0].reshape(vals.shape))
     bulk += logu
     bulk -= 1.0
     bulk *= vals
-    np.copyto(bulk, 0.0, where=~pos)
+    if vacuum:
+        np.copyto(bulk, 0.0, where=~pos)
     bulk *= cell_meas
     E = row_sums(bulk)
+    u76 = np.multiply(vals, root6, out=work[1].reshape(vals.shape))
+    u76 *= cell_meas
+    int_u76 = row_sums(u76)
     D = np.zeros(n_rows)
     for (lo, hi, spacing, face_meas), wa in zip(axes, w):
         g, du, lm, dlog = (row[: wa.size].reshape(wa.shape) for row in work)
         np.square(wa, out=g)
         g *= face_meas
         E -= 0.5 * row_sums(g)
-        both = pos[lo] & pos[hi]
         np.subtract(vals[hi], vals[lo], out=du)
-        # logarithmic mean (b - a) / dlog, or (a + b) / 2 where the two
-        # sides are too close for the quotient
-        np.add(vals[hi], vals[lo], out=lm)
-        np.multiply(lm, 1e-12, out=g)
-        close = np.abs(du, out=dlog) <= g
         np.subtract(logu[hi], logu[lo], out=dlog)
-        lm *= 0.5
-        np.divide(du, dlog, out=lm, where=both & ~close)
+        if vacuum:
+            both = pos[lo] & pos[hi]
+            np.copyto(dlog, 1.0, where=~both)  # keeps vacuum faces out of the index path below
+        # faces whose two cells are within a factor e^{1e-6}: a superset of
+        # the close faces, since the log difference errs by <= 2e-13
+        near = close = np.flatnonzero(np.abs(dlog, out=lm) <= 1e-6)
+        if near.size:
+            cells = np.unravel_index(near, du.shape)
+            a, b, gap = vals[lo][cells], vals[hi][cells], du.reshape(-1)[near]
+            dlog.reshape(-1)[near] = np.log1p(gap / a)
+            half = b + a
+            keep = np.abs(gap) <= half * 1e-12
+            close, half = near[keep], 0.5 * half[keep]
         np.subtract(root6[hi], root6[lo], out=g)
         g *= 7.0 * epsilon
         g += dlog
         g /= spacing
         g -= wa
         g *= g
+        if close.size:
+            dlog.reshape(-1)[close] = 1.0  # keeps the close faces out of the divide
+        np.divide(du, dlog, out=lm)
+        if close.size:
+            lm.reshape(-1)[close] = half
         lm *= g
-        if not both.all():
+        if vacuum:
             vac = (np.sqrt(vals[hi]) - np.sqrt(vals[lo])) / spacing
             lm = np.where(both, lm, 4.0 * vac**2)
         lm *= face_meas
         D += row_sums(lm)
-    if stacked:
-        return E, D
-    return float(E[0]), float(D[0])
+    return E, D, int_u76
 
 
 def _entropy_axes(u: Field | RadialField):

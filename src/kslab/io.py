@@ -81,22 +81,26 @@ def read_snapshot(path) -> dict:
     }
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        # float() first: the repr of a numpy float is "np.float64(...)"
-        return repr(float(x))
-    return str(x)
+def _column(values):
+    """The text of one column, cell by cell: a float as its repr (a numpy
+    float as the Python float it holds: its own repr is "np.float64(...)"),
+    anything else as its str."""
+    if set(map(type, values)) <= {float}:
+        return map(repr, values)
+    return (repr(float(x)) if isinstance(x, float) else str(x) for x in values)
 
 
 def write_csv(path, columns, rows, descriptions: dict | None = None) -> None:
+    """Rows are dicts keyed by column name, or sequences in column order;
+    each column's values are formatted by one map, a line at a time."""
     path = Path(path)
-    lines = [",".join(columns)]
-    for row in rows:
-        if isinstance(row, dict):
-            lines.append(",".join(_fmt(row[c]) for c in columns))
-        else:
-            lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    rows = list(rows)
+    if rows and isinstance(rows[0], dict):
+        cells = [[row[c] for row in rows] for c in columns]
+    else:
+        cells = list(zip(*rows))
+    lines = map(",".join, zip(*map(_column, cells)))
+    path.write_text("\n".join([",".join(columns), *lines]) + "\n")
     desc = descriptions or {}
     schema = [f"{c}: {desc.get(c, '')}".rstrip() for c in columns]
     Path(str(path) + ".schema.txt").write_text("\n".join(schema) + "\n")

@@ -175,6 +175,12 @@ class RadialGrid:
         return _read_only(1.0 / self.dcen)
 
     @cached_property
+    def neg_faces(self) -> np.ndarray:
+        """-faces[1:]: the cumulative quadrature divides by it, as a / (-r)
+        has the bits of -(a / r) (read-only)."""
+        return _read_only(-self.faces[1:])
+
+    @cached_property
     def cell_areas(self) -> np.ndarray:
         """Disk area of each cell, 2 pi vol (read-only)."""
         return _read_only(2.0 * np.pi * self.vol)
@@ -262,13 +268,18 @@ class RegKind:
 def f_eps(u, epsilon: float):
     """Saturating flux density: u below 1/eps - 1, then a parabolic bridge
     to the cap 1/eps - 1/2.  Monotone, f_eps(u) <= min(u, 1/eps)."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
+    out = np.array(u, dtype=float, order="C")  # flat below is a view
+    flat = out.reshape(-1)
+    # a minimum >= 0 rules out negative cells and NaN in one pass
+    if flat.size and not flat.min() >= 0.0 and np.any(flat < 0.0):
         raise ValueError("f_eps needs nonnegative input")
-    a = 1.0 / epsilon - 1.0
-    cap = 1.0 / epsilon - 0.5
-    bridge = cap - 0.5 * (1.0 / epsilon - u) ** 2
-    out = np.where(u <= a, u, np.where(u >= 1.0 / epsilon, cap, bridge))
+    # the bridge only past the knee 1/eps - 1 (NaN included), where a
+    # collapsing run holds a few cells; elsewhere f_eps(u) = u.  The bridge
+    # at min(u, 1/eps) is exactly the cap for u >= 1/eps.
+    knee = (~(flat <= 1.0 / epsilon - 1.0)).nonzero()[0]
+    if knee.size:
+        top = np.minimum(flat[knee], 1.0 / epsilon)
+        flat[knee] = (1.0 / epsilon - 0.5) - 0.5 * (1.0 / epsilon - top) ** 2
     return float(out) if out.ndim == 0 else out
 
 
@@ -341,9 +352,9 @@ def radial_poisson_face_gradient(grid: RadialGrid, rhs: np.ndarray) -> np.ndarra
     vr = np.empty(grid.faces.size)
     vr[0] = 0.0
     inner = vr[1:]  # faces[0] = 0 is the only face at the center
-    np.cumsum(rhs * grid.vol, out=inner)
-    np.divide(inner, grid.faces[1:], out=inner)
-    np.negative(inner, out=inner)
+    np.multiply(rhs, grid.vol, out=inner)
+    np.cumsum(inner, out=inner)
+    np.divide(inner, grid.neg_faces, out=inner)
     return vr
 
 
@@ -443,12 +454,14 @@ class Trajectory:
 
 @dataclass
 class _Faces:
-    """Face data of one step, taken from the state before the update."""
+    """Face data of one step, taken from the state before the update.  A
+    stencil fills its one instance anew on every step, and the arrays it
+    holds are the stencil's own: they are valid until its next step."""
 
     h_t: float  # mean of the chemoattractant source
     m: np.ndarray  # per-cell mobility; the values themselves wherever it equals them
     dc: tuple  # per axis: diffusion coefficient at the faces (the scalar 1.0 for cutoff flux)
-    w: tuple  # per axis: face velocity grad v (zero without advection); valid until the stencil's next step
+    w: tuple  # per axis: face velocity grad v (zero without advection)
     v: object  # what the potential is built from (rect: v; radial: v' at all faces)
 
 
@@ -465,14 +478,6 @@ def _mobility(vals: np.ndarray, reg: RegKind, bounds: tuple | None = None) -> np
     return f_eps(vals, reg.epsilon)
 
 
-def _face_diffusion(lo: np.ndarray, hi: np.ndarray, reg: RegKind) -> np.ndarray | float:
-    """1.0 for cutoff flux; 1 + eps (7/6) u^{1/6} at the face-mean u otherwise."""
-    if reg.is_cutoff:
-        return 1.0
-    uf = 0.5 * (hi + lo)
-    return 1.0 + reg.epsilon * (7.0 / 6.0) * uf ** (1.0 / 6.0)
-
-
 def _sides(axis: int, ndim: int) -> tuple:
     lo, hi = [slice(None)] * ndim, [slice(None)] * ndim
     lo[axis], hi[axis] = slice(None, -1), slice(1, None)
@@ -487,8 +492,9 @@ class _Stencil:
     measures of the lower and upper cells; on the rectangle the face
     measure is the scalar 1.0 and both cells measure the one float h.  A
     subclass supplies the potential solve (``_solve``), the CFL rate and
-    the potential field.  ``apply``, and the rectangle's ``_solve`` for the
-    face gradient, work in arrays that the stencil keeps from step to step.
+    the potential field.  ``apply``, the nonlinear face diffusion, the
+    rectangle's face gradient and the disk's CFL rate and source work in
+    arrays that the stencil keeps from step to step.
     """
 
     backend: str
@@ -498,21 +504,45 @@ class _Stencil:
     def _workspace(self, shape: tuple) -> None:
         """The arrays ``apply`` reuses: per axis the flux, the upwinded
         mobility and its mask (views of three cell-sized buffers), and the
-        lower and upper sides of the divergence."""
+        lower and upper sides of the divergence; and the one ``_Faces``."""
         div = self._div = np.empty(shape)
         buffers = (np.empty(div.size), np.empty(div.size), np.empty(div.size, dtype=bool))
         self._work = [
             (*(b[: div[lo].size].reshape(div[lo].shape) for b in buffers), div[lo], div[hi])
             for lo, hi, *_ in self.axes
         ]
+        self._unit_dc = (1.0,) * len(self.axes)
+        self._faces = _Faces(0.0, None, self._unit_dc, (), None)
+
+    @cached_property
+    def _dc(self) -> tuple:
+        """Per axis, the face diffusion coefficient of nonlinear diffusion
+        (made at its first step)."""
+        return tuple(np.empty(self._div[lo].shape) for lo, *_ in self.axes)
+
+    @cached_property
+    def _still(self) -> tuple:
+        """Per axis, the zero face gradient of a step without advection
+        (made at its first step)."""
+        return tuple(np.zeros(self._div[lo].shape) for lo, *_ in self.axes)
 
     def faces(self, vals: np.ndarray, reg: RegKind, advection: bool, bounds: tuple | None = None) -> _Faces:
-        m = _mobility(vals, reg, bounds)
-        h_t, v, w = self._solve(m)
-        if not advection:
-            w = tuple(np.zeros_like(wa) for wa in w)
-        dc = tuple(_face_diffusion(vals[lo], vals[hi], reg) for lo, hi, *_ in self.axes)
-        return _Faces(h_t, m, dc, w, v)
+        f = self._faces
+        f.m = _mobility(vals, reg, bounds)
+        f.h_t, f.v, w = self._solve(f.m)
+        f.w = w if advection else self._still
+        f.dc = self._unit_dc if reg.is_cutoff else self._face_diffusion(vals, reg.epsilon)
+        return f
+
+    def _face_diffusion(self, vals: np.ndarray, epsilon: float) -> tuple:
+        """Per axis, 1 + eps (7/6) u^{1/6} at the face-mean u."""
+        for (lo, hi, *_), dc in zip(self.axes, self._dc):
+            np.add(vals[hi], vals[lo], out=dc)
+            dc *= 0.5
+            dc **= 1.0 / 6.0
+            dc *= epsilon * (7.0 / 6.0)
+            dc += 1.0
+        return self._dc
 
     def apply(self, vals: np.ndarray, f: _Faces, dt: float) -> None:
         """Conservative update: central diffusion, first-order upwind advection.
@@ -520,10 +550,12 @@ class _Stencil:
         The face flux is face * (m_up w - dc (u_hi - u_lo) / dist), with the
         mobility upwinded by the sign of w; negation and the order of the two
         terms are exact, so it has the bits of -dc (u_hi - u_lo) / dist + m_up w.
+        The first axis writes the divergence and the others add to it; as
+        0 + x and 0 - x are exact, that has the bits of adding onto zeros.
         """
-        self._div.fill(0.0)
-        for (lo, hi, dist, face, cell_lo, cell_hi), (q, m_up, up, div_lo, div_hi), dc, w in zip(
-            self.axes, self._work, f.dc, f.w
+        div = self._div
+        for k, ((lo, hi, dist, face, cell_lo, cell_hi), (q, m_up, up, div_lo, div_hi), dc, w) in enumerate(
+            zip(self.axes, self._work, f.dc, f.w)
         ):
             np.subtract(vals[hi], vals[lo], out=q)
             if not isinstance(dc, float):  # cutoff flux: the scalar 1.0
@@ -536,11 +568,18 @@ class _Stencil:
             np.subtract(m_up, q, out=q)
             if not isinstance(face, float):  # rectangle: the scalar 1.0
                 q *= face
-            div_lo += np.divide(q, cell_lo, out=m_up)
+            d = np.divide(q, cell_lo, out=m_up)
             # rectangle: both cells are the one h, so the quotient serves both sides
-            div_hi -= m_up if cell_hi is cell_lo else np.divide(q, cell_hi, out=m_up)
-        self._div *= dt
-        vals -= self._div
+            e = d if cell_hi is cell_lo else np.divide(q, cell_hi, out=q)
+            if k == 0:
+                div[0] = d[0]
+                np.subtract(d[1:], e[:-1], out=div[1:-1])
+                div[-1] = -e[-1]
+            else:
+                div_lo += d
+                div_hi -= e
+        div *= dt
+        vals -= div
 
 
 class _RectStencil(_Stencil):
@@ -582,22 +621,31 @@ class _RadialStencil(_Stencil):
         self.rf = grid.faces[1:-1]  # interior faces; the wall faces carry no flux
         self.axes = ((*_sides(0, 1), grid.dcen, self.rf, grid.vol[:-1], grid.vol[1:]),)
         self._workspace(u.values.shape)
+        # the source of the Poisson solve, and the CFL rate per face and cell
+        self._src = np.empty(grid.n)
+        self._face_rate = np.empty(grid.n - 1)
+        self._cell_rate = np.empty(grid.n)
 
     def _solve(self, m):
-        h_t = float(2.0 * (m * self.grid.vol).sum())  # disk mean (|disk| = pi)
-        vr = radial_poisson_face_gradient(self.grid, m - h_t)
+        src = self._src
+        np.multiply(m, self.grid.vol, out=src)
+        h_t = float(2.0 * src.sum())  # disk mean (|disk| = pi)
+        vr = radial_poisson_face_gradient(self.grid, np.subtract(m, h_t, out=src))
         return h_t, vr, (vr[1:-1],)
 
     def rate(self, f: _Faces) -> float:
-        grid = self.grid
+        grid, fr, cell = self.grid, self._face_rate, self._cell_rate
         dc = f.dc[0]
-        # cutoff flux: dc is the scalar 1.0, and 1.0 / dcen is cached
-        diffusive = grid.inv_dcen if isinstance(dc, float) else dc / grid.dcen
-        face_rate = self.rf * (diffusive + np.abs(f.w[0]))
-        cell_rate = np.zeros(grid.n)
-        cell_rate[:-1] += face_rate
-        cell_rate[1:] += face_rate
-        return float((cell_rate / grid.vol).max())
+        np.abs(f.w[0], out=fr)
+        # cutoff flux: dc is the scalar 1.0, and 1.0 / dcen is cached;
+        # dc / dcen goes through the cell array, which is free until below
+        fr += grid.inv_dcen if isinstance(dc, float) else np.divide(dc, grid.dcen, out=cell[:-1])
+        fr *= self.rf
+        # a wall cell has one face, an interior cell two
+        cell[0], cell[-1] = fr[0], fr[-1]
+        np.add(fr[1:], fr[:-1], out=cell[1:-1])
+        cell /= grid.vol
+        return float(cell.max())
 
     def potential(self, f: _Faces) -> RadialField:
         return RadialField(self.grid, radial_potential(self.grid, f.v))
@@ -671,8 +719,7 @@ def diffusive_dt_limit(domain: str, config: SolverConfig) -> float:
     else:
         u = Field(config.lx / config.nx, config.ly / config.ny, np.zeros((config.nx, config.ny)))
     stencil = _stencil(u)
-    axes = stencil.axes
-    f = _Faces(0.0, u.values, (1.0,) * len(axes), tuple(np.zeros(u.values[lo].shape) for lo, *_ in axes), None)
+    f = _Faces(0.0, u.values, stencil._unit_dc, stencil._still, None)
     return _dt_limit(1.0, stencil.rate(f))
 
 
@@ -723,9 +770,10 @@ class _DiagRows:
     def _compute(self, rows: np.ndarray, w: tuple) -> None:
         # the step's face gradient, zero with advection disabled: then the
         # free energy of the dynamics carries no potential term
-        E, D = self.diagnostics.entropy(self.u.like(rows), None, self.epsilon, w=w)
+        pair = self.diagnostics.entropy(self.u.like(rows), None, self.epsilon, w=w)
+        E, D = pair
+        int_u76 = pair.int_u76
         mass = self.u.row_integrals(rows)
-        int_u76 = self.u.row_integrals(rows ** (7.0 / 6.0))
         for (t, umin, umax, h_t), e, d, m, i76 in zip(
             self.pending, E.tolist(), D.tolist(), mass.tolist(), int_u76.tolist()
         ):

@@ -184,7 +184,7 @@ class _LensQuadrature:
 
     R_NEAR = 3.0
     N_NODES = 192  # Gauss-Legendre nodes in each direction
-    BLOCK = 1024  # near-field points summed at a time
+    BLOCK = 32  # near-field points summed at a time: each (points x nodes) temporary stays under 10 MB
 
     def __init__(self, a: float):
         n = self.N_NODES
@@ -308,9 +308,11 @@ class BoundaryBump:
         self.c1 = np.array([0.0, self.a])
         self.c2 = np.array([0.0, -self.a])
         # Coincident source and mirror balls (center on the wall) make a
-        # single ball; apart, they overlap in a lens while a < 1.
+        # single ball; apart, they overlap in a lens while a < 1.  At depth
+        # rho, rounding in the boundary distance leaves a within 1e-12 of 1
+        # on either side; that lens has mass ~1e-21 and is left out.
         self._centers = (self.c1,) if self.a < 1e-9 else (self.c1, self.c2)
-        self.lens = _LensQuadrature(self.a) if len(self._centers) == 2 and self.a < 1.0 else None
+        self.lens = _LensQuadrature(self.a) if len(self._centers) == 2 and 1.0 - self.a > 1e-12 else None
         self._phi_coef = self.m / (4.0 * np.pi * self.lambda0)
         self._build_ring()
 

@@ -51,13 +51,21 @@ def test_entropy_heat_flow_dissipation_identity_disk():
 _ULOG_FLOOR = 1e-280
 
 
+def _log_ratio(a, b):
+    """log(b / a) for positive a, b; through log1p where it is at most 1e-6,
+    since the difference of the two logs carries about 1e-16 |log a|."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = np.log(b) - np.log(a)
+        return np.where(np.abs(diff) <= 1e-6, np.log1p((b - a) / a), diff)
+
+
 def _log_mean(a, b):
     out = np.zeros(np.broadcast(a, b).shape)
     pos = (a > 0) & (b > 0)
     close = pos & (np.abs(a - b) <= 1e-12 * (a + b))
     out[close] = 0.5 * (a + b)[close] if np.ndim(a + b) else 0.5 * (a + b)
     gen = pos & ~close
-    out[gen] = (a - b)[gen] / (np.log(a[gen]) - np.log(b[gen]))
+    out[gen] = (b - a)[gen] / _log_ratio(a[gen], b[gen])
     return out
 
 
@@ -71,7 +79,7 @@ def _dissipation_1d(vals, spacing, w, face_meas, epsilon, axis=None):
     lm = _log_mean(a, b)
     pos = (a > _ULOG_FLOOR) & (b > _ULOG_FLOOR)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dlog = np.where(pos, np.log(np.maximum(b, _ULOG_FLOOR)) - np.log(np.maximum(a, _ULOG_FLOOR)), 0.0)
+        dlog = np.where(pos, _log_ratio(np.maximum(a, _ULOG_FLOOR), np.maximum(b, _ULOG_FLOOR)), 0.0)
         d16 = b ** (1.0 / 6.0) - a ** (1.0 / 6.0)
     g = (dlog + 7.0 * epsilon * d16) / spacing - w
     term = np.where(pos, lm * g**2, 4.0 * ((np.sqrt(b) - np.sqrt(a)) / spacing) ** 2)
@@ -586,16 +594,18 @@ def entropy_stacks(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = n_rows * field.values.size
     # exact zeros, values under the log floor, and equal and nearly equal
-    # neighbours (in memory order) among log-normal values
-    vals = np.where(
-        rng.random(size) < draw(st.floats(0.0, 1.0)),
-        rng.choice(_SPECIAL_VALUES, size),
-        rng.lognormal(0.0, 3.0, size),
-    )
+    # neighbours (in memory order) among log-normal values; or positive
+    # values only, with at most one vacuum cell: then one row takes the
+    # kernel's vacuum branch alone
+    vacuum = draw(st.sampled_from(["mixed", "one_row", "none"]))
+    special = draw(st.floats(0.0, 1.0)) if vacuum == "mixed" else 0.0
+    vals = np.where(rng.random(size) < special, rng.choice(_SPECIAL_VALUES, size), rng.lognormal(0.0, 3.0, size))
     same = rng.random(size - 1) < 0.2
     vals[1:][same] = vals[:-1][same]
     near = rng.random(size - 1) < 0.1
     vals[1:][near] = vals[:-1][near] * (1.0 + 1e-13)
+    if vacuum == "one_row":
+        vals[rng.integers(size)] = rng.choice([0.0, 1e-300])
     rows = vals.reshape(n_rows, *field.values.shape)
     w = None
     if draw(st.booleans()):
@@ -613,15 +623,44 @@ def _bits(values) -> bytes:
 def test_stacked_rows_match_one_state_calls(case):
     field, rows, w, epsilon = case
     with np.errstate(over="raise", invalid="raise"):
-        E, Dv = D.entropy(field.like(rows), None, epsilon, w=w)
+        pair = D.entropy(field.like(rows), None, epsilon, w=w)
         mass = field.row_integrals(rows)
-        int_u76 = field.row_integrals(rows ** (7.0 / 6.0))
         one = [
             D.entropy(field.like(row), None, epsilon, w=None if w is None else tuple(wa[k] for wa in w))
             for k, row in enumerate(rows)
         ]
-    assert E.shape == Dv.shape == mass.shape == int_u76.shape == (len(rows),)
+    E, Dv = pair
+    assert E.shape == Dv.shape == mass.shape == pair.int_u76.shape == (len(rows),)
     assert _bits(E) == _bits([e for e, _ in one])
     assert _bits(Dv) == _bits([d for _, d in one])
     assert _bits(mass) == _bits([field.like(row).mass() for row in rows])
-    assert _bits(int_u76) == _bits([field.integral(row ** (7.0 / 6.0)) for row in rows])
+    assert _bits(pair.int_u76) == _bits([p.int_u76 for p in one])
+    # u^{7/6} is taken as u exp(log u / 6)
+    np.testing.assert_allclose(pair.int_u76, field.row_integrals(rows ** (7.0 / 6.0)), rtol=1e-13, atol=0.0)
+
+
+# two cells a and b = a (1 + gap): the one face's D term is the log mean
+# (b - a) / log(b / a) times ((log(b / a) + 7 eps (b^{1/6} - a^{1/6})) / h - w)^2
+# times the face measure; with eps = 0 and w = -1 it is a pure function of
+# log(b / a), whose difference of two logs would carry an error of about
+# 1e-16 |log a| (7e-5 relative at a = 3, gap = 2e-12)
+@pytest.mark.parametrize("a", [1e-3, 3.0, 250.0])
+@pytest.mark.parametrize("layout", ["disk", "rect_x", "rect_y"])
+def test_log_mean_is_accurate_for_nearly_equal_cells(a, layout):
+    for gap in np.geomspace(1e-13, 1e-7, 25):
+        b = a * (1.0 + gap)
+        if layout == "disk":
+            grid = S.make_radial_grid(2, 1.0)
+            u, w = S.RadialField(grid, np.array([a, b])), (np.array([-1.0]),)
+            h, meas = grid.dcen[0], grid.dual_areas[0]
+        elif layout == "rect_x":
+            u, w = S.Field(0.3, 0.7, np.array([[a], [b]])), (np.full((1, 1), -1.0), np.zeros((2, 0)))
+            h, meas = 0.3, 0.3 * 0.7
+        else:
+            u, w = S.Field(0.3, 0.7, np.array([[a, b]])), (np.zeros((0, 2)), np.full((1, 1), -1.0))
+            h, meas = 0.7, 0.3 * 0.7
+        dlog = np.log1p((b - a) / a)
+        want = (b - a) / dlog * (dlog / h + 1.0) ** 2 * meas
+        with np.errstate(over="raise", invalid="raise"):
+            _, got = D.entropy(u, None, 0.0, w=w)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0), gap

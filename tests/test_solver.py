@@ -41,6 +41,41 @@ def test_f_eps_bounds(u, eps):
     assert S.f_eps(u + 1.0, eps) >= v - 1e-12  # monotone
 
 
+def _f_eps_three_branch(u, eps):
+    """f_eps as one formula over every cell: u below the knee, the cap from
+    1/eps on, the parabolic bridge between (and at NaN)."""
+    u = np.asarray(u, dtype=float)
+    cap = 1.0 / eps - 0.5
+    bridge = cap - 0.5 * (1.0 / eps - u) ** 2
+    return np.where(u <= 1.0 / eps - 1.0, u, np.where(u >= 1.0 / eps, cap, bridge))
+
+
+@st.composite
+def f_eps_inputs(draw):
+    eps = draw(st.sampled_from([1e-4, 3e-3, 1e-2, 0.1, 0.3, 0.5, 1.0]))
+    knee, top = 1.0 / eps - 1.0, 1.0 / eps
+    marks = [0.0, knee, top, 1.0 / eps - 0.5, np.nan, np.inf]
+    marks += [np.nextafter(x, d) for x in (knee, top) for d in (0.0, np.inf)]
+    cell = st.one_of(st.sampled_from(marks), st.floats(0.0, 3.0 / eps), st.floats(0.0, 2.0 * knee + 1.0))
+    shape = draw(st.sampled_from([(), (1,), (17,), (5, 7), (3, 0)]))
+    u = np.array(draw(st.lists(cell, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))), dtype=float)
+    u = u.reshape(shape)
+    if u.ndim == 2 and draw(st.booleans()):
+        u = u.T  # not C-contiguous
+    return u, eps
+
+
+@given(f_eps_inputs())
+@settings(max_examples=300, deadline=None)
+def test_f_eps_past_the_knee_only_matches_three_branch_formula(case):
+    u, eps = case
+    got = S.f_eps(u, eps)
+    want = _f_eps_three_branch(u, eps)
+    assert np.asarray(got).shape == want.shape
+    assert np.asarray(got, dtype=float).tobytes() == want.tobytes()
+    assert type(got) is (float if u.ndim == 0 else np.ndarray)
+
+
 def test_big_F_eps_values_and_oracle():
     assert S.big_F_eps(3.0, 0.1) == pytest.approx(4.5)  # u^2/2 below the knee
     assert S.big_F_eps(9.0, 0.1) == pytest.approx(40.5)
@@ -439,7 +474,8 @@ def _reference_rows(u0, reg, cfg):
         except S.SolverError:
             return rows, True
         vals = state.u.values
-        E, Dv = D.entropy(state.u, None, reg.epsilon, w=(w,))
+        pair = D.entropy(state.u, None, reg.epsilon, w=(w,))
+        E, Dv = pair
         rows.append(
             {
                 "t": state.t,
@@ -449,7 +485,7 @@ def _reference_rows(u0, reg, cfg):
                 "entropy": E,
                 "dissipation": Dv,
                 "h_t": h_t,
-                "int_u76": state.u.integral(vals ** (7.0 / 6.0)),
+                "int_u76": pair.int_u76,
             }
         )
     return rows, False

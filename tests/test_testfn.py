@@ -231,3 +231,59 @@ def test_bump_mass_scale_m():
 def test_max_admissible_rho_reports():
     rho = T.max_admissible_rho(DISK, 0.0, 1.0, start=0.04)
     assert rho > 0.0
+
+
+def _lens_points(n, seed):
+    """n points inside the lens quadrature's near field."""
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n)], axis=-1)
+
+
+def test_lens_quadrature_values_do_not_depend_on_the_block_size():
+    # each point's node sum is reduced on its own, so the block size only
+    # bounds the memory of a call; 100 points make one block at 1024
+    X = _lens_points(100, 0)
+    got = {}
+    for block in (1024, T._LensQuadrature.BLOCK, 7):
+        lens = T._LensQuadrature(0.5)
+        lens.BLOCK = block
+        got[block] = (lens.potential(X).tobytes(), lens.potential_grad(X).tobytes())
+    assert len(set(got.values())) == 1
+
+
+def test_lens_quadrature_memory_is_bounded_by_the_block():
+    import tracemalloc
+
+    # one block of 1024 points held several 300 MB temporaries
+    lens = T._LensQuadrature(0.5)
+    X = _lens_points(1024, 1)
+    for evaluate in (lens.potential, lens.potential_grad):
+        tracemalloc.start()
+        try:
+            evaluate(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
+
+def test_bump_at_depth_rho_off_the_axis_has_no_lens():
+    # rounding in the boundary distance puts a within 1e-12 of 1 (below 1
+    # at angle 0.7, above it on the x-axis): both bumps are the one union
+    # of two tangent balls, rotated
+    rho, th0 = 0.02, 0.7
+    rot = T.build_boundary_bump(DISK, (1.0 - rho) * np.array([np.cos(th0), np.sin(th0)]), rho)
+    axis = T.build_boundary_bump(DISK, np.array([1.0 - rho, 0.0]), rho)
+    assert rot.a < 1.0 < axis.a
+    assert rot.lens is None and axis.lens is None
+    rng = np.random.default_rng(3)
+    X = np.stack([rng.uniform(-9.5, 9.5, 2000), rng.uniform(0.0, 9.5, 2000)], axis=-1)
+    ang = rho * X[:, 0]
+    x = (1.0 - rho * X[:, 1])[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    R = np.array([[np.cos(th0), -np.sin(th0)], [np.sin(th0), np.cos(th0)]])
+    # each quantity against its scale: 1, 1/rho, 1/rho^2; the Laplacian's
+    # blend-ring tables are second differences, which carry the 5e-15 gap
+    # between the two a's up to about 3e-12
+    assert np.max(np.abs(rot.value(x @ R.T) - axis.value(x))) <= 1e-12
+    assert rho * np.max(np.abs(rot.gradient(x @ R.T) - axis.gradient(x) @ R.T)) <= 1e-12
+    assert rho**2 * np.max(np.abs(rot.laplacian(x @ R.T) - axis.laplacian(x))) <= 1e-11
