@@ -121,9 +121,10 @@ def _entropy_rows(u: Field | RadialField, epsilon: float, w: tuple):
     |b - a| <= 1e-12 (a + b) take (a + b) / 2 instead of the quotient.
     Cells at or below ``_ULOG_FLOOR`` count as vacuum: u log u, u^{1/6}
     and u^{7/6} are 0 there and a face touching one takes the weight
-    4 (sqrt b - sqrt a)^2 / h^2 of its D term.  The masks this needs are
-    built only when the stack holds such a cell, and the positive cells
-    go through the same arithmetic either way.
+    4 (sqrt b - sqrt a)^2 / h^2 of its D term; a cell below zero, which a
+    step may leave down to -positivity_tol, is vacuum with root 0.  The
+    masks this needs are built only when the stack holds such a cell, and
+    the positive cells go through the same arithmetic either way.
     """
     cell_meas, axes, _ = _entropy_axes(u)
     vals = u.values
@@ -136,6 +137,7 @@ def _entropy_rows(u: Field | RadialField, epsilon: float, w: tuple):
     if vacuum:
         pos = vals > _ULOG_FLOOR
         logu = np.log(np.where(pos, vals, 1.0))  # 0 at vacuum
+        root = np.sqrt(np.maximum(vals, 0.0))  # a negative cell is vacuum too
     else:
         logu = np.log(vals)
     root6 = np.divide(logu, 6.0)
@@ -192,7 +194,7 @@ def _entropy_rows(u: Field | RadialField, epsilon: float, w: tuple):
             lm.reshape(-1)[close] = half
         lm *= g
         if vacuum:
-            vac = (np.sqrt(vals[hi]) - np.sqrt(vals[lo])) / spacing
+            vac = (root[hi] - root[lo]) / spacing
             lm = np.where(both, lm, 4.0 * vac**2)
         lm *= face_meas
         D += row_sums(lm)

@@ -188,26 +188,13 @@ def _tau_on(decomp: GreensDecomposition, mask: np.ndarray, y0, y1):
     return tau[..., 0], tau[..., 1]
 
 
-def remainder_k_exact(
-    decomp: GreensDecomposition,
-    y,
-    x,
-    greens_fn=None,
-    force_z: float | None = None,
-) -> np.ndarray | float:
-    """K(y, x) by subtraction of both logs from the exact Green's function.
-
-    ``greens_fn`` and ``force_z`` exist for consistency checks (e.g. the
-    free-space reduction, where K collapses to the polynomial part).
-    """
+def remainder_k_exact(decomp: GreensDecomposition, y, x) -> np.ndarray | float:
+    """K(y, x) by subtraction of both logs from the exact Green's function."""
     y0, y1 = _components(y)
     x0, x1 = _components(x)
-    if greens_fn is None:
-        gv = _greens(x0, x1, y0, y1)
-    else:
-        gv = np.asarray(greens_fn(*np.broadcast_arrays(_as_points(x), _as_points(y))))
+    gv = _greens(x0, x1, y0, y1)
     logs = np.log(np.hypot(x0 - y0, x1 - y1))
-    z = cutoff_Z(decomp, y) if force_z is None else force_z
+    z = cutoff_Z(decomp, y)
     mask = np.broadcast_to(np.asarray(z) > 0.0, np.shape(logs))
     if mask.any():
         t0, t1 = _tau_on(decomp, mask, y0, y1)

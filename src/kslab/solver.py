@@ -405,6 +405,12 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if not min(self.nx, self.ny) >= 2:  # the rectangle stencil needs an interior face each way
             raise ValueError(f"nx and ny must be at least 2, got {self.nx} x {self.ny}")
+        if not self.radial_n >= 2:  # and so does the disk's
+            raise ValueError(f"radial_n must be at least 2, got {self.radial_n}")
+        try:  # make_radial_grid divides by radial_ratio ** radial_n - 1
+            self.radial_ratio**self.radial_n
+        except OverflowError:
+            raise ValueError(f"radial_ratio ** radial_n overflows: {self.radial_ratio} ** {self.radial_n}") from None
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
         if self.dt_policy not in ("cfl", "fixed"):
@@ -465,15 +471,12 @@ class _Faces:
     v: object  # what the potential is built from (rect: v; radial: v' at all faces)
 
 
-def _mobility(vals: np.ndarray, reg: RegKind, bounds: tuple | None = None) -> np.ndarray:
-    """Advected density, which is also the chemoattractant source.
-
-    ``bounds`` is (min u, max u) when the caller knows it.  f_eps(u) == u
+def _mobility(vals: np.ndarray, reg: RegKind, umax: float) -> np.ndarray:
+    """Advected density of nonnegative cells ``vals`` whose maximum is
+    ``umax``, which is also the chemoattractant source.  f_eps(u) == u
     exactly on [0, 1/eps - 1], so there the cutoff flux skips ``f_eps``.
     """
-    if not reg.is_cutoff:
-        return vals
-    if bounds is not None and bounds[0] >= 0.0 and bounds[1] <= 1.0 / reg.epsilon - 1.0:
+    if not reg.is_cutoff or umax <= 1.0 / reg.epsilon - 1.0:
         return vals
     return f_eps(vals, reg.epsilon)
 
@@ -526,9 +529,14 @@ class _Stencil:
         (made at its first step)."""
         return tuple(np.zeros(self._div[lo].shape) for lo, *_ in self.axes)
 
-    def faces(self, vals: np.ndarray, reg: RegKind, advection: bool, bounds: tuple | None = None) -> _Faces:
+    def faces(self, vals: np.ndarray, reg: RegKind, advection: bool, bounds: tuple) -> _Faces:
+        """Face data of the state ``vals`` whose (min, max) is ``bounds``.
+        Cells below zero, which a step may leave down to -positivity_tol,
+        are vacuum to the mobility and the face diffusion."""
         f = self._faces
-        f.m = _mobility(vals, reg, bounds)
+        if not bounds[0] >= 0.0:
+            vals = np.maximum(vals, 0.0)
+        f.m = _mobility(vals, reg, bounds[1])
         f.h_t, f.v, w = self._solve(f.m)
         f.w = w if advection else self._still
         f.dc = self._unit_dc if reg.is_cutoff else self._face_diffusion(vals, reg.epsilon)
@@ -659,16 +667,14 @@ def _dt_limit(safety: float, rate: float) -> float:
     return safety / rate if rate > 0 else np.inf
 
 
-def _advance(
-    state: RunState, stencil: _Stencil, config: SolverConfig, dt: float | None = None, bounds: tuple | None = None
-):
+def _advance(state: RunState, stencil: _Stencil, config: SolverConfig, bounds: tuple, dt: float | None = None):
     """Advance ``state`` by one explicit step; return its face data and the
     smallest cell value after the update.
 
-    ``bounds`` is (min u, max u) of the state, when the caller knows it.
-    With ``dt=None`` the step follows ``config.dt_policy`` clipped to
-    ``t_end``; then None is returned, and nothing changes, when that step
-    is shorter than ``dt_min``.  A dt above the stable limit raises
+    ``bounds`` is (min u, max u) of the state.  With ``dt=None`` the step
+    follows ``config.dt_policy`` clipped to ``t_end``; then None is
+    returned, and nothing changes, when that step is shorter than
+    ``dt_min``.  A dt above the stable limit raises
     ``CFLError``; a cell below ``-positivity_tol`` after the update raises
     ``SolverError``.
     """
@@ -705,7 +711,8 @@ def step(state: RunState, dt: float, config: SolverConfig | None = None) -> RunS
     one that drove the step.
     """
     stencil = _stencil(state.u)
-    f, _ = _advance(state, stencil, config or SolverConfig(), dt)
+    vals = state.u.values
+    f, _ = _advance(state, stencil, config or SolverConfig(), (float(vals.min()), float(vals.max())), dt)
     state.v = stencil.potential(f)
     return state
 
@@ -823,7 +830,7 @@ def _run_driver(state: RunState, config: SolverConfig) -> Trajectory:
                 # replaces it; freeing them before the diagnostics lets the
                 # allocator hand the pages back, and on 256^2 grids the page
                 # faults that follow cost more than the memory.
-                advanced = _advance(state, stencil, config, bounds=bounds)
+                advanced = _advance(state, stencil, config, bounds)
                 if advanced is None:
                     traj.stop_reason = "dt_min"
                     break

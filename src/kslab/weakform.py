@@ -18,11 +18,13 @@ for test functions supported away from the boundary, where the image
 machinery has no business.  In the collar-pair regime that matters for
 boundary concentration, Z = 1 and the kernels agree with the ungated ones.
 
-Evaluated on radially symmetric trajectories with radial test profiles,
-every kernel reduces to (r, s, relative angle), so the double space
-integral costs n_r^2 * n_theta; a dense pair quadrature covers small
-rectangle grids (interior tests only there, and the remainder route goes
-through the potential identity since the rectangle has no smooth collar).
+One midpoint rule in time serves both backends.  Evaluated on radially
+symmetric trajectories with radial test profiles, every kernel reduces to
+(r, s, relative angle), so the double space integral costs n_r^2 * n_theta;
+a dense pair quadrature covers small rectangle grids (interior tests only
+there, and the remainder route goes through the potential identity since
+the rectangle has no smooth collar).  Near the diagonal, Q1 takes the
+kernel's angular average Lap psi / (8 pi) on both.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .geometry import smoothstep5, smoothstep5_d1, smoothstep5_d2
 from .greens import cutoff_z_value, g_normal, g_tangential
-from .solver import Trajectory, f_eps, solve_poisson_neumann
+from .solver import RadialGrid, Trajectory, f_eps, solve_poisson_neumann
 from .testfn import PHI_SUPPORT
 
 __all__ = [
@@ -181,11 +183,14 @@ class QBreakdown:
     L1: float
     Q1: float
     Q2: float
-    Q3: float
     Q3_1: float
     Q3_2: float
     Q4: float
     Q5: float
+
+    @property
+    def Q3(self) -> float:
+        return self.Q3_1 + self.Q3_2
 
     @property
     def residual(self) -> float:
@@ -219,9 +224,14 @@ def kernel_H1(x, y, psi, t):
 
 _TABLE_KEYS = ("Q1", "Q2", "Q3_1", "Q3_2", "Q4", "Q5")
 
+# Q1's near-diagonal band on both backends: pairs closer than _DIAG_FACTOR
+# times the summed cell sizes take the kernel's angular average Lap p / (8 pi)
+_DIAG_FACTOR = 0.75
 
-def _radial_kernel_tables(traj: Trajectory, test: RadialProfileTest, n_theta: int, sigma0: float, diag_factor: float):
-    """Angle-integrated pair kernels K[i, j] (measure weights folded in).
+
+def _radial_kernel_tables(grid: RadialGrid, test: RadialProfileTest, n_theta: int, sigma0: float):
+    """Angle-integrated pair kernels K[i, j] (measure weights folded in);
+    ``sigma0`` is the collar half-width of the cutoff Z.
 
     The midpoint rule runs over the n_theta angles phi_k = (k + 1/2) dth,
     but every kernel sees phi only through c = cos(phi), and phi_k pairs
@@ -236,7 +246,6 @@ def _radial_kernel_tables(traj: Trajectory, test: RadialProfileTest, n_theta: in
     * the collar terms on C x C, C = {Z(1 - r) > 0}, and not at all when
       p' vanishes on C and at the wall.
     """
-    grid = traj.grid
     r = grid.centers
     n = r.size
     dth = 2.0 * np.pi / n_theta
@@ -252,7 +261,7 @@ def _radial_kernel_tables(traj: Trajectory, test: RadialProfileTest, n_theta: in
     rows = np.flatnonzero(support)
     if rows.size:
         for bi, bj, with_q5 in ((rows, np.arange(n), True), (np.flatnonzero(~support), rows, False)):
-            q1, q5 = _coulomb_block(grid, dpr, plap, bi, bj, angles, dth, diag_factor, with_q5)
+            q1, q5 = _coulomb_block(grid, dpr, plap, bi, bj, angles, dth, with_q5)
             K["Q1"][np.ix_(bi, bj)] = q1
             if with_q5:
                 K["Q5"][np.ix_(bi, bj)] = q5
@@ -262,16 +271,16 @@ def _radial_kernel_tables(traj: Trajectory, test: RadialProfileTest, n_theta: in
         for key, val in _collar_block(r[collar], z[collar], dpr[collar], dp1, angles, dth).items():
             K[key][block] += val
 
-    meas = (2.0 * np.pi * grid.vol)[:, None] * grid.vol[None, :]  # x-measure, y-measure (angle in the dth sums)
+    meas = grid.cell_areas[:, None] * grid.vol[None, :]  # x-measure, y-measure (angle in the dth sums)
     return {key: T * meas for key, T in K.items()}
 
 
-def _coulomb_block(grid, dpr, plap, rows, cols, angles, dth, diag_factor, with_q5):
+def _coulomb_block(grid, dpr, plap, rows, cols, angles, dth, with_q5):
     """Q1, and with ``with_q5`` the ungated part of Q5, on ``rows`` x ``cols``.
 
     Q1 is (p'(r)(r - s c) + p'(s)(s - r c)) / (4 pi |x - y|^2), replaced by
-    Lap p(r) / (8 pi) on the band |x - y| < diag_tol.  In Q5 the Coulomb
-    piece of the exact gradient cancels analytically, leaving
+    Lap p(r) / (8 pi) on the band |x - y| < _DIAG_FACTOR (dr + ds + min(r, s) dth).
+    In Q5 the Coulomb piece of the exact gradient cancels analytically, leaving
     -p'(r) (r - s (r s - c) / (r^2 s^2 - 2 r s c + 1)) / (2 pi).
     """
     R = grid.centers[rows, None]
@@ -282,7 +291,7 @@ def _coulomb_block(grid, dpr, plap, rows, cols, angles, dth, diag_factor, with_q
     two_rs = 2.0 * R * S
     n0 = DPR * R + DPS * S  # numerator = n0 - c n1
     n1 = DPR * S + DPS * R
-    tol = diag_factor * (grid.widths[rows, None] + grid.widths[None, cols] + np.minimum(R, S) * dth)
+    tol = _DIAG_FACTOR * (grid.widths[rows, None] + grid.widths[None, cols] + np.minimum(R, S) * dth)
     tol2 = tol * tol
     band_val = np.broadcast_to(0.5 * plap[rows, None], n0.shape)  # Lap p / (8 pi), times 4 pi
     sep2 = np.empty_like(n0)
@@ -383,104 +392,84 @@ def _companion_series(traj: Trajectory):
     return [s + eps * s ** (7.0 / 6.0) for s in traj.snapshots]
 
 
-def weak_residual(
-    traj: Trajectory,
-    test: RadialProfileTest,
-    n_theta: int = 192,
-    sigma0: float = 0.25,
-    diag_factor: float = 0.75,
-) -> QBreakdown:
-    """Evaluate the term breakdown on a trajectory; midpoint time rule.
-
-    Radial backend: full collar machinery.  Rectangle backend: interior
-    tests only; the collar terms vanish by construction and the remainder
-    route contracts m(y) against the Green's function through the
-    potential (the rectangle offers no pointwise collar kernels).
-    """
-    if traj.backend == "rect":
-        return _weak_residual_rect(traj, test)
-    if test.t_off > traj.times[-1] + 1e-12:
-        raise ValueError("test time window must close before the trajectory ends")
+def _disk_quadrature(traj: Trajectory, test: RadialProfileTest, n_theta: int):
+    """Cell radii, cell integral and pair terms of the disk backend: the pair
+    terms of a mobility m are m K m over the nonzero angle-integrated tables,
+    whose collar is the one of the disk domain."""
     grid = traj.grid
-    r = grid.centers
-    tables = _radial_kernel_tables(traj, test, n_theta, sigma0, diag_factor)
+    tables = _radial_kernel_tables(grid, test, n_theta, traj.field_at(0).domain.sigma0)
     # an all-zero table contributes exactly 0.0, its starting value
     tables = {key: K for key, K in tables.items() if K.any()}
-    mob = _mobility_series(traj)
-    comp = _companion_series(traj)
-    times = np.asarray(traj.times)
-    w_meas = 2.0 * np.pi * grid.vol
-    p_r = test.p(r)
-    plap_r = test.plap(r)
 
-    L1 = -float(np.sum(p_r * test.zeta(times[0]) * traj.snapshots[0] * w_meas))
-    vals = {k: 0.0 for k in _TABLE_KEYS}
-    for k in range(times.size - 1):
-        dt = times[k + 1] - times[k]
-        if dt <= 1e-15:
-            continue
-        tm = 0.5 * (times[k] + times[k + 1])
-        u_mid = 0.5 * (traj.snapshots[k] + traj.snapshots[k + 1])
-        m_mid = 0.5 * (mob[k] + mob[k + 1])
-        c_mid = 0.5 * (comp[k] + comp[k + 1])
-        zt = float(test.zeta_t(tm))
-        zv = float(test.zeta(tm))
-        L1 += -dt * zt * float(np.sum(p_r * u_mid * w_meas))
-        L1 += -dt * zv * float(np.sum(plap_r * c_mid * w_meas))
-        for key, K in tables.items():
-            vals[key] += dt * zv * float(m_mid @ K @ m_mid)
-    q3 = vals["Q3_1"] + vals["Q3_2"]
-    return QBreakdown(
-        L1=L1,
-        Q1=vals["Q1"],
-        Q2=vals["Q2"],
-        Q3=q3,
-        Q3_1=vals["Q3_1"],
-        Q3_2=vals["Q3_2"],
-        Q4=vals["Q4"],
-        Q5=vals["Q5"],
-    )
+    def integral(values):
+        return float(np.sum(values * grid.cell_areas))
+
+    def pairs(m):
+        return {key: float(m @ K @ m) for key, K in tables.items()}
+
+    return grid.centers, integral, pairs
 
 
-def _weak_residual_rect(traj: Trajectory, test: RadialProfileTest) -> QBreakdown:
+def _rect_quadrature(traj: Trajectory, test: RadialProfileTest):
+    """Cell radii, cell integral and pair terms of the rectangle backend
+    (interior tests only; the collar terms vanish by construction): Q1 is
+    m H1 m over the dense cell-pair table, and Q5 contracts m against the
+    Green's function through its DCT potential, less Q1 (the rectangle
+    offers no pointwise collar kernels)."""
     if not test.interior:
         raise ValueError("rectangle backend supports interior tests only")
-    hx, hy = traj.hx, traj.hy
     f0 = traj.field_at(0)
     X, Y = f0.cell_centers()
-    cx, cy = 0.5 * f0.nx * hx, 0.5 * f0.ny * hy
+    cx, cy = 0.5 * f0.nx * f0.hx, 0.5 * f0.ny * f0.hy
     rr = np.hypot(X - cx, Y - cy)
     if float(rr.min()) + test.support_radius > min(cx, cy):
         raise ValueError("test support reaches the rectangle wall")
-    p_v = test.p(rr)
-    plap_v = test.plap(rr)
     dp_v = test.dp(rr)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ux = np.where(rr > 1e-14, (X - cx) / np.maximum(rr, 1e-300), 0.0)
-        uy = np.where(rr > 1e-14, (Y - cy) / np.maximum(rr, 1e-300), 0.0)
-    gpx = dp_v * ux
-    gpy = dp_v * uy
-    area = hx * hy
+    off = rr > 1e-14
+    gpx = dp_v * np.where(off, (X - cx) / np.maximum(rr, 1e-300), 0.0)
+    gpy = dp_v * np.where(off, (Y - cy) / np.maximum(rr, 1e-300), 0.0)
 
-    pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    npts = pts.shape[0]
-    dxm = pts[:, None, 0] - pts[None, :, 0]
-    dym = pts[:, None, 1] - pts[None, :, 1]
+    xs, ys, gx, gy = X.ravel(), Y.ravel(), gpx.ravel(), gpy.ravel()
+    dxm = xs[:, None] - xs[None, :]
+    dym = ys[:, None] - ys[None, :]
     sep2 = dxm**2 + dym**2
-    gxf = np.stack([gpx.ravel(), gpy.ravel()], axis=-1)
-    num = dxm * (gxf[:, None, 0] - gxf[None, :, 0]) + dym * (gxf[:, None, 1] - gxf[None, :, 1])
-    diag_tol2 = (0.75 * (hx + hy)) ** 2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        H1 = np.where(sep2 > diag_tol2, num / np.where(sep2 > 0, sep2, 1.0), plap_v.ravel()[:, None]) / (
-            4.0 * np.pi
-        )
+    num = dxm * (gx[:, None] - gx[None, :]) + dym * (gy[:, None] - gy[None, :])
+    band_val = 0.5 * test.plap(rr).ravel()[:, None]  # Lap p / (8 pi), times 4 pi
+    band = sep2 < (_DIAG_FACTOR * (f0.hx + f0.hy)) ** 2
+    H1 = np.where(band, band_val, num / np.where(sep2 > 0, sep2, 1.0)) / (4.0 * np.pi)
 
+    def pairs(m):
+        mf = m.ravel() * f0.cell_area
+        q1 = float(mf @ H1 @ mf)
+        vx, vy = solve_poisson_neumann(f0.like(m - float(m.mean()))).gradient()
+        drift = f0.integral(m * (gpx * vx + gpy * vy))
+        return {"Q1": q1, "Q5": -drift - q1}
+
+    return rr, f0.integral, pairs
+
+
+def weak_residual(traj: Trajectory, test: RadialProfileTest, n_theta: int = 192) -> QBreakdown:
+    """Evaluate the term breakdown on a trajectory: midpoint rule in time.
+
+    The backends differ only in what ``_disk_quadrature`` and
+    ``_rect_quadrature`` supply: each cell's radius from the test's center,
+    the cell integral and the pair terms of a mid-interval mobility.
+    ``n_theta`` is the angle count of the disk's pair tables.
+    """
+    if test.t_off > traj.times[-1] + 1e-12:
+        raise ValueError("test time window must close before the trajectory ends")
+    if traj.backend == "rect":
+        rr, integral, pairs = _rect_quadrature(traj, test)
+    else:
+        rr, integral, pairs = _disk_quadrature(traj, test, n_theta)
+    p = test.p(rr)
+    plap = test.plap(rr)
     mob = _mobility_series(traj)
     comp = _companion_series(traj)
     times = np.asarray(traj.times)
-    L1 = -float(np.sum(p_v * test.zeta(times[0]) * traj.snapshots[0]) * area)
-    Q1 = 0.0
-    Q5 = 0.0
+
+    L1 = -integral(p * test.zeta(times[0]) * traj.snapshots[0])
+    vals = dict.fromkeys(_TABLE_KEYS, 0.0)
     for k in range(times.size - 1):
         dt = times[k + 1] - times[k]
         if dt <= 1e-15:
@@ -491,17 +480,11 @@ def _weak_residual_rect(traj: Trajectory, test: RadialProfileTest) -> QBreakdown
         c_mid = 0.5 * (comp[k] + comp[k + 1])
         zt = float(test.zeta_t(tm))
         zv = float(test.zeta(tm))
-        L1 += -dt * zt * float(np.sum(p_v * u_mid) * area)
-        L1 += -dt * zv * float(np.sum(plap_v * c_mid) * area)
-        mf = m_mid.ravel() * area
-        q1_t = float(mf @ H1 @ mf)
-        Q1 += dt * zv * q1_t
-        # drift against the full Green's gradient via the potential of m
-        mean = float(m_mid.mean())
-        vx, vy = solve_poisson_neumann(f0.like(m_mid - mean)).gradient()
-        drift = float(np.sum(m_mid * (gpx * vx + gpy * vy)) * area)
-        Q5 += dt * zv * (-drift - q1_t)
-    return QBreakdown(L1=L1, Q1=Q1, Q2=0.0, Q3=0.0, Q3_1=0.0, Q3_2=0.0, Q4=0.0, Q5=Q5)
+        L1 += -dt * zt * integral(p * u_mid)
+        L1 += -dt * zv * integral(plap * c_mid)
+        for key, q in pairs(m_mid).items():
+            vals[key] += dt * zv * q
+    return QBreakdown(L1=L1, **vals)
 
 
 # ---------------------------------------------------------------------------

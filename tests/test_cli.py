@@ -224,6 +224,11 @@ BAD_RUN_CONFIGS = {
     "cfl_safety 0": ("cfl_safety", RUN_TEXT.replace("dt_policy = cfl", "dt_policy = cfl\ncfl_safety = 0")),
     "cfl_safety 1.5": ("cfl_safety", RUN_TEXT.replace("dt_policy = cfl", "dt_policy = cfl\ncfl_safety = 1.5")),
     "radial_n 0": ("radial_n", RUN_TEXT.replace("radial_n = 256", "radial_n = 0")),
+    "radial_n 1": ("radial_n", RUN_TEXT.replace("radial_n = 256", "radial_n = 1")),
+    "radial_ratio ** radial_n overflows": (
+        "radial_ratio",
+        RUN_TEXT.replace("radial_n = 256", "radial_n = 2000").replace("radial_ratio = 1.0", "radial_ratio = 1.5"),
+    ),
     "radial_ratio -1": ("radial_ratio", RUN_TEXT.replace("radial_ratio = 1.0", "radial_ratio = -1")),
     "nx 1": ("nx", TWO_BUMP_TEXT.replace("nx = 24", "nx = 1")),
     "dt_policy": ("dt_policy", RUN_TEXT.replace("dt_policy = cfl", "dt_policy = adaptive")),

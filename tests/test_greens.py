@@ -121,23 +121,17 @@ def test_remainder_k_continuity_modulus(decomp, rng):
 
 
 def test_free_space_reduction(decomp):
-    # with Z forced to zero and the image log dropped from G, the remainder
-    # collapses to the polynomial part (|x|^2+|y|^2)/(4 pi) + c0
-    def free_space(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        sep = np.hypot(x[..., 0] - y[..., 0], x[..., 1] - y[..., 1])
-        return (
-            -np.log(sep) / (2 * np.pi)
-            + (np.sum(x * x, axis=-1) + np.sum(y * y, axis=-1)) / (4 * np.pi)
-            + greens.C0_DISK
-        )
-
+    # where Z(y) = 0 the remainder keeps no image log: K(y, x) is G plus the
+    # free-space log, i.e. the smooth image part of G and the polynomial part
+    # (|x|^2+|y|^2)/(4 pi) + c0
     y = np.array([[0.1, 0.0], [0.2, -0.1], [-0.15, 0.1]])
     x = np.array([[0.0, 0.2], [-0.1, 0.15], [0.2, 0.05]])
-    k = np.asarray(greens.remainder_k_exact(decomp, y, x, greens_fn=free_space, force_z=0.0))
-    expect = (np.sum(y * y, axis=-1) + np.sum(x * x, axis=-1)) / (4 * np.pi) + greens.C0_DISK
-    assert np.allclose(k, expect, atol=1e-14)
+    assert np.all(greens.cutoff_Z(decomp, y) == 0.0)
+    k = np.asarray(greens.remainder_k_exact(decomp, y, x))
+    xx, yy = np.sum(x * x, axis=-1), np.sum(y * y, axis=-1)
+    image = -np.log(xx * yy - 2 * np.sum(x * y, axis=-1) + 1) / (4 * np.pi)
+    expect = image + (xx + yy) / (4 * np.pi) + greens.C0_DISK
+    assert np.allclose(k, expect, rtol=0.0, atol=1e-14)
 
 
 def test_grad_terms_interior_pair(decomp):

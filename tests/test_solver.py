@@ -567,3 +567,65 @@ def test_step_sets_potential_of_state_before_update(backend, variant):
         S.step(state, 0.5 * _stable_dt(state.u, reg))
         assert type(state.v) is type(u0)
         assert state.v.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["cutoff_flux", "nonlinear_diffusion"])
+@pytest.mark.parametrize("backend", ["radial", "rect"])
+def test_cells_below_zero_are_vacuum(backend, variant):
+    # a step may leave cells down to -positivity_tol; the next step's
+    # mobility and face diffusion and the diagnostics rows take them as vacuum
+    if backend == "radial":
+        u0 = S.RadialField(S.make_radial_grid(8, 1.0), np.array([3.0, 2.0, 1.0, 0.5] + [-1e-14] * 4))
+    else:
+        u0 = S.initial_condition_rect(8, 8, 1.0, 1.0, "constant", value=-1e-14)
+        u0.values[:3, :3] = 2.0
+    reg = S.RegKind(variant, 1e-2)
+    S.step(S.RunState(u=u0.copy(), v=None, t=0.0, reg=reg), 1e-4)  # takes its bounds from the state
+    run = S.radial_run if backend == "radial" else S.run
+    traj = run(S.SolverConfig(t_end=3e-4, dt_policy="fixed", dt_fixed=1e-4), reg, u0)
+    assert not traj.failed and len(traj.diag) == 3
+    assert all(row["min_u"] < 0.0 for row in traj.diag)
+    assert all(np.isfinite(value) for row in traj.diag for value in row.values())
+    m = traj.mass_series()
+    assert np.max(np.abs(m - u0.mass())) <= 1e-13 * u0.mass()
+
+
+def _mode_decay_l1_error(u0, mode, rate, t_end=0.02):
+    """L1 distance at t_end between a pure-diffusion run (no advection,
+    cutoff flux: coefficient 1) from ``u0`` = 1 + mode / 2 and the exact
+    cell averages 1 + e^{-rate t} mode / 2."""
+    run = S.radial_run if isinstance(u0, S.RadialField) else S.run
+    traj = run(S.SolverConfig(t_end=t_end, advection=False), S.RegKind("cutoff_flux", 1e-3), u0)
+    assert not traj.failed
+    exact = 1.0 + 0.5 * np.exp(-rate * traj.times[-1]) * mode
+    return u0.integral(np.abs(traj.snapshots[-1] - exact))
+
+
+def test_disk_diffusion_is_second_order_in_space():
+    # the Neumann mode 1 + J0(k r) / 2, k the first root of J1, decays as
+    # e^{-k^2 t}; its cell averages follow from int J0(k r) r dr = r J1(k r) / k
+    import scipy.special  # here, not in kslab: the start-up guards keep it out
+
+    k = scipy.special.jn_zeros(1, 1)[0]
+    errors = []
+    for n in (32, 64, 128, 256):
+        grid = S.make_radial_grid(n, 1.0)
+        mode = np.diff(grid.faces * scipy.special.j1(k * grid.faces) / k) / grid.vol
+        u0 = S.RadialField(grid, 1.0 + 0.5 * mode)
+        errors.append(_mode_decay_l1_error(u0, mode, k**2))
+    orders = np.log2(np.asarray(errors[:-1]) / np.asarray(errors[1:]))
+    assert np.all(orders >= 1.9), orders
+
+
+def test_rect_diffusion_is_second_order_in_space():
+    # 1 + cos(pi x) cos(pi y) / 2 on the unit square decays as e^{-2 pi^2 t}
+    errors = []
+    for n in (16, 32, 64):
+        u0 = S.initial_condition_rect(n, n, 1.0, 1.0, "constant", value=1.0)
+        faces = np.linspace(0.0, 1.0, n + 1)
+        avg = np.diff(np.sin(np.pi * faces)) / (np.pi / n)  # cell averages of cos(pi x)
+        mode = avg[:, None] * avg[None, :]
+        u0.values += 0.5 * mode
+        errors.append(_mode_decay_l1_error(u0, mode, 2 * np.pi**2))
+    orders = np.log2(np.asarray(errors[:-1]) / np.asarray(errors[1:]))
+    assert np.all(orders >= 1.9), orders

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,7 +110,7 @@ def test_q1_swap_symmetry():
     cfg = S.SolverConfig(t_end=0.005, snapshot_dt=0.005 / 8)
     traj = S.radial_run(cfg, S.RegKind("cutoff_flux", 1e-2), u0)
     test = W.interior_bump_test(radius=0.45, t_hold=0.0015, t_off=0.004)
-    tables = W._radial_kernel_tables(traj, test, 96, 0.25, 0.75)
+    tables = W._radial_kernel_tables(traj.grid, test, 96, 0.25)
     K = tables["Q1"]
     m = traj.snapshots[0]
     a = float(m @ K @ m)
@@ -134,14 +132,31 @@ def test_diagonal_rule_reproduces_atom_weight():
     assert not traj.failed
     test = W.quadratic_window_test(radius=0.5, t_hold=2e-7, t_off=8e-7)
     qb = W.weak_residual(traj, test, n_theta=128)
-    T_eff = 0.0
+    assert qb.Q1 == pytest.approx(_atom_weight(traj, test, u.mass()), rel=0.1)
+
+
+def test_rect_diagonal_rule_reproduces_atom_weight():
+    # the same atom in one cell of a 32^2 grid over [0, 2]^2: the rectangle's
+    # band takes the disk's Lap psi / (8 pi), so Q1 is the same atom weight
+    u = S.initial_condition_rect(32, 32, 2.0, 2.0, "constant", value=0.0)
+    u.values[16, 16] = 5.0 / u.cell_area
+    traj = S.run(
+        S.SolverConfig(t_end=1e-6, dt_policy="fixed", dt_fixed=5e-7), S.RegKind("cutoff_flux", 1e-9), u
+    )
+    assert not traj.failed
+    test = W.quadratic_window_test(radius=0.5, t_hold=2e-7, t_off=8e-7)
+    qb = W.weak_residual(traj, test)
+    assert qb.Q1 == pytest.approx(_atom_weight(traj, test, 5.0), rel=0.1)
+
+
+def _atom_weight(traj, test, mass):
+    """T_eff Lap psi(0) mass^2 / (8 pi), with T_eff the midpoint rule of the
+    time window over the trajectory's intervals."""
     times = np.asarray(traj.times)
+    T_eff = 0.0
     for k in range(times.size - 1):
         T_eff += (times[k + 1] - times[k]) * float(test.zeta(0.5 * (times[k] + times[k + 1])))
-    mass = u.mass()
-    lap0 = float(test.plap(np.asarray(0.0)))
-    expect = T_eff * lap0 * mass**2 / (8 * np.pi)
-    assert qb.Q1 == pytest.approx(expect, rel=0.1)
+    return T_eff * float(test.plap(np.asarray(0.0))) * mass**2 / (8 * np.pi)
 
 
 def test_rect_interior_matches_disk_scale():
@@ -177,6 +192,9 @@ def test_rect_rejects_wall_reaching_test():
     traj = S.run(S.SolverConfig(t_end=1e-3, snapshot_dt=5e-4), S.RegKind("cutoff_flux", 1e-2), u0)
     with pytest.raises(ValueError):
         W.weak_residual(traj, W.boundary_compatible_test(t_hold=2e-4, t_off=8e-4))
+    # and, as on the disk, a time window that outlasts the trajectory
+    with pytest.raises(ValueError, match="window"):
+        W.weak_residual(traj, W.interior_bump_test(radius=0.2, t_hold=2e-4, t_off=2e-3))
 
 
 def test_limit_phi_values():
@@ -263,17 +281,16 @@ def kernel_table_cases(draw):
         test = W.boundary_compatible_test()
     n_theta = draw(st.integers(2, 40))
     sigma0 = draw(st.floats(0.1, 0.3))
-    diag_factor = draw(st.floats(0.5, 1.0))
     m = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 5.0, grid.n)
-    return grid, test, n_theta, sigma0, diag_factor, m
+    return grid, test, n_theta, sigma0, m
 
 
 @given(kernel_table_cases())
 @settings(max_examples=150, deadline=None)
 def test_kernel_tables_match_full_angle_loop(case):
-    grid, test, n_theta, sigma0, diag_factor, m = case
-    old = _full_angle_tables(grid, test, n_theta, sigma0, diag_factor)
-    new = W._radial_kernel_tables(SimpleNamespace(grid=grid), test, n_theta, sigma0, diag_factor)
+    grid, test, n_theta, sigma0, m = case
+    old = _full_angle_tables(grid, test, n_theta, sigma0, W._DIAG_FACTOR)
+    new = W._radial_kernel_tables(grid, test, n_theta, sigma0)
     assert set(new) == set(old)
     for key, K_old in old.items():
         K_new = new[key]
