@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import Field, RadialField, RadialGrid, RegKind, Trajectory, f_eps
+from .solver import Field, RadialField, RadialGrid, RegKind, Trajectory
 from .testfn import PHI_SUPPORT, InteriorBump, build_boundary_bump
 from .geometry import distance_to_boundary, smoothstep5
 
@@ -337,11 +337,6 @@ def _point_weights(u: Field | RadialField, f, n_radii: int, n_ang: int) -> np.nd
     return np.asarray(f(np.stack(u.cell_centers(), axis=-1))) * u.cell_area
 
 
-def _sums(w: np.ndarray, arrays) -> np.ndarray:
-    """sum(w * a) for each array a, e.g. one weight vector over the snapshots."""
-    return np.array([float(np.sum(w * a)) for a in arrays])
-
-
 # ---------------------------------------------------------------------------
 # concentration detection and atoms
 # ---------------------------------------------------------------------------
@@ -423,13 +418,9 @@ def atom_estimate(
             or center[0] + rho_ladder[-1] > u.nx * u.hx
             or center[1] + rho_ladder[-1] > u.ny * u.hy
         )
-    if reg.is_cutoff:
-        companion = f_eps(u.values, reg.epsilon)
-    else:
-        companion = u.values + reg.epsilon * u.values ** (7.0 / 6.0)
-    weights = [_ball_weights(u, center, r) for r in rho_ladder]
-    alpha = np.array([float(np.sum(w * u.values)) for w in weights])
-    beta = np.array([float(np.sum(w * companion)) for w in weights])
+    weights = np.stack([_ball_weights(u, center, r).ravel() for r in rho_ladder])
+    alpha = weights @ u.values.ravel()
+    beta = weights @ reg.companion(u.values).ravel()
     gamma = beta**2
     # flattest window of three consecutive ladder radii
     spreads = [alpha[i : i + 3].max() - alpha[i : i + 3].min() for i in range(len(alpha) - 2)]
@@ -503,30 +494,23 @@ def local_mass_rate(traj: Trajectory, probe) -> ProbeSeries:
     x0, rho = np.asarray(probe[0], dtype=float), float(probe[1])
     u0 = traj.field_at(0)
     w, kind = _probe_weights(u0, x0, rho)
-    times = np.asarray(traj.times)
-    pm = _sums(w, traj.snapshots)
-    dt = np.diff(times)
-    keep = dt > 1e-14
-    rate = np.where(keep, np.diff(pm) / np.where(keep, dt, 1.0), 0.0)
-    mid = 0.5 * (times[1:] + times[:-1])
+    snaps = traj.stack()
+    pm = snaps @ w.ravel()
+    rate = traj.rate(pm)
     series = ProbeSeries(
         x0=x0,
         rho=rho,
         kind=kind,
-        times=times,
+        times=np.asarray(traj.times),
         weighted_mass=pm,
-        mid_times=mid,
+        mid_times=traj.intervals()[0],
         rate=rate,
         rho2_abs_rate=rho**2 * np.abs(rate),
     )
     if not traj.reg.is_cutoff and traj.reg.epsilon > 0:
-        eps = traj.reg.epsilon
-        u76 = _sums(_ball_weights(u0, x0, rho), (snap ** (7.0 / 6.0) for snap in traj.snapshots))
-        u76_mid = 0.5 * (u76[1:] + u76[:-1])
-        series.ball_u76 = u76
-        series.rho2_onesided = rho**2 * np.maximum(
-            0.0, -(rate + (2.0 * eps / rho**2) * u76_mid)
-        )
+        u76 = traj.reg.vacuum(snaps) ** (7.0 / 6.0) @ _ball_weights(u0, x0, rho).ravel()
+        bound = rate + (2.0 * traj.reg.epsilon / rho**2) * traj.midpoints(u76)
+        series.ball_u76, series.rho2_onesided = u76, rho**2 * np.maximum(0.0, -bound)
     return series
 
 
@@ -535,8 +519,9 @@ def local_lp(traj: Trajectory, probe, p: float) -> dict:
     int_{B_{4 rho}} u (to check the local theory's applicability)."""
     x0, rho = np.asarray(probe[0], dtype=float), float(probe[1])
     u0 = traj.field_at(0)
-    lp = _sums(_ball_weights(u0, x0, rho), (snap**p for snap in traj.snapshots))
-    mass4 = _sums(_ball_weights(u0, x0, 4.0 * rho), traj.snapshots)
+    snaps = traj.stack()
+    lp = traj.reg.vacuum(snaps) ** p @ _ball_weights(u0, x0, rho).ravel()
+    mass4 = snaps @ _ball_weights(u0, x0, 4.0 * rho).ravel()
     return {"t": np.asarray(traj.times), "lp": lp, "mass4": mass4, "rho4_lp": rho**4 * lp}
 
 
@@ -632,30 +617,20 @@ def quadratic_weak_limit_probe(traj: Trajectory, phi_terms) -> float:
     the tuple ("ball", center, rho) meaning the ball indicator.  Raises on
     anything else (non-separable inputs are unsupported).
     """
-    times = np.asarray(traj.times)
-    if times.size < 2:
+    if len(traj.times) < 2:
         raise ValueError("trajectory too short for a time integral")
     u0 = traj.field_at(0)
 
-    def factor_integrals(factor) -> np.ndarray:
-        """int factor u at every snapshot."""
+    def factor_weights(factor) -> np.ndarray:
+        """Per-cell weights of int factor u."""
         if isinstance(factor, tuple) and factor and factor[0] == "ball":
             _, center, rho = factor
-            w = _ball_weights(u0, np.asarray(center, dtype=float), float(rho))
-        elif callable(factor):
-            w = _point_weights(u0, factor, 1, 64)
-        else:
-            raise ValueError("unsupported (non-separable?) test factor")
-        return _sums(w, traj.snapshots)
+            return _ball_weights(u0, np.asarray(center, dtype=float), float(rho)).ravel()
+        if callable(factor):
+            return _point_weights(u0, factor, 1, 64).ravel()
+        raise ValueError("unsupported (non-separable?) test factor")
 
-    terms = [(factor_integrals(g), factor_integrals(h)) for g, h in phi_terms]
-    total = 0.0
-    for k in range(times.size - 1):
-        dt = times[k + 1] - times[k]
-        if dt <= 0:
-            continue
-        mid_val = 0.0
-        for gi, hi in terms:
-            mid_val += (0.5 * (gi[k] + gi[k + 1])) * (0.5 * (hi[k] + hi[k + 1]))
-        total += dt * mid_val
-    return float(total)
+    weights = np.stack([factor_weights(f) for g, h in phi_terms for f in (g, h)])
+    # per interval, the midpoint values of int g_k u and int h_k u side by side
+    mid = traj.midpoints(traj.stack() @ weights.T)
+    return float(traj.intervals()[1] @ (mid[:, 0::2] * mid[:, 1::2]).sum(axis=1))

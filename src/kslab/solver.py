@@ -39,6 +39,7 @@ __all__ = [
     "SolverConfig",
     "RunState",
     "Trajectory",
+    "REPEATED_TIME",
     "SolverError",
     "CFLError",
     "f_eps",
@@ -123,12 +124,12 @@ class Field:
 
     def gradient(self) -> tuple[np.ndarray, np.ndarray]:
         """Central differences d/dx, d/dy; zero on the first and last row
-        (d/dx) and column (d/dy)."""
+        (d/dx) and column (d/dy).  ``values`` may carry a leading stack axis."""
         vals = self.values
         gx = np.zeros_like(vals)
         gy = np.zeros_like(vals)
-        gx[1:-1, :] = (vals[2:, :] - vals[:-2, :]) / (2 * self.hx)
-        gy[:, 1:-1] = (vals[:, 2:] - vals[:, :-2]) / (2 * self.hy)
+        gx[..., 1:-1, :] = (vals[..., 2:, :] - vals[..., :-2, :]) / (2 * self.hx)
+        gy[..., 1:-1] = (vals[..., 2:] - vals[..., :-2]) / (2 * self.hy)
         return gx, gy
 
 
@@ -230,6 +231,11 @@ class RadialField:
         """``integral`` of each row of a stack of per-cell values, bit for bit."""
         return 2.0 * np.pi * np.sum(rows * self.grid.vol, axis=1)
 
+    @property
+    def cell_area(self) -> np.ndarray:
+        """Disk area of each cell (on the rectangle, ``cell_area`` is one float)."""
+        return self.grid.cell_areas
+
     def mass(self) -> float:
         return self.integral(self.values)
 
@@ -263,6 +269,32 @@ class RegKind:
     @property
     def is_cutoff(self) -> bool:
         return self.variant == "cutoff_flux"
+
+    @staticmethod
+    def vacuum(u: np.ndarray, umin: float | None = None) -> np.ndarray:
+        """``u`` with cells below zero (a step leaves them down to -positivity_tol)
+        read as vacuum, 0; a state whose minimum, ``umin`` if known, is not
+        negative comes back as itself."""
+        return u if (u.min() if umin is None else umin) >= 0.0 else np.maximum(u, 0.0)
+
+    def mobility(self, u: np.ndarray, bounds: tuple | None = None) -> np.ndarray:
+        """The advected density and chemoattractant source of vacuum-read u:
+        f_eps(u) under cutoff flux, else u.  ``bounds``, (min u, max u) if
+        known, spares their passes; f_eps(u) == u exactly on [0, 1/eps - 1]."""
+        umin, umax = bounds or (None, np.inf)
+        u = self.vacuum(u, umin)
+        return f_eps(u, self.epsilon) if self.is_cutoff and not umax <= 1.0 / self.epsilon - 1.0 else u
+
+    def diffusion(self, u: np.ndarray) -> np.ndarray:
+        """The density under the Laplacian of vacuum-read u: u under cutoff
+        flux, u + eps u^{7/6} under nonlinear diffusion."""
+        u = self.vacuum(u)
+        return u if self.is_cutoff else u + self.epsilon * u ** (7.0 / 6.0)
+
+    def companion(self, u: np.ndarray) -> np.ndarray:
+        """The density whose ball mass is an atom's beta: f_eps(u) under
+        cutoff flux, u + eps u^{7/6} under nonlinear diffusion."""
+        return self.mobility(u) if self.is_cutoff else self.diffusion(u)
 
 
 def f_eps(u, epsilon: float):
@@ -313,22 +345,23 @@ def solve_poisson_neumann(rhs: Field, scale: float | None = None) -> Field:
     may not exceed ``1e-10 * scale``.  ``scale`` defaults to max|rhs|; a
     caller that has just subtracted the mean passes the magnitude before the
     subtraction, which bounds the rounding left in the mean (for a constant
-    source the right side is nothing but that rounding).
+    source the right side is nothing but that rounding).  ``rhs.values``
+    may carry a leading stack axis: each row is solved, against one scale.
     """
     vals = rhs.values
-    mean = vals.mean()
+    mean = np.max(np.abs(vals.mean(axis=(-2, -1))))
     if scale is None:
         scale = float(np.max(np.abs(vals))) or 1.0
-    if abs(mean) > 1e-10 * scale + 1e-300:
+    if mean > 1e-10 * scale + 1e-300:
         raise SolverError(f"rhs mean {mean} exceeds tolerance; subtract it first")
     import scipy.fft  # deferred: it pulls in scipy.special, and only rectangle runs need it
 
     # the forward transform reads the caller's rhs and returns a fresh
     # array, which the division and the inverse transform then reuse
-    vhat = scipy.fft.dctn(vals, type=2, norm="ortho")
-    vhat /= _poisson_eigenvalues(*vals.shape, rhs.hx, rhs.hy)
-    vhat[0, 0] = 0.0
-    v = scipy.fft.idctn(vhat, type=2, norm="ortho", overwrite_x=True)
+    vhat = scipy.fft.dctn(vals, type=2, norm="ortho", axes=(-2, -1))
+    vhat /= _poisson_eigenvalues(*vals.shape[-2:], rhs.hx, rhs.hy)
+    vhat[..., 0, 0] = 0.0
+    v = scipy.fft.idctn(vhat, type=2, norm="ortho", axes=(-2, -1), overwrite_x=True)
     return Field(rhs.hx, rhs.hy, v)
 
 
@@ -373,6 +406,14 @@ def radial_potential(grid: RadialGrid, vr_faces: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _underflows(n: int, ratio: float) -> bool:
+    """Whether ``make_radial_grid(n, ratio)`` underflows a cell's volume or spacing to 0
+    (faces[1]^2 for ratio > 1, the outer widths for ratio < 1); built once per grid."""
+    grid = make_radial_grid(n, ratio)
+    return not (grid.vol.min() > 0.0 and grid.dcen.min() > 0.0)
+
+
 @dataclass
 class SolverConfig:
     # rectangle
@@ -407,10 +448,12 @@ class SolverConfig:
             raise ValueError(f"nx and ny must be at least 2, got {self.nx} x {self.ny}")
         if not self.radial_n >= 2:  # and so does the disk's
             raise ValueError(f"radial_n must be at least 2, got {self.radial_n}")
-        try:  # make_radial_grid divides by radial_ratio ** radial_n - 1
-            self.radial_ratio**self.radial_n
+        try:
+            underflows = _underflows(self.radial_n, self.radial_ratio)
         except OverflowError:
             raise ValueError(f"radial_ratio ** radial_n overflows: {self.radial_ratio} ** {self.radial_n}") from None
+        if underflows:
+            raise ValueError(f"radial_ratio ** radial_n underflows a cell to 0: {self.radial_ratio} ** {self.radial_n}")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
         if self.dt_policy not in ("cfl", "fixed"):
@@ -425,9 +468,15 @@ class RunState:
     reg: RegKind
 
 
+# A snapshot interval no longer than this is a repeated time (the flag and the
+# snapshot clock fire on one step): a rate is 0 there, a time integral skips it.
+REPEATED_TIME = 1e-14
+
+
 @dataclass
 class Trajectory:
-    """Snapshots plus per-step diagnostics for one (regularization, eps) run."""
+    """Snapshots plus per-step diagnostics for one (regularization, eps) run;
+    the analyses read the snapshots as one ``stack`` under one time rule."""
 
     backend: str
     reg: RegKind
@@ -452,6 +501,27 @@ class Trajectory:
     def mass_series(self) -> np.ndarray:
         return np.asarray([row["mass"] for row in self.diag])
 
+    def stack(self) -> np.ndarray:
+        """The snapshots as one (T, cells) array, row k snapshot k flattened."""
+        return np.stack(self.snapshots).reshape(len(self.snapshots), -1)
+
+    def intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Midpoint time and length of each interval between consecutive
+        snapshots; a repeated time (``REPEATED_TIME``) has length 0."""
+        t = np.asarray(self.times, dtype=float)
+        return self.midpoints(t), np.where(np.diff(t) > REPEATED_TIME, np.diff(t), 0.0)
+
+    def rate(self, series: np.ndarray) -> np.ndarray:
+        """Difference quotients over the intervals of a series whose first
+        axis runs over the snapshots; 0 on a repeated time."""
+        dt = self.intervals()[1].reshape(-1, *(1,) * (np.ndim(series) - 1))
+        return np.where(dt > 0.0, np.diff(series, axis=0) / np.where(dt > 0.0, dt, 1.0), 0.0)
+
+    @staticmethod
+    def midpoints(series: np.ndarray) -> np.ndarray:
+        """Midpoint-rule values of a per-snapshot series on each interval."""
+        return 0.5 * (series[1:] + series[:-1])
+
 
 # ---------------------------------------------------------------------------
 # stepping: one flux update over per-backend stencils
@@ -469,16 +539,6 @@ class _Faces:
     dc: tuple  # per axis: diffusion coefficient at the faces (the scalar 1.0 for cutoff flux)
     w: tuple  # per axis: face velocity grad v (zero without advection)
     v: object  # what the potential is built from (rect: v; radial: v' at all faces)
-
-
-def _mobility(vals: np.ndarray, reg: RegKind, umax: float) -> np.ndarray:
-    """Advected density of nonnegative cells ``vals`` whose maximum is
-    ``umax``, which is also the chemoattractant source.  f_eps(u) == u
-    exactly on [0, 1/eps - 1], so there the cutoff flux skips ``f_eps``.
-    """
-    if not reg.is_cutoff or umax <= 1.0 / reg.epsilon - 1.0:
-        return vals
-    return f_eps(vals, reg.epsilon)
 
 
 def _sides(axis: int, ndim: int) -> tuple:
@@ -530,16 +590,14 @@ class _Stencil:
         return tuple(np.zeros(self._div[lo].shape) for lo, *_ in self.axes)
 
     def faces(self, vals: np.ndarray, reg: RegKind, advection: bool, bounds: tuple) -> _Faces:
-        """Face data of the state ``vals`` whose (min, max) is ``bounds``.
-        Cells below zero, which a step may leave down to -positivity_tol,
-        are vacuum to the mobility and the face diffusion."""
+        """Face data of the state ``vals`` whose (min, max) is ``bounds``;
+        cells below zero are vacuum (``RegKind.vacuum``)."""
         f = self._faces
-        if not bounds[0] >= 0.0:
-            vals = np.maximum(vals, 0.0)
-        f.m = _mobility(vals, reg, bounds[1])
+        f.m = reg.mobility(vals, bounds)
         f.h_t, f.v, w = self._solve(f.m)
         f.w = w if advection else self._still
-        f.dc = self._unit_dc if reg.is_cutoff else self._face_diffusion(vals, reg.epsilon)
+        # under nonlinear diffusion the mobility is u itself, vacuum read as 0
+        f.dc = self._unit_dc if reg.is_cutoff else self._face_diffusion(f.m, reg.epsilon)
         return f
 
     def _face_diffusion(self, vals: np.ndarray, epsilon: float) -> tuple:

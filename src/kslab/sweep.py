@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diagnostics, io
 from .config import ConfigError, RunConfig, SweepPlanConfig, emit_run_config
-from .solver import RadialField, RegKind, Trajectory, initial_condition, radial_run
+from .solver import REPEATED_TIME, RadialField, RegKind, Trajectory, initial_condition, radial_run
 from .testfn import phi as phi_profile
 
 __all__ = [
@@ -309,16 +309,9 @@ def mass_change_modulus(traj: Trajectory, cover, tol: float = 1e-8) -> dict:
     total = np.sum(cover, axis=0)
     if float(np.max(np.abs(total - 1.0))) > tol:
         raise ValueError("cover is not a partition of unity")
-    u0 = traj.field_at(0)
-    times = np.asarray(traj.times)
-    moduli = []
-    for psi in cover:
-        P = np.asarray([u0.integral(psi * s) for s in traj.snapshots])
-        dt = np.diff(times)
-        keep = dt > 1e-14
-        rates = np.abs(np.diff(P)[keep] / dt[keep])
-        moduli.append(float(rates.max()) if rates.size else 0.0)
-    return {"moduli": np.asarray(moduli), "max_modulus": float(np.max(moduli))}
+    weights = np.reshape(cover, (len(cover), -1)) * traj.field_at(0).cell_area
+    moduli = np.abs(traj.rate(traj.stack() @ weights.T)).max(axis=0, initial=0.0)
+    return {"moduli": moduli, "max_modulus": float(np.max(moduli))}
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +328,9 @@ def singular_set_continuity_check(times, centers_series) -> dict:
     as re-identifications, not continuity violations.
     """
     moduli = []
-    jumps = []
     for k in range(1, len(times)):
         dt = times[k] - times[k - 1]
-        if dt <= 0 or not centers_series[k] or not centers_series[k - 1]:
+        if dt <= REPEATED_TIME or not centers_series[k] or not centers_series[k - 1]:
             continue
         prev = np.asarray(centers_series[k - 1])
         for c in centers_series[k]:

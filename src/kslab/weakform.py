@@ -35,7 +35,7 @@ import numpy as np
 
 from .geometry import smoothstep5, smoothstep5_d1, smoothstep5_d2
 from .greens import cutoff_z_value, g_normal, g_tangential
-from .solver import RadialGrid, Trajectory, f_eps, solve_poisson_neumann
+from .solver import RadialGrid, Trajectory, solve_poisson_neumann
 from .testfn import PHI_SUPPORT
 
 __all__ = [
@@ -378,44 +378,27 @@ def _collar_block(r, z, dp, dp1, angles, dth):
     }
 
 
-def _mobility_series(traj: Trajectory):
-    eps = traj.reg.epsilon
-    if traj.reg.is_cutoff:
-        return [f_eps(s, eps) for s in traj.snapshots]
-    return list(traj.snapshots)
-
-
-def _companion_series(traj: Trajectory):
-    eps = traj.reg.epsilon
-    if traj.reg.is_cutoff:
-        return list(traj.snapshots)
-    return [s + eps * s ** (7.0 / 6.0) for s in traj.snapshots]
-
-
 def _disk_quadrature(traj: Trajectory, test: RadialProfileTest, n_theta: int):
-    """Cell radii, cell integral and pair terms of the disk backend: the pair
-    terms of a mobility m are m K m over the nonzero angle-integrated tables,
-    whose collar is the one of the disk domain."""
+    """Cell radii and pair terms of the disk backend: per row m of a stack
+    of mobilities, m K m over the nonzero angle-integrated tables, whose
+    collar is the one of the disk domain."""
     grid = traj.grid
     tables = _radial_kernel_tables(grid, test, n_theta, traj.field_at(0).domain.sigma0)
     # an all-zero table contributes exactly 0.0, its starting value
     tables = {key: K for key, K in tables.items() if K.any()}
 
-    def integral(values):
-        return float(np.sum(values * grid.cell_areas))
+    def pairs(M):
+        return {key: ((M @ K) * M).sum(axis=1) for key, K in tables.items()}
 
-    def pairs(m):
-        return {key: float(m @ K @ m) for key, K in tables.items()}
-
-    return grid.centers, integral, pairs
+    return grid.centers, pairs
 
 
 def _rect_quadrature(traj: Trajectory, test: RadialProfileTest):
-    """Cell radii, cell integral and pair terms of the rectangle backend
-    (interior tests only; the collar terms vanish by construction): Q1 is
-    m H1 m over the dense cell-pair table, and Q5 contracts m against the
-    Green's function through its DCT potential, less Q1 (the rectangle
-    offers no pointwise collar kernels)."""
+    """Flattened cell radii and pair terms of the rectangle backend
+    (interior tests only; the collar terms vanish by construction): per row
+    m of a stack of mobilities, Q1 is m H1 m over the dense cell-pair table,
+    and Q5 contracts m against the Green's function through its DCT
+    potential, less Q1 (the rectangle offers no pointwise collar kernels)."""
     if not test.interior:
         raise ValueError("rectangle backend supports interior tests only")
     f0 = traj.field_at(0)
@@ -424,10 +407,8 @@ def _rect_quadrature(traj: Trajectory, test: RadialProfileTest):
     rr = np.hypot(X - cx, Y - cy)
     if float(rr.min()) + test.support_radius > min(cx, cy):
         raise ValueError("test support reaches the rectangle wall")
-    dp_v = test.dp(rr)
-    off = rr > 1e-14
-    gpx = dp_v * np.where(off, (X - cx) / np.maximum(rr, 1e-300), 0.0)
-    gpy = dp_v * np.where(off, (Y - cy) / np.maximum(rr, 1e-300), 0.0)
+    # grad p: the test's gradient on its hold plateau, where the time window is 1
+    gpx, gpy = np.moveaxis(test.gradient(np.stack([X - cx, Y - cy], axis=-1), test.t_hold), -1, 0)
 
     xs, ys, gx, gy = X.ravel(), Y.ravel(), gpx.ravel(), gpy.ravel()
     dxm = xs[:, None] - xs[None, :]
@@ -438,53 +419,45 @@ def _rect_quadrature(traj: Trajectory, test: RadialProfileTest):
     band = sep2 < (_DIAG_FACTOR * (f0.hx + f0.hy)) ** 2
     H1 = np.where(band, band_val, num / np.where(sep2 > 0, sep2, 1.0)) / (4.0 * np.pi)
 
-    def pairs(m):
-        mf = m.ravel() * f0.cell_area
-        q1 = float(mf @ H1 @ mf)
-        vx, vy = solve_poisson_neumann(f0.like(m - float(m.mean()))).gradient()
-        drift = f0.integral(m * (gpx * vx + gpy * vy))
+    def pairs(M):
+        Mf = M * f0.cell_area
+        q1 = ((Mf @ H1) * Mf).sum(axis=1)
+        m = M.reshape(-1, *f0.values.shape)
+        vx, vy = solve_poisson_neumann(f0.like(m - m.mean(axis=(1, 2), keepdims=True))).gradient()
+        drift = f0.row_integrals(m * (gpx * vx + gpy * vy))
         return {"Q1": q1, "Q5": -drift - q1}
 
-    return rr, f0.integral, pairs
+    return rr.ravel(), pairs
 
 
 def weak_residual(traj: Trajectory, test: RadialProfileTest, n_theta: int = 192) -> QBreakdown:
-    """Evaluate the term breakdown on a trajectory: midpoint rule in time.
-
-    The backends differ only in what ``_disk_quadrature`` and
-    ``_rect_quadrature`` supply: each cell's radius from the test's center,
-    the cell integral and the pair terms of a mid-interval mobility.
-    ``n_theta`` is the angle count of the disk's pair tables.
+    """Evaluate the term breakdown on a trajectory: midpoint rule in time
+    over its intervals.  The backends differ only in what
+    ``_disk_quadrature`` and ``_rect_quadrature`` supply: each cell's radius
+    from the test's center and the pair terms of the mid-interval
+    mobilities.  ``n_theta`` is the angle count of the disk's pair tables.
     """
     if test.t_off > traj.times[-1] + 1e-12:
         raise ValueError("test time window must close before the trajectory ends")
     if traj.backend == "rect":
-        rr, integral, pairs = _rect_quadrature(traj, test)
+        rr, pairs = _rect_quadrature(traj, test)
     else:
-        rr, integral, pairs = _disk_quadrature(traj, test, n_theta)
-    p = test.p(rr)
-    plap = test.plap(rr)
-    mob = _mobility_series(traj)
-    comp = _companion_series(traj)
-    times = np.asarray(traj.times)
-
-    L1 = -integral(p * test.zeta(times[0]) * traj.snapshots[0])
+        rr, pairs = _disk_quadrature(traj, test, n_theta)
+    meas = traj.field_at(0).cell_area
+    snaps = traj.stack()
+    mid, dt = traj.intervals()
+    weight = dt * test.zeta(mid)  # of the Laplacian and the pair terms
+    mass = snaps @ (test.p(rr) * meas)  # int p u at each snapshot
+    lap = traj.reg.diffusion(snaps) @ (test.plap(rr) * meas)
+    L1 = (
+        -float(test.zeta(traj.times[0])) * mass[0]
+        - (dt * test.zeta_t(mid)) @ traj.midpoints(mass)
+        - weight @ traj.midpoints(lap)
+    )
     vals = dict.fromkeys(_TABLE_KEYS, 0.0)
-    for k in range(times.size - 1):
-        dt = times[k + 1] - times[k]
-        if dt <= 1e-15:
-            continue
-        tm = 0.5 * (times[k] + times[k + 1])
-        u_mid = 0.5 * (traj.snapshots[k] + traj.snapshots[k + 1])
-        m_mid = 0.5 * (mob[k] + mob[k + 1])
-        c_mid = 0.5 * (comp[k] + comp[k + 1])
-        zt = float(test.zeta_t(tm))
-        zv = float(test.zeta(tm))
-        L1 += -dt * zt * integral(p * u_mid)
-        L1 += -dt * zv * integral(plap * c_mid)
-        for key, q in pairs(m_mid).items():
-            vals[key] += dt * zv * q
-    return QBreakdown(L1=L1, **vals)
+    for key, q in pairs(traj.midpoints(traj.reg.mobility(snaps))).items():
+        vals[key] = float(weight @ q)
+    return QBreakdown(L1=float(L1), **vals)
 
 
 # ---------------------------------------------------------------------------

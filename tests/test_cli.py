@@ -230,6 +230,15 @@ BAD_RUN_CONFIGS = {
         RUN_TEXT.replace("radial_n = 256", "radial_n = 2000").replace("radial_ratio = 1.0", "radial_ratio = 1.5"),
     ),
     "radial_ratio -1": ("radial_ratio", RUN_TEXT.replace("radial_ratio = 1.0", "radial_ratio = -1")),
+    # ratio ** n is finite, but the finest cells have no volume or no spacing
+    "first cell without volume": (
+        "radial_ratio",
+        RUN_TEXT.replace("radial_n = 256", "radial_n = 1700").replace("radial_ratio = 1.0", "radial_ratio = 1.5"),
+    ),
+    "outer cells without spacing": (
+        "radial_ratio",
+        RUN_TEXT.replace("radial_n = 256", "radial_n = 2000").replace("radial_ratio = 1.0", "radial_ratio = 0.5"),
+    ),
     "nx 1": ("nx", TWO_BUMP_TEXT.replace("nx = 24", "nx = 1")),
     "dt_policy": ("dt_policy", RUN_TEXT.replace("dt_policy = cfl", "dt_policy = adaptive")),
     "initial key off its kind": ("r0", RUN_TEXT.replace("width = 0.2", "width = 0.2\nr0 = 0.5")),

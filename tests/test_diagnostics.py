@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 from kslab import diagnostics as D
 from kslab import solver as S
 from kslab import sweep as SW
+from kslab import weakform as W
 from kslab.testfn import phi
 
 
@@ -507,6 +508,56 @@ def _oracle_moduli(traj, cover):
     return np.asarray(moduli)
 
 
+def _oracle_weak_residual(traj, test, n_theta):
+    """The disk's weak residual as a loop over the intervals: the midpoint
+    rule with each mid-interval mobility's pair terms m K m."""
+    grid = traj.grid
+    tables = W._radial_kernel_tables(grid, test, n_theta, traj.field_at(0).domain.sigma0)
+    eps = traj.reg.epsilon
+    if traj.reg.is_cutoff:
+        mob, comp = [S.f_eps(s, eps) for s in traj.snapshots], list(traj.snapshots)
+    else:
+        mob, comp = list(traj.snapshots), [s + eps * s ** (7.0 / 6.0) for s in traj.snapshots]
+    p, plap = test.p(grid.centers), test.plap(grid.centers)
+
+    def integral(values):
+        return float(np.sum(values * grid.cell_areas))
+
+    times = np.asarray(traj.times)
+    L1 = -integral(p * test.zeta(times[0]) * traj.snapshots[0])
+    vals = dict.fromkeys(tables, 0.0)
+    for k in range(times.size - 1):
+        dt = times[k + 1] - times[k]
+        if dt <= 1e-15:
+            continue
+        tm = 0.5 * (times[k] + times[k + 1])
+        u_mid = 0.5 * (traj.snapshots[k] + traj.snapshots[k + 1])
+        m_mid = 0.5 * (mob[k] + mob[k + 1])
+        c_mid = 0.5 * (comp[k] + comp[k + 1])
+        zt = float(test.zeta_t(tm))
+        zv = float(test.zeta(tm))
+        L1 += -dt * zt * integral(p * u_mid)
+        L1 += -dt * zv * integral(plap * c_mid)
+        for key, K in tables.items():
+            vals[key] += dt * zv * float(m_mid @ K @ m_mid)
+    return {"L1": L1, **vals}
+
+
+def _weak_residual_tests(traj):
+    """An interior and a boundary-compatible test whose time window closes
+    inside the trajectory."""
+    t0, t1 = traj.times[0], traj.times[-1]
+    hold, off = t0 + 0.3 * (t1 - t0), t0 + 0.8 * (t1 - t0)
+    return W.interior_bump_test(0.45, hold, off), W.boundary_compatible_test(hold, off)
+
+
+def _assert_breakdown_close(qb, want):
+    # one tolerance for every term: 1e-12 of the largest
+    scale = max(abs(v) for v in want.values())
+    for key, value in want.items():
+        assert abs(getattr(qb, key) - value) <= 1e-12 * scale, (key, getattr(qb, key), value)
+
+
 @st.composite
 def random_trajectories(draw):
     """A disk or rectangle trajectory of random nonnegative snapshots (some
@@ -571,6 +622,62 @@ def test_trajectory_analyses_match_per_snapshot_formulas(case):
     # independent random snapshots: the patch masses differ by O(1) from one
     # snapshot to the next, so the quotients keep the masses' relative rounding
     np.testing.assert_allclose(SW.mass_change_modulus(traj, cover)["moduli"], _oracle_moduli(traj, cover), **rel)
+
+    if traj.backend == "radial":
+        for test in _weak_residual_tests(traj):
+            _assert_breakdown_close(W.weak_residual(traj, test, n_theta=16), _oracle_weak_residual(traj, test, 16))
+
+
+@pytest.mark.parametrize("k, gap", [(2, 0.0), (4, 5e-15)])
+@pytest.mark.parametrize("variant", ["cutoff_flux", "nonlinear_diffusion"])
+@pytest.mark.parametrize("backend", ["radial", "rect"])
+def test_repeated_snapshot_changes_no_analysis(backend, variant, k, gap):
+    # the driver records one time twice when the concentration flag and the
+    # snapshot clock fire on one step: an interval no longer than
+    # REPEATED_TIME, on which a rate is 0 and which a time integral does not
+    # weigh.  Snapshot k is recorded again ``gap`` later (a gap only at the
+    # end, where it shifts no other interval).
+    rng = np.random.default_rng(7)
+    times = [0.0, 2e-4, 5e-4, 9e-4, 1.2e-3]
+    reg = S.RegKind(variant, 1e-2)
+    if backend == "radial":
+        grid = S.make_radial_grid(48, 1.02)
+        snaps = [rng.uniform(0.0, 2.0, grid.n) for _ in times]
+        geometry = {"grid": grid}
+        cover = SW.build_radial_partition(grid, 5)
+    else:
+        snaps = [rng.uniform(0.0, 2.0, (16, 16)) for _ in times]
+        geometry = {"hx": 1.0 / 16, "hy": 1.0 / 16}
+    base, repeated = (
+        S.Trajectory(backend, reg, S.SolverConfig(), t, s, [], **geometry)
+        for t, s in (
+            (times, snaps),
+            (times[: k + 1] + [times[k] + gap] + times[k + 1 :], snaps[: k + 1] + snaps[k:]),
+        )
+    )
+    if backend == "rect":
+        X, _ = base.field_at(0).cell_centers()
+        cover = [X, 1.0 - X]
+    x0, rho = np.array([0.45, 0.5]), 0.1
+    tests = _weak_residual_tests(base) if backend == "radial" else (W.interior_bump_test(0.3, 3e-4, 1e-3),)
+    rel = dict(rtol=1e-13, atol=0.0)
+
+    got, want = D.local_mass_rate(repeated, (x0, rho)), D.local_mass_rate(base, (x0, rho))
+    assert got.rate[k] == 0.0
+    np.testing.assert_allclose(np.delete(got.weighted_mass, k), want.weighted_mass, **rel)
+    np.testing.assert_allclose(np.delete(got.rate, k), want.rate, **rel)
+    if want.ball_u76 is not None:
+        np.testing.assert_allclose(np.delete(got.rho2_onesided, k), want.rho2_onesided, **rel)
+    terms = [(("ball", x0, rho), lambda pts: 1.0 + pts[..., 0] ** 2)]
+    np.testing.assert_allclose(
+        D.quadratic_weak_limit_probe(repeated, terms), D.quadratic_weak_limit_probe(base, terms), **rel
+    )
+    np.testing.assert_allclose(
+        SW.mass_change_modulus(repeated, cover)["moduli"], SW.mass_change_modulus(base, cover)["moduli"], **rel
+    )
+    for test in tests:
+        got, want = W.weak_residual(repeated, test, n_theta=16), W.weak_residual(base, test, n_theta=16)
+        _assert_breakdown_close(got, {key: getattr(want, key) for key in ("L1", *W._TABLE_KEYS)})
 
 
 # --------------------------------------------------------------------------

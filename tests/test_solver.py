@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -588,6 +590,53 @@ def test_cells_below_zero_are_vacuum(backend, variant):
     assert all(np.isfinite(value) for row in traj.diag for value in row.values())
     m = traj.mass_series()
     assert np.max(np.abs(m - u0.mass())) <= 1e-13 * u0.mass()
+    # and so does every trajectory analysis: on the snapshots, which keep
+    # their cells below zero, each runs and matches the snapshots clipped at 0
+    assert all(snap.min() < 0.0 for snap in traj.snapshots)
+    clipped = dataclasses.replace(traj, snapshots=[np.maximum(snap, 0.0) for snap in traj.snapshots])
+    with np.errstate(invalid="raise"):
+        got, want = _analyses(traj), _analyses(clipped)
+    # powers and model densities read max(u, 0), so they are bit-equal;
+    # linear masses keep u, and cells at -1e-14 move them by at most 1e-14
+    # times the domain area, a rate over dt = 1e-4 by 1e-10 times it
+    for key, value in got.items():
+        if key in ("beta", "lp", "ball_u76", "Q1", "Q5"):
+            assert np.asarray(value).tobytes() == np.asarray(want[key]).tobytes(), key
+        else:
+            np.testing.assert_allclose(value, want[key], rtol=0.0, atol=1e-9, err_msg=key)
+
+
+def _analyses(traj) -> dict:
+    """Each trajectory analysis on ``traj`` (the atom ladder on its first snapshot)."""
+    from kslab import diagnostics as D, sweep as SW, weakform as W
+
+    u0 = traj.field_at(0)
+    x0 = np.zeros(2) if traj.backend == "radial" else np.full(2, 0.5)
+    if traj.backend == "radial":
+        cover = SW.build_radial_partition(traj.grid, 3)
+    else:
+        X, _ = u0.cell_centers()
+        cover = [X, 1.0 - X]
+    est = D.atom_estimate(u0, x0, traj.reg)
+    probe = D.local_mass_rate(traj, (x0, 0.1))
+    lp = D.local_lp(traj, (x0, 0.1), 1.5)
+    qb = W.weak_residual(traj, W.interior_bump_test(0.3, 1e-4, 2.5e-4), n_theta=32)
+    out = {
+        "alpha": est.alpha,
+        "beta": est.beta,
+        "weighted_mass": probe.weighted_mass,
+        "rate": probe.rate,
+        "lp": lp["lp"],
+        "mass4": lp["mass4"],
+        "quadratic": D.quadratic_weak_limit_probe(traj, [(("ball", x0, 0.2), lambda pts: 1.0 + pts[..., 0] ** 2)]),
+        "moduli": SW.mass_change_modulus(traj, cover)["moduli"],
+        "L1": qb.L1,
+        "Q1": qb.Q1,
+        "Q5": qb.Q5,
+    }
+    if probe.ball_u76 is not None:
+        out["ball_u76"], out["rho2_onesided"] = probe.ball_u76, probe.rho2_onesided
+    return out
 
 
 def _mode_decay_l1_error(u0, mode, rate, t_end=0.02):
