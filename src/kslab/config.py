@@ -241,6 +241,9 @@ class SweepPlanConfig:
                 raise ConfigError(f"unknown regularization {rg!r} in sweep plan")
         if self.base.domain != "disk":
             raise ConfigError("sweeps run on the radial disk backend; the base domain must be disk")
+        if len(self.rho_ladder) < 3:
+            # atom_estimate takes the flattest window of three ladder radii
+            raise ConfigError(f"rho_ladder needs at least three radii, got {len(self.rho_ladder)}")
 
 
 def parse_sweep_plan(path, text: str | None = None) -> SweepPlanConfig:

@@ -43,7 +43,6 @@ __all__ = [
     "SolverError",
     "CFLError",
     "f_eps",
-    "big_F_eps",
     "solve_poisson_neumann",
     "radial_poisson_face_gradient",
     "step",
@@ -312,24 +311,6 @@ def f_eps(u, epsilon: float):
     if knee.size:
         top = np.minimum(flat[knee], 1.0 / epsilon)
         flat[knee] = (1.0 / epsilon - 0.5) - 0.5 * (1.0 / epsilon - top) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
-def big_F_eps(u, epsilon: float):
-    """Antiderivative of f_eps; satisfies F_eps(u) <= u^2/2."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
-        raise ValueError("big_F_eps needs nonnegative input")
-    a = 1.0 / epsilon - 1.0
-    cap = 1.0 / epsilon - 0.5
-    mid = (
-        0.5 * a**2
-        + cap * (u - a)
-        + ((1.0 / epsilon - u) ** 3 - 1.0) / 6.0
-    )
-    # F at u = 1/eps, then linear growth with slope cap
-    f_at_cap = 0.5 * a**2 + cap - 1.0 / 6.0
-    out = np.where(u <= a, 0.5 * u**2, np.where(u <= 1.0 / epsilon, mid, f_at_cap + cap * (u - 1.0 / epsilon)))
     return float(out) if out.ndim == 0 else out
 
 

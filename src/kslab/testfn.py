@@ -16,9 +16,9 @@ coordinates X = (arc length along the boundary, distance to it)/rho from
 the log-potential of the union of a unit source ball at X0 = (0, d/rho)
 and its mirror ball across the wall (image symmetry gives the Neumann
 condition exactly).  The union potential is the two closed-form ball
-potentials minus the potential of their overlap lens, the latter by
-Gauss-Legendre quadrature near the lens and a multipole expansion away
-from it.  Outside radius lambda0 the profile is matched C^1 onto the
+potentials minus the potential of their overlap lens, the latter from
+the lens's two arcs: its field in closed form, its value by a Gauss rule
+on them.  Outside radius lambda0 the profile is matched C^1 onto the
 compactly supported paraboloid cap
 
     Phi(X) = (m / 4 pi lambda0) (lambda0 + 1 - |X|)_+^2,
@@ -175,77 +175,75 @@ def _ball_potential_d11(z: np.ndarray) -> np.ndarray:
     return out
 
 
-class _LensQuadrature:
-    """Gauss-Legendre nodes over the overlap lens of B1((0,a)) and B1((0,-a)).
+def _log1p(x: np.ndarray) -> np.ndarray:
+    """log(1 + x) for complex x, to rounding also for small |x| (numpy's
+    complex log1p is not); its real part is 0 where 1 + x rounds to 0."""
+    r = 2.0 * x.real + (x.real**2 + x.imag**2)  # |1 + x|^2 - 1
+    return 0.5 * np.log1p(np.where(r > -1.0, r, 0.0)) + 1j * np.arctan2(x.imag, 1.0 + x.real)
 
-    Near field: direct sums.  Far field (|X| >= 3): monopole + quadrupole
-    from the same nodes (odd moments vanish by the lens's double symmetry).
+
+class _Lens:
+    """The overlap lens of the unit balls about X = (0, a) and (0, -a),
+    0 < a < 1, from its two unit-circle arcs.
+
+    In z = X1 + i X2 the lower arc lies on the circle about c = ia and
+    runs from the corner -w to w, the upper one on the circle about -ia
+    from w to -w (w = sqrt(1 - a^2)); each spans the angle
+    theta = pi - 2 arcsin(a).  On an arc conj(zeta) = conj(c) + 1/(zeta - c),
+    so the field F(z) = int_lens dA/(zeta - z)
+    = (1/2i) oint (conj(zeta) - conj(z))/(zeta - z) dzeta and its
+    z-derivative are sums of logs.  The potential is a Gauss rule on the
+    arcs: 16 panels of 32 nodes each.
     """
 
-    R_NEAR = 3.0
-    N_NODES = 192  # Gauss-Legendre nodes in each direction
-    BLOCK = 32  # near-field points summed at a time: each (points x nodes) temporary stays under 10 MB
-
     def __init__(self, a: float):
-        n = self.N_NODES
-        w = np.sqrt(max(1.0 - a * a, 0.0))
-        g, gw = np.polynomial.legendre.leggauss(n)
-        y1 = w * g
-        b = np.sqrt(np.maximum(1.0 - y1**2, 0.0)) - a  # half-height of the lens
-        Y1 = np.repeat(y1, n)
-        Y2 = (b[:, None] * g[None, :]).ravel()
-        self.nodes = np.stack([Y1, Y2], axis=-1)
-        self.weights = (w * gw[:, None] * (b[:, None] * gw[None, :])).ravel()
-        self.mass = float(self.weights.sum())
-        self.I1 = float(np.sum(self.weights * Y1**2))
-        self.I2 = float(np.sum(self.weights * Y2**2))
-        # Gradient kernels are regularized at the node-spacing scale; the
-        # bias is O(spacing^2), far below the uses of the lens gradient.
-        self.reg2 = (2.0 * w / n) ** 2
-
-    def _near_far(self, X: np.ndarray, out: np.ndarray, near_sums, far) -> np.ndarray:
-        """Fill ``out`` with the node sums ``near_sums`` / 2 pi inside
-        R_NEAR, in blocks of points, and with ``far(X, |X|^2)`` outside."""
-        R2 = X[:, 0] ** 2 + X[:, 1] ** 2
-        near = R2 < self.R_NEAR**2
-        out[~near] = far(X[~near], R2[~near])
-        idx = np.flatnonzero(near)
-        for lo in range(0, idx.size, self.BLOCK):
-            blk = idx[lo : lo + self.BLOCK]
-            out[blk] = near_sums(X[blk]) / (2.0 * np.pi)
-        return out
-
-    def _log_sums(self, blk: np.ndarray) -> np.ndarray:
-        d2 = (blk[:, None, 0] - self.nodes[None, :, 0]) ** 2 + (blk[:, None, 1] - self.nodes[None, :, 1]) ** 2
-        return -(0.5 * np.log(np.maximum(d2, 1e-300)) * self.weights[None, :]).sum(axis=1)
-
-    def _grad_sums(self, blk: np.ndarray) -> np.ndarray:
-        dx = blk[:, None, 0] - self.nodes[None, :, 0]
-        dy = blk[:, None, 1] - self.nodes[None, :, 1]
-        d2 = dx * dx + dy * dy + self.reg2
-        return np.stack(
-            [-(dx / d2 * self.weights[None, :]).sum(axis=1), -(dy / d2 * self.weights[None, :]).sum(axis=1)],
-            axis=-1,
-        )
-
-    def _multipole(self, X: np.ndarray, R2: np.ndarray) -> np.ndarray:
-        quad = (X[:, 0] ** 2 - X[:, 1] ** 2) * (self.I1 - self.I2) / R2**2
-        return -(0.5 * self.mass * np.log(R2) + 0.5 * quad) / (2.0 * np.pi)
-
-    def _multipole_grad(self, X: np.ndarray, R2: np.ndarray) -> np.ndarray:
-        Dm = self.I1 - self.I2
-        diff = X[:, 0] ** 2 - X[:, 1] ** 2
-        gq = np.stack(
-            [Dm * 2.0 * X[:, 0] * (R2 - 2.0 * diff) / R2**3, -Dm * 2.0 * X[:, 1] * (R2 + 2.0 * diff) / R2**3],
-            axis=-1,
-        )
-        return -(self.mass * X / R2[:, None] + 0.5 * gq) / (2.0 * np.pi)
+        w = np.sqrt(1.0 - a * a)
+        self.theta = np.pi - 2.0 * np.arcsin(a)
+        self.arcs = ((1j * a, -w, w), (-1j * a, w, -w))  # (center, start, end)
+        g, gw = np.polynomial.legendre.leggauss(32)
+        half = self.theta / 32.0
+        phi = half * (2 * np.arange(16) + 1)[:, None] + half * g
+        # each arc's center and outward normals exp(i phi), one row per panel
+        self.panels = [(c, np.exp(1j * (phi + np.angle(s - c)))) for c, s, _ in self.arcs]
+        self.weights = half * gw
 
     def potential(self, X: np.ndarray) -> np.ndarray:
-        return self._near_far(X, np.empty(X.shape[0]), self._log_sums, self._multipole)
+        """-(1/2pi) int_lens log|zeta - z| dA = -(1/4pi) oint (d.n)(log|d| - 1/2) ds, d = zeta - z."""
+        z = X[:, 0] + 1j * X[:, 1]
+        out = np.zeros(z.shape)
+        for c, normals in self.panels:
+            for n in normals:
+                d = (c - z)[:, None] + n
+                out += ((d * n.conj()).real * (np.log(d.real**2 + d.imag**2) - 1.0)) @ self.weights
+        return -out / (8.0 * np.pi)
 
-    def potential_grad(self, X: np.ndarray) -> np.ndarray:
-        return self._near_far(X, np.empty(X.shape), self._grad_sums, self._multipole_grad)
+    def field(self, X: np.ndarray):
+        """F and dF/dz at half-plane points X.  The lens potential has
+        X-gradient (Re F, -Im F)/2pi and second X1-derivative
+        (Re dF/dz - pi 1_lens)/2pi."""
+        z = X[:, 0] + 1j * X[:, 1]
+        F = Fz = 0.0
+        for c, s, e in self.arcs:
+            # With u = c - z an arc gives i theta conj(u) - (1 - |u|^2) l/u,
+            # l the change of log(1 + u/(zeta - c)) along it: of
+            # Log(1 + u conj(zeta - c)) inside the arc's circle, of
+            # Log((zeta - z) conj(u)) - i theta outside it (both arguments
+            # have a positive real part, so the principal logs are continuous).
+            u = c - z
+            u2 = u.real**2 + u.imag**2
+            ts, te = np.conj(s - c), np.conj(e - c)
+            # at a corner zeta - z = 0: the field's terms there carry the
+            # factor 1 - |u|^2 = 0; dF/dz, log-singular there, keeps its finite part
+            ds, de = (np.where(d == 0, 1.0, d) for d in (s - z, e - z))
+            inner = u2 <= 1.0
+            v = np.where(inner, 1.0, u.conj())
+            ell = np.where(inner, _log1p(u * te) - _log1p(u * ts), np.log(de * v) - np.log(ds * v) - 1j * self.theta)
+            # at the circle's center l/u -> te - ts and the dF/dz term -> (te^2 - ts^2)/2
+            lu = np.divide(ell, u, out=np.full(z.shape, te - ts), where=u != 0)
+            inv = 1.0 / de - 1.0 / ds
+            F = F + 1j * self.theta * u.conj() - (1.0 - u2) * lu
+            Fz = Fz - np.divide(lu - inv, u, out=np.full(z.shape, (te**2 - ts**2) / 2), where=u != 0) - u.conj() * inv
+        return F / 2j, Fz / 2j
 
 
 def _hermite_q(s):
@@ -267,17 +265,6 @@ def _by_region(core: np.ndarray, core_vals, ring: np.ndarray, ring_vals: np.ndar
     out[core] = core_vals
     out[ring] = ring_vals
     return out
-
-
-def _x1_stencil(X: np.ndarray, shift, h: float):
-    """X moved by ``shift`` along X1, and that point's neighbours at +-h."""
-    base = X.copy()
-    base[:, 0] += shift
-    plus = base.copy()
-    plus[:, 0] += h
-    minus = base.copy()
-    minus[:, 0] -= h
-    return base, plus, minus
 
 
 class BoundaryBump:
@@ -312,7 +299,7 @@ class BoundaryBump:
         # rho, rounding in the boundary distance leaves a within 1e-12 of 1
         # on either side; that lens has mass ~1e-21 and is left out.
         self._centers = (self.c1,) if self.a < 1e-9 else (self.c1, self.c2)
-        self.lens = _LensQuadrature(self.a) if len(self._centers) == 2 and 1.0 - self.a > 1e-12 else None
+        self.lens = _Lens(self.a) if len(self._centers) == 2 and 1.0 - self.a > 1e-12 else None
         self._phi_coef = self.m / (4.0 * np.pi * self.lambda0)
         self._build_ring()
 
@@ -328,7 +315,10 @@ class BoundaryBump:
 
     def _psi_hat_grad(self, X: np.ndarray) -> np.ndarray:
         g = self._over_balls(_ball_potential_grad, X)
-        return g if self.lens is None else g - self.lens.potential_grad(X)
+        if self.lens is None:
+            return g
+        F = self.lens.field(X)[0]
+        return g - np.stack([F.real, -F.imag], axis=-1) / (2.0 * np.pi)
 
     def _in_balls(self, X: np.ndarray):
         """Masks of the points in the source ball and in the mirror ball."""
@@ -340,24 +330,12 @@ class BoundaryBump:
 
     def _psi_hat_d11(self, X: np.ndarray) -> np.ndarray:
         """Second X1-derivative of the union potential (used only in the
-        O(rho) chart metric correction, so a wide stencil for the lens
-        part is fine).  The second derivative jumps on the lens boundary,
-        so each point takes the first shift of 0, +2.5h, -2.5h whose
-        stencil stays on its own side of it, else 0."""
+        O(rho) chart metric correction)."""
         out = self._over_balls(_ball_potential_d11, X)
         if self.lens is None:
             return out
-        h = 0.05
-        side = self._in_lens(X)
-        shift = np.zeros(X.shape[0])
-        todo = np.ones(X.shape[0], dtype=bool)
-        for s in (0.0, 2.5 * h, -2.5 * h):
-            same = np.all([self._in_lens(p) == side for p in _x1_stencil(X, s, h)], axis=0)
-            shift[todo & same] = s
-            todo &= ~same
-        base, plus, minus = _x1_stencil(X, shift, h)
-        pot = self.lens.potential
-        return out - (pot(plus) - 2.0 * pot(base) + pot(minus)) / h**2
+        Fz = self.lens.field(X)[1]
+        return out - (Fz.real - np.pi * self._in_lens(X)) / (2.0 * np.pi)
 
     def _build_ring(self) -> None:
         n = self.N_RING
@@ -495,8 +473,7 @@ class BoundaryBump:
     def normal_derivative_residual(self) -> float:
         """max |nu . grad psi| on the boundary arc inside the support.
 
-        The profile is even in X2, so this vanishes up to quadrature
-        symmetry error in the lens potential.
+        The profile is even in X2, so this vanishes up to rounding.
         """
         arcs = np.linspace(-(self.lambda0 + 1.0), self.lambda0 + 1.0, 181)
         X = np.stack([arcs, np.zeros_like(arcs)], axis=-1)

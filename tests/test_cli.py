@@ -253,6 +253,7 @@ BAD_SWEEP_PLANS = {
     "empty regs": ("regs", SWEEP_HEAD + "regs =\n\n" + RUN_TEXT),
     "single epsilon": ("epsilon", "[sweep]\nepsilons = 1e-3\n\n" + RUN_TEXT),
     "rectangle base": ("domain", SWEEP_HEAD + "\n" + TWO_BUMP_TEXT),
+    "two-radius ladder": ("rho_ladder", SWEEP_HEAD + "rho_ladder = 0.05 0.1\n\n" + RUN_TEXT),
 }
 
 

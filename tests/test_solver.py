@@ -30,8 +30,6 @@ def test_f_eps_examples():
 def test_f_eps_rejects_negative():
     with pytest.raises(ValueError):
         S.f_eps(-1.0, 0.1)
-    with pytest.raises(ValueError):
-        S.big_F_eps(-1.0, 0.1)
 
 
 @given(st.floats(0, 200), st.floats(0.01, 0.5))
@@ -76,20 +74,6 @@ def test_f_eps_past_the_knee_only_matches_three_branch_formula(case):
     assert np.asarray(got).shape == want.shape
     assert np.asarray(got, dtype=float).tobytes() == want.tobytes()
     assert type(got) is (float if u.ndim == 0 else np.ndarray)
-
-
-def test_big_F_eps_values_and_oracle():
-    assert S.big_F_eps(3.0, 0.1) == pytest.approx(4.5)  # u^2/2 below the knee
-    assert S.big_F_eps(9.0, 0.1) == pytest.approx(40.5)
-    for u in (9.5, 20.0):
-        oracle, _ = scipy.integrate.quad(lambda s: S.f_eps(s, 0.1), 0.0, u)
-        assert S.big_F_eps(u, 0.1) == pytest.approx(oracle, rel=1e-9)
-
-
-@given(st.floats(0, 100), st.floats(0.02, 0.5))
-@settings(max_examples=100, deadline=None)
-def test_big_F_bounded_by_quadratic(u, eps):
-    assert S.big_F_eps(u, eps) <= 0.5 * u**2 + 1e-9
 
 
 def test_reg_kind_validation():

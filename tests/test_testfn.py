@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kslab import testfn as T
 from kslab.geometry import GeometryError, unit_disk
@@ -103,47 +104,116 @@ def _stencil_gaps(bump, x, h_grad, h_lap):
 
 def _interface_distance(bump, X):
     """Distance in X of half-plane points to the nearest region interface:
-    the ball boundaries (which bound the lens), the core and ring edges,
-    and the lens quadrature's near/far switch."""
+    the ball boundaries (which bound the lens) and the core and ring edges."""
     r = np.hypot(X[:, 0], X[:, 1])
     d = [np.abs(r - bump.lambda0), np.abs(r - bump.lambda0 - 1.0)]
     d += [np.abs(np.hypot(*(X - c).T) - 1.0) for c in (bump.c1, bump.c2)]
-    if bump.lens is not None:
-        d.append(np.abs(r - T._LensQuadrature.R_NEAR))
     return np.min(d, axis=0)
+
+
+def _disk_points(X, th0, rho):
+    """Disk points of half-plane points X of a bump centered at angle th0."""
+    ang = th0 + rho * X[:, 0]
+    return (1.0 - rho * X[:, 1])[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
 @pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 1.0, 2.0])
 def test_boundary_bump_derivatives_match_values(a):
-    # outside the overlap lens: gradient against central differences at
-    # h = 1e-3 rho, Laplacian against the five-point stencil at 0.02 rho
+    # gradient against central differences at h = 1e-3 rho, Laplacian
+    # against the five-point stencil at 0.02 rho: over the support, and
+    # inside the overlap lens when there is one
     rho, th0 = 0.02, 0.7
     rng = np.random.default_rng(int(100 * a))
     bump = T.build_boundary_bump(DISK, (1.0 - a * rho) * np.array([np.cos(th0), np.sin(th0)]), rho)
     # half-plane points over the support, mapped back to the disk
     X = np.stack([rng.uniform(-9.5, 9.5, 6000), rng.uniform(0.0, 9.5, 6000)], axis=-1)
-    in_lens = bump._in_lens(X) if bump.lens is not None else np.zeros(len(X), dtype=bool)
+    legs = [X[_interface_distance(bump, X) > 0.05][:400]]
+    if 0.0 < a < 1.0:
+        Xl = np.stack([rng.uniform(-1.0, 1.0, 3000), rng.uniform(0.0, 1.0, 3000)], axis=-1)
+        legs.append(Xl[bump._in_lens(Xl) & (_interface_distance(bump, Xl) > 0.05)][:60])
+        assert len(legs[1]) >= 20
+    for Xs in legs:
+        x = _disk_points(Xs, th0, rho)
+        assert np.allclose(bump.x_coords(x), Xs)
+        grad_gap, lap_gap = _stencil_gaps(bump, x, 1e-3 * rho, 0.02 * rho)
+        assert grad_gap <= 2e-3
+        assert lap_gap <= 3e-3
 
-    def disk_points(X):
-        ang = th0 + rho * X[:, 0]
-        return (1.0 - rho * X[:, 1])[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
-    away = _interface_distance(bump, X) > 0.05
-    x = disk_points(X[away & ~in_lens][:400])
-    assert np.allclose(bump.x_coords(x), X[away & ~in_lens][:400])
-    grad_gap, lap_gap = _stencil_gaps(bump, x, 1e-3 * rho, 0.02 * rho)
+@st.composite
+def lens_points(draw):
+    """A lens depth a and a half-plane point inside that lens, at least
+    0.05 from its arcs."""
+    a = draw(st.floats(0.1, 0.7))
+    w = np.sqrt(1.0 - a * a)
+    X = np.array([[draw(st.floats(-w, w)), draw(st.floats(0.0, 1.0 - a))]])
+    assume(np.hypot(X[0, 0], X[0, 1] + a) <= 0.95)
+    return a, X
+
+
+@given(lens_points())
+@settings(max_examples=40, deadline=None)
+def test_lens_derivatives_match_values(case):
+    a, X = case
+    rho, th0 = 0.02, 0.3
+    bump = T.build_boundary_bump(DISK, (1.0 - a * rho) * np.array([np.cos(th0), np.sin(th0)]), rho)
+    grad_gap, lap_gap = _stencil_gaps(bump, _disk_points(X, th0, rho), 1e-3 * rho, 0.02 * rho)
     assert grad_gap <= 2e-3
     assert lap_gap <= 3e-3
-    if 0.0 < a < 1.0:
-        # inside the lens the value is a point-mass quadrature: the
-        # stencil must span several node spacings (the gap there reaches
-        # about 0.05 at 0.1 rho and 0.5 at 0.02 rho)
-        Xl = np.stack([rng.uniform(-1.0, 1.0, 3000), rng.uniform(0.0, 1.0, 3000)], axis=-1)
-        Xl = Xl[bump._in_lens(Xl) & (_interface_distance(bump, Xl) > 0.15)][:60]
-        assert len(Xl) >= 20
-        grad_gap, lap_gap = _stencil_gaps(bump, disk_points(Xl), 0.1 * rho, 0.1 * rho)
-        assert grad_gap <= 2e-3
-        assert lap_gap <= 0.1
+
+
+def _lens_oracle(a, z, n=120):
+    """Product Gauss rule over the lens of depth a: int dA/(zeta - z),
+    int dA/(zeta - z)^2 and -(1/2pi) int log|zeta - z| dA at points z off it."""
+    w = np.sqrt(1.0 - a * a)
+    g, gw = np.polynomial.legendre.leggauss(n)
+    half_height = np.sqrt(1.0 - (w * g) ** 2) - a
+    zeta = (w * g[:, None] + 1j * half_height[:, None] * g).ravel()
+    weight = (w * gw[:, None] * half_height[:, None] * gw).ravel()
+    d = zeta - z[:, None]
+    return (weight / d).sum(1), (weight / d**2).sum(1), -(weight * np.log(np.abs(d))).sum(1) / (2.0 * np.pi)
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+def test_lens_field_matches_a_product_gauss_oracle(a):
+    # points at least 0.1 off the lens, out to |X| = 4, where the
+    # product rule converges to rounding
+    bump = T.build_boundary_bump(DISK, np.array([1.0 - 0.02 * a, 0.0]), 0.02)
+    rng = np.random.default_rng(int(100 * a))
+    X = rng.uniform(-4.0, 4.0, (400, 2))
+    in1, in2 = (np.hypot(*(X - c).T) for c in (bump.c1, bump.c2))
+    X = X[(np.minimum(np.abs(in1 - 1.0), np.abs(in2 - 1.0)) > 0.1) & ~((in1 < 1.0) & (in2 < 1.0))][:100]
+    F, Fz = bump.lens.field(X)
+    oF, oFz, oV = _lens_oracle(bump.a, X[:, 0] + 1j * X[:, 1])
+    assert np.max(np.abs(F - oF)) <= 1e-10
+    assert np.max(np.abs(Fz - oFz)) <= 1e-10
+    assert np.max(np.abs(bump.lens.potential(X) - oV)) <= 1e-10
+
+
+@pytest.mark.parametrize("a", [0.25, 0.6, 0.8])
+def test_lens_edge_points_are_finite(a):
+    # the bump center (the lower arc's center), the lens corners (+-w, 0)
+    # and points of the chord between them, on the wall; the Neumann
+    # residual samples within 1e-15 of a corner at a = 0.6 and 0.8
+    rho = 0.02
+    bump = T.build_boundary_bump(DISK, np.array([1.0 - a * rho, 0.0]), rho)
+    w = np.sqrt(1.0 - bump.a**2)
+    X = np.array([bump.c1, [w, 0.0], [-w, 0.0], [0.0, 0.0], [0.5 * w, 0.0], [-0.9 * w, 0.0]])
+    with np.errstate(all="raise"):
+        psi, grad, d11 = bump._psi_hat(X), bump._psi_hat_grad(X), bump._psi_hat_d11(X)
+        x = _disk_points(X, 0.0, rho)
+        public = bump.value(x), bump.gradient(x), bump.laplacian(x)
+        neumann = bump.normal_derivative_residual() * rho
+    assert all(np.all(np.isfinite(q)) for q in (psi, grad, d11) + public)
+    assert np.max(np.abs(grad[1:, 1])) <= 1e-12  # the profile is even in X2
+    assert neumann <= 1e-6
+    # the value and the gradient are continuous at these points, and so is
+    # d11 off the corners (where it is log-singular)
+    near = X + 1e-7 * np.array([0.6, 0.8])
+    assert np.max(np.abs(bump._psi_hat(near) - psi)) <= 1e-6
+    assert np.max(np.abs(bump._psi_hat_grad(near) - grad)) <= 1e-6
+    off_corners = [0, 3, 4, 5]
+    assert np.max(np.abs(bump._psi_hat_d11(near[off_corners]) - d11[off_corners])) <= 1e-6
 
 
 def test_interior_bump_derivatives_match_values(rng):
@@ -200,6 +270,9 @@ def test_bump_support_radius_and_lambda():
         (np.array([1.0, 0.0]), 0.02),  # center on the wall
         (np.array([0.98, 0.0]), 0.02),  # depth = rho
         (np.array([0.98, 0.0]), 0.01),  # depth = 2 rho
+        (np.array([0.995, 0.0]), 0.02),  # depth rho / 4: an overlap lens
+        (np.array([0.99, 0.0]), 0.02),  # depth rho / 2
+        (np.array([0.985, 0.0]), 0.02),  # depth 3 rho / 4
     ],
 )
 def test_bump_verification_gates(x0, rho):
@@ -231,40 +304,6 @@ def test_bump_mass_scale_m():
 def test_max_admissible_rho_reports():
     rho = T.max_admissible_rho(DISK, 0.0, 1.0, start=0.04)
     assert rho > 0.0
-
-
-def _lens_points(n, seed):
-    """n points inside the lens quadrature's near field."""
-    rng = np.random.default_rng(seed)
-    return np.stack([rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n)], axis=-1)
-
-
-def test_lens_quadrature_values_do_not_depend_on_the_block_size():
-    # each point's node sum is reduced on its own, so the block size only
-    # bounds the memory of a call; 100 points make one block at 1024
-    X = _lens_points(100, 0)
-    got = {}
-    for block in (1024, T._LensQuadrature.BLOCK, 7):
-        lens = T._LensQuadrature(0.5)
-        lens.BLOCK = block
-        got[block] = (lens.potential(X).tobytes(), lens.potential_grad(X).tobytes())
-    assert len(set(got.values())) == 1
-
-
-def test_lens_quadrature_memory_is_bounded_by_the_block():
-    import tracemalloc
-
-    # one block of 1024 points held several 300 MB temporaries
-    lens = T._LensQuadrature(0.5)
-    X = _lens_points(1024, 1)
-    for evaluate in (lens.potential, lens.potential_grad):
-        tracemalloc.start()
-        try:
-            evaluate(X)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64e6
 
 
 def test_bump_at_depth_rho_off_the_axis_has_no_lens():
