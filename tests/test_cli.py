@@ -508,7 +508,8 @@ def test_import_leaves_out_scipy_signal_and_stats(tmp_path):
     # every CLI start imports these modules; scipy.signal drags in scipy.stats
     # and scipy.interpolate, which only concentration detection needs;
     # scipy.fft drags in scipy.special, which only rectangle runs and the
-    # Sobolev check need; only threaded sweeps need concurrent.futures
+    # Sobolev check need; only threaded sweeps and runs on large grids need
+    # concurrent.futures
     code = f"import sys, kslab, kslab.cli, kslab.checks, kslab.sweep; print(sorted(m for m in {DEFERRED_MODULES!r} if m in sys.modules))"
     assert _fresh_python(code, tmp_path) == "[]"
 

@@ -1,10 +1,11 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 import scipy.fft
 import scipy.integrate
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kslab import solver as S
 
@@ -279,24 +280,30 @@ def test_run_applies_numeric_error_policy(monkeypatch):
     # inside the step loop an overflow or invalid operation raises, for
     # library and command-line runs alike; the caller's numpy state is
     # left as it was.  The rows are computed in blocks, so one ``entropy``
-    # call may cover several rows (its states carry a leading row axis).
+    # call may cover several rows (its states carry a leading row axis);
+    # on a 256^2 rectangle each row is computed on a worker thread, whose
+    # numpy state is its own.
     from kslab import diagnostics
 
     seen = []
     entropy = diagnostics.entropy
 
     def spy(u, *args, **kwargs):
-        seen.append((np.geterr(), len(u.values)))
+        seen.append((np.geterr(), len(u.values), threading.get_ident()))
         return entropy(u, *args, **kwargs)
 
     monkeypatch.setattr(diagnostics, "entropy", spy)
-    before = np.geterr()
-    grid = S.make_radial_grid(32, 1.0)
-    u0 = S.initial_condition_radial(grid, "gaussian", mass=4.0, width=0.2)
-    traj = S.radial_run(S.SolverConfig(t_end=1.0, max_steps=3), S.RegKind("cutoff_flux", 1e-2), u0)
-    assert sum(rows for _, rows in seen) == len(traj.diag) == 3
-    assert all(e["over"] == "raise" and e["invalid"] == "raise" for e, _ in seen)
-    assert np.geterr() == before
+    before, threads = np.geterr(), threading.active_count()
+    cfg, reg = S.SolverConfig(t_end=1.0, max_steps=3), S.RegKind("cutoff_flux", 1e-2)
+    disk = S.initial_condition_radial(S.make_radial_grid(32, 1.0), "gaussian", mass=4.0, width=0.2)
+    rect = S.initial_condition_rect(256, 256, 1.0, 1.0, "gaussian", mass=4.0, width=0.2)
+    for drive, u0, on_worker in ((S.radial_run, disk, False), (S.run, rect, True)):
+        seen.clear()
+        traj = drive(cfg, reg, u0)
+        assert sum(rows for _, rows, _ in seen) == len(traj.diag) == 3
+        assert all(e["over"] == "raise" and e["invalid"] == "raise" for e, _, _ in seen)
+        assert all((ident != threading.get_ident()) == on_worker for _, _, ident in seen)
+        assert np.geterr() == before and threading.active_count() == threads
 
 
 # --------------------------------------------------------------------------
@@ -405,32 +412,108 @@ def _reference_rect_step(vals, reg, dt, advection, hx, hy):
     return vals - div * dt, h_t, tuple(ws)
 
 
+def _replay_rect_run(traj, u0, reg, dt, advection):
+    """Replay a fixed-dt rectangle run with a snapshot after every step by
+    the scheme's formula: each snapshot, time and diagnostics row has the
+    bits of ``_reference_rect_step`` and the one-state ``entropy``.
+    Returns the last state."""
+    from kslab import diagnostics as D
+
+    assert len(traj.snapshots) == len(traj.times) == len(traj.diag) + 1
+    ref, t = u0.values, 0.0
+    for snap, time, row in zip(traj.snapshots[1:], traj.times[1:], traj.diag):
+        ref, h_t, w = _reference_rect_step(ref, reg, dt, advection, u0.hx, u0.hy)
+        t += dt
+        assert snap.tobytes() == ref.tobytes() and time == t
+        pair = D.entropy(u0.like(ref), None, reg.epsilon, w=w)
+        want = {
+            "t": t, "mass": u0.like(ref).mass(), "min_u": float(ref.min()), "max_u": float(ref.max()),
+            "entropy": pair[0], "dissipation": pair[1], "h_t": h_t, "int_u76": pair.int_u76,
+        }
+        _assert_same_rows([row], [want])
+    return ref
+
+
+def _fixed_dt_rect_run(u0, reg, dt, advection, max_steps):
+    cfg = S.SolverConfig(
+        t_end=1.0, dt_policy="fixed", dt_fixed=dt, snapshot_dt=dt, max_steps=max_steps,
+        flag_umax_factor=1e30, stop_umax_factor=1e30, advection=advection,
+    )
+    return S.run(cfg, reg, u0)
+
+
 @given(
     st.integers(2, 64), st.integers(2, 64), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
     regs, st.booleans(), st.floats(0.1, 300.0), st.integers(0, 2**32 - 1),
 )
-@example(72, 64, 1.0, 1.0, S.RegKind("cutoff_flux", 1e-2), True, 200.0, 1)  # one-row diagnostics blocks
 @settings(max_examples=60, deadline=None)
 def test_rect_steps_match_reference_formula(nx, ny, lx, ly, reg, advection, level, seed):
     # a fixed-dt run, a snapshot after every step: each step, and the
     # face gradient its diagnostics row saw, has the bits of the formula
-    from kslab import diagnostics as D
-
     vals = level * np.exp(np.random.default_rng(seed).normal(size=(nx, ny)))
     u0 = S.Field(lx / nx, ly / ny, vals)
     dt = 0.5 * _stable_dt(u0, reg)
-    cfg = S.SolverConfig(
-        t_end=1.0, dt_policy="fixed", dt_fixed=dt, snapshot_dt=dt, max_steps=6,
-        flag_umax_factor=1e30, stop_umax_factor=1e30, advection=advection,
-    )
-    traj = S.run(cfg, reg, u0)
-    assert len(traj.diag) >= 1 and len(traj.snapshots) == len(traj.diag) + 1
-    ref = vals
-    for snap, row in zip(traj.snapshots[1:], traj.diag):
-        ref, h_t, w = _reference_rect_step(ref, reg, dt, advection, u0.hx, u0.hy)
-        assert snap.tobytes() == ref.tobytes()
-        E, Dv = D.entropy(u0.like(ref), None, reg.epsilon, w=w)
-        assert (row["h_t"], row["entropy"], row["dissipation"]) == (h_t, E, Dv)
+    traj = _fixed_dt_rect_run(u0, reg, dt, advection, 6)
+    assert len(traj.diag) >= 1
+    _replay_rect_run(traj, u0, reg, dt, advection)
+
+
+@pytest.mark.parametrize("advection", [True, False])
+@pytest.mark.parametrize("reg", [S.RegKind("cutoff_flux", 1e-2), S.RegKind("nonlinear_diffusion", 1e-2)])
+# one-row blocks: computed inline below _DIAG_WORKER_CELLS cells, on the worker from there
+@pytest.mark.parametrize("nx,ny", [(72, 64), (96, 96), (200, 180), (256, 256)])
+def test_one_row_blocks_match_reference_formula(nx, ny, reg, advection):
+    vals = 200.0 * np.exp(np.random.default_rng(nx).normal(size=(nx, ny)))  # f_eps saturates
+    u0 = S.Field(1.0 / nx, 1.0 / ny, vals)
+    dt = 0.5 * _stable_dt(u0, reg)
+    threads = threading.active_count()
+    traj = _fixed_dt_rect_run(u0, reg, dt, advection, 6)
+    assert threading.active_count() == threads
+    assert not traj.failed and len(traj.diag) == 6
+    _replay_rect_run(traj, u0, reg, dt, advection)
+
+
+@pytest.mark.parametrize(
+    "reg,mass,dt_factor",
+    [(S.RegKind("nonlinear_diffusion", 1e-3), 60.0, 0.99), (S.RegKind("cutoff_flux", 1e-2), 200.0, 0.999)],
+)
+def test_worker_run_keeps_every_row_before_a_cfl_failure(reg, mass, dt_factor):
+    # a 256^2 collapse outgrows a fixed dt set just under the first step's
+    # limit: the row in flight when CFLError ends the run is kept too
+    u0 = S.initial_condition_rect(256, 256, 1.0, 1.0, "gaussian", mass=mass, width=0.05)
+    dt = dt_factor * _stable_dt(u0, reg)
+    threads = threading.active_count()
+    traj = _fixed_dt_rect_run(u0, reg, dt, True, 200)
+    assert threading.active_count() == threads
+    assert traj.failed and traj.stop_reason == "error" and "violates CFL" in traj.failure_message
+    assert len(traj.diag) >= 2
+    last = _replay_rect_run(traj, u0, reg, dt, True)
+    with pytest.raises(S.CFLError):
+        S.step(S.RunState(u=u0.like(last.copy()), v=None, t=traj.times[-1], reg=reg), dt)
+
+
+@pytest.mark.parametrize("nx", [96, 256])  # the row inline, and on the worker
+def test_row_error_propagates_out_of_run(monkeypatch, nx):
+    # an overflow in the third row is a FloatingPointError under the run's
+    # numpy state, wherever the row is computed, and it ends the run
+    from kslab import diagnostics
+
+    calls = []
+    entropy = diagnostics.entropy
+
+    def spy(u, *args, **kwargs):
+        calls.append(len(u.values))
+        if len(calls) == 3:
+            np.array([1e308]) * 10.0
+        return entropy(u, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "entropy", spy)
+    u0 = S.initial_condition_rect(nx, nx, 1.0, 1.0, "gaussian", mass=4.0, width=0.2)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError):
+        S.run(S.SolverConfig(t_end=1.0, max_steps=6), S.RegKind("cutoff_flux", 1e-2), u0)
+    assert threading.active_count() == threads
+    assert len(calls) == 3
 
 
 # --------------------------------------------------------------------------
