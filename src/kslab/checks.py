@@ -28,6 +28,10 @@ def _sample_disk(rng, n, r_max=0.999):
     return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
 
 
+def _max_abs(*arrays) -> float:
+    return max(float(np.max(np.abs(a))) for a in arrays)
+
+
 def _collar_pairs_fd(rng, decomp, n_pairs: int) -> tuple[float, int]:
     """Largest gap between the gradient decomposition and central finite
     differences of G over ``n_pairs`` collar pairs, and the pair count.
@@ -58,6 +62,29 @@ def _collar_pairs_fd(rng, decomp, n_pairs: int) -> tuple[float, int]:
         worst = max(worst, float(np.max(np.abs(terms.total - fd))))
         count += keep.size
     return worst, count
+
+
+def _amplitude_scan(decomp, n_r: int, n_t: int) -> tuple[float, float, float]:
+    """Largest |K|, |grad K| and |W| between 64 fixed probes and a polar
+    grid of ``n_r`` radii by ``n_t`` angles, leaving out the grid points
+    within 1e-2 of each probe; one pair evaluator per probe."""
+    pr = np.linspace(0.05, 0.97, 8)
+    pt = 2 * np.pi * np.arange(8) / 8
+    prr, ptt = np.meshgrid(pr, pt, indexing="ij")
+    probes = np.stack([prr * np.cos(ptt), prr * np.sin(ptt)], axis=-1).reshape(-1, 2)
+    r = np.linspace(0.02, 0.99, n_r)
+    th = 2 * np.pi * np.arange(n_t) / n_t
+    rr, tt = np.meshgrid(r, th, indexing="ij")
+    pts = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1).reshape(-1, 2)
+    a0, a1 = np.ascontiguousarray(pts.T)
+    kmax = gkmax = wmax = 0.0
+    for p0, p1 in probes:
+        keep = np.hypot(a0 - p0, a1 - p1) > 1e-2
+        pair = greens.GreensPair(decomp, a0[keep], a1[keep], p0, p1)
+        kmax = max(kmax, _max_abs(pair.k))
+        gkmax = max(gkmax, _max_abs(*pair.grad_k))
+        wmax = max(wmax, _max_abs(*pair.w))
+    return kmax, gkmax, wmax
 
 
 def check_greens(mesh: float = 1.0 / 512.0, n_pairs: int = 1000, seed: int = 11) -> tuple[list, bool]:
@@ -93,26 +120,8 @@ def check_greens(mesh: float = 1.0 / 512.0, n_pairs: int = 1000, seed: int = 11)
 
     # amplitude scan stability under sampling-mesh doubling: sample points
     # refine while the probe partners stay fixed, so the maxima converge
-    pr = np.linspace(0.05, 0.97, 8)
-    pt = 2 * np.pi * np.arange(8) / 8
-    prr, ptt = np.meshgrid(pr, pt, indexing="ij")
-    probes = np.stack([prr * np.cos(ptt), prr * np.sin(ptt)], axis=-1).reshape(-1, 2)
-
-    def scan(n_r, n_t):
-        r = np.linspace(0.02, 0.99, n_r)
-        th = 2 * np.pi * np.arange(n_t) / n_t
-        rr, tt = np.meshgrid(r, th, indexing="ij")
-        pts = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1).reshape(-1, 2)
-        kmax = gkmax = wmax = 0.0
-        for p in probes:
-            a = pts[np.hypot(pts[:, 0] - p[0], pts[:, 1] - p[1]) > 1e-2]
-            kmax = max(kmax, float(np.max(np.abs(greens.remainder_k_exact(decomp, p, a)))))
-            gkmax = max(gkmax, float(np.max(np.abs(greens.grad_x_remainder_k_exact(decomp, p, a)))))
-            wmax = max(wmax, float(np.max(np.abs(greens.grad_x_G_terms(decomp, a, p).w_remainder))))
-        return kmax, gkmax, wmax
-
-    k1, g1, w1 = scan(40, 48)
-    k2, g2, w2 = scan(80, 96)
+    k1, g1, w1 = _amplitude_scan(decomp, 40, 48)
+    k2, g2, w2 = _amplitude_scan(decomp, 80, 96)
     for name, v1, v2 in (("K_max_stability", k1, k2), ("gradK_max_stability", g1, g2), ("W_max_stability", w1, w2)):
         ratio = abs(v2 / v1 - 1.0) if v1 else 0.0
         rows.append(_row(name, ratio, 0.10))

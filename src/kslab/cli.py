@@ -20,6 +20,7 @@ import numpy as np
 from . import checks, io
 from .config import ConfigError, parse_run_config, parse_sweep_plan
 from .solver import diffusive_dt_limit, initial_condition, radial_run, run as rect_run
+from .testfn import CORE_MARGIN, RHO_MAX
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,9 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run a verification suite")
     p_check.add_argument("suite", choices=["greens", "testfn", "sobolev", "weak-residual"])
-    p_check.add_argument("--mesh", type=float, default=1.0 / 512.0, help="stencil mesh for greens/testfn")
-    p_check.add_argument("--rho", type=float, default=0.02, help="bump radius for testfn")
-    p_check.add_argument("--levels", default="64 128 256", help="refinement ladder for weak-residual")
+    p_check.add_argument("--mesh", type=float, default=1.0 / 512.0, help="stencil mesh for greens/testfn, in (0, 0.25)")
+    p_check.add_argument("--rho", type=float, default=0.02, help=f"bump radius for testfn, in (0, {RHO_MAX}]")
+    p_check.add_argument("--levels", default="64 128 256", help="refinement ladder for weak-residual, integers >= 2")
 
     p_rep = sub.add_parser("report", help="summarize an artifact directory")
     p_rep.add_argument("directory")
@@ -94,7 +95,33 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _parse_check_options(args) -> tuple[int, ...]:
+    """The weak-residual ladder, once the ``check`` options are found in
+    range; ValueError naming the first option out of range otherwise."""
+    if not (np.isfinite(args.mesh) and 0.0 < args.mesh and 4.0 * args.mesh < 1.0):
+        # the Neumann stencil steps 4 meshes inward from the circle
+        raise ValueError(f"--mesh must be finite with 0 < mesh < 0.25, got {args.mesh}")
+    if not 0.0 < args.rho <= RHO_MAX:
+        raise ValueError(f"--rho must lie in (0, {RHO_MAX}], got {args.rho}")
+    if args.suite == "testfn" and not args.mesh < (1.0 - CORE_MARGIN) * args.rho:
+        # verify_bump samples the core of a bump centered on the wall at
+        # least one mesh inside the disk, which needs a core wider than it
+        raise ValueError(f"--mesh must stay below {1.0 - CORE_MARGIN} * rho for testfn, got {args.mesh}")
+    try:
+        levels = tuple(int(tok) for tok in args.levels.split())
+    except ValueError:
+        levels = ()
+    if len(levels) < 2 or min(levels) < 2:
+        raise ValueError(f"--levels must be at least two integers, each >= 2, got {args.levels!r}")
+    return levels
+
+
 def cmd_check(args) -> int:
+    try:
+        levels = _parse_check_options(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     start = time.perf_counter()
     if args.suite == "greens":
         rows, passed = checks.check_greens(mesh=args.mesh)
@@ -103,7 +130,6 @@ def cmd_check(args) -> int:
     elif args.suite == "sobolev":
         rows, passed = checks.check_sobolev()
     else:
-        levels = tuple(int(tok) for tok in args.levels.split())
         rows, passed = checks.check_weak_residual(levels=levels)
     elapsed = time.perf_counter() - start
     out = Path(args.out or ".")

@@ -16,7 +16,7 @@ the inequality pair (beta <= alpha, beta^2 <= 8 pi alpha) for the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "ProbeSeries",
     "local_mass_rate",
     "local_lp",
+    "SobolevWeight",
     "sobolev_check",
     "calibrate_sobolev_constant",
     "random_band_limited_field",
@@ -530,23 +531,41 @@ def local_lp(traj: Trajectory, probe, p: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class SobolevWeight(Field):
+    """A cutoff eta of ``sobolev_check`` with the constants the check reads
+    from it, computed once: eta^6, ||grad eta||_inf, the support and its
+    area."""
+
+    values6: np.ndarray = field(init=False, repr=False)
+    grad_inf: float = field(init=False)
+    support: np.ndarray = field(init=False, repr=False)
+    support_area: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.values6 = self.values**6
+        self.grad_inf = float(np.max(np.hypot(*self.gradient())))
+        self.support = self.values > 0
+        self.support_area = self.integral(self.support)
+
+
 def sobolev_check(u: Field, eta: Field, delta: float, C: float = DEFAULT_SOBOLEV_C):
     """Check int u^3 eta^6 against the gradient-mass bound.
 
     rhs = 9(1+delta)/(16 pi) [int |grad u|^2 eta^6][int_{supp eta} u]
           + (C/delta^5) ||grad eta||_inf^6 (int_{supp eta} u)^3 |supp eta|.
-    Returns (lhs, rhs, passed).
+    ``u`` lies on eta's grid; a ``SobolevWeight`` eta brings its constants,
+    any other field is made into one.  Returns (lhs, rhs, passed).
     """
-    uv, ev = u.values, eta.values
-    lhs = u.integral(uv**3 * ev**6)
+    if not isinstance(eta, SobolevWeight):
+        eta = SobolevWeight(eta.hx, eta.hy, eta.values)
+    uv, ev6 = u.values, eta.values6
+    lhs = u.integral(uv**3 * ev6)
     gx, gy = u.gradient()
     grad2 = gx**2 + gy**2
-    grad_eta_inf = float(np.max(np.hypot(*eta.gradient())))
-    supp = ev > 0
-    mass_supp = u.integral(uv[supp])
-    supp_area = u.integral(supp)
-    t1 = (9.0 * (1.0 + delta) / (16.0 * np.pi)) * u.integral(grad2 * ev**6) * mass_supp
-    t2 = (C / delta**5) * grad_eta_inf**6 * mass_supp**3 * supp_area
+    mass_supp = u.integral(uv[eta.support])
+    t1 = (9.0 * (1.0 + delta) / (16.0 * np.pi)) * u.integral(grad2 * ev6) * mass_supp
+    t2 = (C / delta**5) * eta.grad_inf**6 * mass_supp**3 * eta.support_area
     rhs = t1 + t2
     return lhs, rhs, bool(lhs <= rhs)
 
@@ -565,11 +584,10 @@ def random_band_limited_field(nx: int, lx: float, rng) -> Field:
     return Field(hx, hx, smooth**2)
 
 
-def _sobolev_eta(nx: int, lx: float) -> Field:
-    eta = Field(lx / nx, lx / nx, np.empty((nx, nx)))
-    X, Y = eta.cell_centers()
+def _sobolev_eta(nx: int, lx: float) -> SobolevWeight:
+    X, Y = Field(lx / nx, lx / nx, np.empty((nx, nx))).cell_centers()
     r = np.hypot(X - lx / 2, Y - lx / 2)
-    return eta.like(1.0 - smoothstep5((r - 0.25 * lx) / (0.15 * lx)))
+    return SobolevWeight(lx / nx, lx / nx, 1.0 - smoothstep5((r - 0.25 * lx) / (0.15 * lx)))
 
 
 def calibrate_sobolev_constant(
@@ -578,17 +596,13 @@ def calibrate_sobolev_constant(
     """Required constant maximized over the seeded random family (oracle)."""
     rng = np.random.default_rng(seed)
     eta = _sobolev_eta(nx, lx)
-    area = (lx / nx) ** 2
-    supp = eta.values > 0
-    supp_area = float(np.sum(supp) * area)
-    gi = float(np.max(np.hypot(*eta.gradient())))
 
     def required(u: Field) -> float:
         lhs, t1, _ = sobolev_check(u, eta, delta, C=0.0)  # rhs = gradient term alone
-        mass = float(np.sum(u.values[supp]) * area)
+        mass = u.integral(u.values[eta.support])
         if mass <= 0:
             return 0.0
-        return (lhs - t1) * delta**5 / (gi**6 * mass**3 * supp_area)
+        return (lhs - t1) * delta**5 / (eta.grad_inf**6 * mass**3 * eta.support_area)
 
     worst = 0.0
     for _ in range(n_fields):

@@ -25,6 +25,7 @@ so the PDE characterization of ``K`` becomes a test, not a constructor.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "C0_DISK",
     "GreensDecomposition",
     "GradGTerms",
+    "GreensPair",
     "build_greens_decomposition",
     "greens_disk_exact",
     "grad_x_greens_disk_exact",
@@ -72,55 +74,18 @@ def _components(p) -> tuple[np.ndarray, np.ndarray]:
     return p[..., 0], p[..., 1]
 
 
-def _sep2(x0, x1, y0, y1) -> np.ndarray:
-    """Squared separation; raises on a coincident pair."""
-    sep2 = (x0 - y0) ** 2 + (x1 - y1) ** 2
-    if np.any(sep2 < _SINGULAR_TOL**2):
-        raise SingularityError("Green's function is singular at x = y")
-    return sep2
-
-
-def _image2(sep2, rx2, ry2):
-    """Image distance ``|x|^2 |y|^2 - 2 x.y + 1``, written as
-    ``|x - y|^2 + (1 - |x|^2)(1 - |y|^2)`` so that it does not cancel for
-    close pairs at the boundary (on the circle it equals ``sep2``)."""
-    return sep2 + (1.0 - rx2) * (1.0 - ry2)
-
-
-def _greens(x0, x1, y0, y1) -> np.ndarray:
-    """``greens_disk_exact`` on coordinate arrays (broadcasting)."""
-    sep2 = _sep2(x0, x1, y0, y1)
-    rx2 = x0**2 + x1**2
-    ry2 = y0**2 + y1**2
-    image2 = _image2(sep2, rx2, ry2)
-    return -(np.log(sep2) + np.log(image2)) / (4.0 * np.pi) + (rx2 + ry2) / (4.0 * np.pi) + C0_DISK
-
-
-def _grad_x_greens(x0, x1, y0, y1):
-    """``grad_x_greens_disk_exact`` on coordinate arrays: the two gradient
-    components and the squared separation."""
-    sep2 = _sep2(x0, x1, y0, y1)
-    ry2 = y0**2 + y1**2
-    image2 = _image2(sep2, x0**2 + x1**2, ry2)
-    # grad_x log||y|x - y/|y|| = (|y|^2 x - y) / image2
-    g0 = -((x0 - y0) / sep2 + (ry2 * x0 - y0) / image2) / (2.0 * np.pi) + x0 / (2.0 * np.pi)
-    g1 = -((x1 - y1) / sep2 + (ry2 * x1 - y1) / image2) / (2.0 * np.pi) + x1 / (2.0 * np.pi)
-    return g0, g1, sep2
-
-
 def greens_disk_exact(x, y) -> np.ndarray | float:
     """Exact Neumann Green's function of the unit disk, mean zero.
 
     Symmetric in its arguments; raises on x = y.
     """
-    g = np.asarray(_greens(*_components(x), *_components(y)))
+    g = np.asarray(GreensPair.of(None, x, y).value)
     return float(g) if g.ndim == 0 else g
 
 
 def grad_x_greens_disk_exact(x, y) -> np.ndarray:
     """Analytic gradient of ``greens_disk_exact`` in the first argument."""
-    g0, g1, _ = _grad_x_greens(*_components(x), *_components(y))
-    return np.stack([g0, g1], axis=-1)
+    return np.stack(GreensPair.of(None, x, y).grad, axis=-1)
 
 
 def cutoff_z_value(d, sigma0: float):
@@ -166,62 +131,15 @@ def remainder_k_diagonal(decomp: GreensDecomposition, y) -> np.ndarray | float:
     return float(k) if k.ndim == 0 else k
 
 
-def _on(mask: np.ndarray, a):
-    """``a`` (broadcast to the mask's shape) restricted to the mask; ``a``
-    itself when the mask selects every pair, so that arguments smaller than
-    the mask stay small."""
-    return a if mask.all() else np.broadcast_to(a, mask.shape)[mask]
-
-
-def _scatter(mask: np.ndarray, vals, fill: float):
-    """Inverse of ``_on``: ``vals`` on the mask, ``fill`` elsewhere."""
-    if mask.all():
-        return vals
-    out = np.full(mask.shape + np.shape(vals)[1:], fill)
-    out[mask] = vals
-    return out
-
-
-def _tau_on(decomp: GreensDecomposition, mask: np.ndarray, y0, y1):
-    """Components of the reflected point ``tau(y)`` on the masked pairs."""
-    tau = reflect_tau(decomp.domain, np.stack([_on(mask, y0), _on(mask, y1)], axis=-1))
-    return tau[..., 0], tau[..., 1]
-
-
 def remainder_k_exact(decomp: GreensDecomposition, y, x) -> np.ndarray | float:
     """K(y, x) by subtraction of both logs from the exact Green's function."""
-    y0, y1 = _components(y)
-    x0, x1 = _components(x)
-    gv = _greens(x0, x1, y0, y1)
-    logs = np.log(np.hypot(x0 - y0, x1 - y1))
-    z = cutoff_Z(decomp, y)
-    mask = np.broadcast_to(np.asarray(z) > 0.0, np.shape(logs))
-    if mask.any():
-        t0, t1 = _tau_on(decomp, mask, y0, y1)
-        image_log = _on(mask, z) * np.log(np.hypot(_on(mask, x0) - t0, _on(mask, x1) - t1))
-        logs = logs + _scatter(mask, image_log, 0.0)
-    k = np.asarray(gv + logs / (2.0 * np.pi))
+    k = np.asarray(GreensPair.of(decomp, x, y).k)
     return float(k) if k.ndim == 0 else k
 
 
 def grad_x_remainder_k_exact(decomp: GreensDecomposition, y, x) -> np.ndarray:
-    """grad_x K(y, x): the analytic gradient minus both log gradients."""
-    y0, y1 = _components(y)
-    x0, x1 = _components(x)
-    g0, g1, sep2 = _grad_x_greens(x0, x1, y0, y1)
-    g0 = g0 + (x0 - y0) / sep2 / (2.0 * np.pi)
-    g1 = g1 + (x1 - y1) / sep2 / (2.0 * np.pi)
-    z = cutoff_Z(decomp, y)
-    mask = np.broadcast_to(np.asarray(z) > 0.0, np.shape(sep2))
-    if mask.any():
-        t0, t1 = _tau_on(decomp, mask, y0, y1)
-        zm = _on(mask, z)
-        dxt0 = _on(mask, x0) - t0
-        dxt1 = _on(mask, x1) - t1
-        sept2 = dxt0**2 + dxt1**2
-        g0 = g0 + _scatter(mask, zm * dxt0 / sept2 / (2.0 * np.pi), 0.0)
-        g1 = g1 + _scatter(mask, zm * dxt1 / sept2 / (2.0 * np.pi), 0.0)
-    return np.stack([g0, g1], axis=-1)
+    """grad_x K(y, x): the analytic gradient plus both log gradients."""
+    return np.stack(GreensPair.of(decomp, x, y).grad_k, axis=-1)
 
 
 def build_greens_decomposition(domain: DomainGeometry | None = None) -> GreensDecomposition:
@@ -241,21 +159,25 @@ def g_tangential(Y: np.ndarray, lam1, lam2) -> np.ndarray:
     normalized similarity variables.
     """
     Y = np.asarray(Y, dtype=float)
-    lam1 = np.asarray(lam1, dtype=float)
-    lam2 = np.asarray(lam2, dtype=float)
-    y2 = np.sum(Y * Y, axis=-1)
-    coef = -2.0 * (lam1 + lam2) * lam2**2 + (lam1 - lam2) * y2
+    coef = _g_tangential_coef(np.sum(Y * Y, axis=-1), np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float))
     return coef[..., None] * Y
 
 
 def g_normal(Y: np.ndarray, lam1, lam2) -> np.ndarray | float:
     """Normal curvature kernel: -l2^2 + 2 l2^2 (l1+l2)^2 + (l2^2-l1^2)|Y|^2."""
     Y = np.asarray(Y, dtype=float)
-    lam1 = np.asarray(lam1, dtype=float)
-    lam2 = np.asarray(lam2, dtype=float)
-    y2 = np.sum(Y * Y, axis=-1)
-    out = -(lam2**2) + 2.0 * lam2**2 * (lam1 + lam2) ** 2 + (lam2**2 - lam1**2) * y2
+    out = _g_normal(np.sum(Y * Y, axis=-1), np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float))
     return float(out) if out.ndim == 0 else out
+
+
+def _g_tangential_coef(y2, lam1, lam2):
+    """The factor of Y in ``g_tangential``, at ``|Y|^2 = y2``."""
+    return -2.0 * (lam1 + lam2) * lam2**2 + (lam1 - lam2) * y2
+
+
+def _g_normal(y2, lam1, lam2):
+    """``g_normal`` at ``|Y|^2 = y2``."""
+    return -(lam2**2) + 2.0 * lam2**2 * (lam1 + lam2) ** 2 + (lam2**2 - lam1**2) * y2
 
 
 @dataclass(frozen=True)
@@ -287,6 +209,37 @@ class GradGTerms:
         return self.coulomb + self.image + self.curvature + self.w_remainder
 
 
+class _Selection:
+    """The pairs of a given shape on which ``selected`` (which broadcasts to
+    it) holds; whether it holds on every pair, or on any, is read once."""
+
+    def __init__(self, selected, shape):
+        self.shape = shape
+        self.all = bool(np.all(selected))
+        self.any = math.prod(shape) > 0 and bool(np.any(selected))
+        self.mask = None if self.all else np.broadcast_to(selected, shape)
+
+    def on(self, a):
+        """``a`` (broadcast to the shape) on the selected pairs; ``a``
+        itself when every pair is selected, so that arguments smaller than
+        the shape stay small."""
+        return a if self.all else np.broadcast_to(a, self.shape)[self.mask]
+
+    def scatter(self, vals, fill: float):
+        """Inverse of ``on``: ``vals`` on the selected pairs, ``fill``
+        elsewhere."""
+        if self.all:
+            return vals
+        out = np.full(self.shape, fill)
+        out[self.mask] = vals
+        return out
+
+    def tau(self, decomp: GreensDecomposition, y0, y1):
+        """Components of the reflected point ``tau(y)`` on the selected pairs."""
+        tau = reflect_tau(decomp.domain, np.stack([self.on(y0), self.on(y1)], axis=-1))
+        return tau[..., 0], tau[..., 1]
+
+
 def _unit(c0, c1, r):
     """Unit vector along a point, NaN for a point at the disk center, and
     the mask of points off the center."""
@@ -295,6 +248,237 @@ def _unit(c0, c1, r):
         return c0 / r, c1 / r, ok
     r = np.maximum(r, 1e-300)
     return np.where(ok, c0 / r, np.nan), np.where(ok, c1 / r, np.nan), ok
+
+
+class GreensPair:
+    """Green's-function quantities of points x against a point or points y,
+    each computed once, on first read.
+
+    Built from coordinate arrays that broadcast together; vector quantities
+    are pairs of component arrays.
+    ``value`` and ``grad`` are the exact Green's function and its gradient
+    in x and need no decomposition (``decomp`` may be None); the remainders
+    ``k``, ``grad_k`` and ``w`` and the collar terms read its cutoff.
+    ``sep2`` raises ``SingularityError`` on a coincident pair, and ``value``,
+    ``grad`` and the three remainders read it before anything else.
+    """
+
+    def __init__(self, decomp: GreensDecomposition | None, x0, x1, y0, y1):
+        self.decomp = decomp
+        self.x0, self.x1, self.y0, self.y1 = x0, x1, y0, y1
+
+    @classmethod
+    def of(cls, decomp: GreensDecomposition | None, x, y) -> "GreensPair":
+        """The evaluator of point arrays of shape ``(..., 2)``."""
+        return cls(decomp, *_components(x), *_components(y))
+
+    # -- the exact Green's function --------------------------------------
+
+    @functools.cached_property
+    def _dx(self):
+        return self.x0 - self.y0, self.x1 - self.y1
+
+    @functools.cached_property
+    def sep2(self):
+        """Squared separation; raises on a coincident pair."""
+        dx0, dx1 = self._dx
+        sep2 = dx0**2 + dx1**2
+        if np.any(sep2 < _SINGULAR_TOL**2):
+            raise SingularityError("Green's function is singular at x = y")
+        return sep2
+
+    @functools.cached_property
+    def _r2(self):
+        return self.x0**2 + self.x1**2, self.y0**2 + self.y1**2
+
+    @functools.cached_property
+    def image2(self):
+        """Image distance ``|x|^2 |y|^2 - 2 x.y + 1``, written as
+        ``|x - y|^2 + (1 - |x|^2)(1 - |y|^2)`` so that it does not cancel for
+        close pairs at the boundary (on the circle it equals ``sep2``)."""
+        rx2, ry2 = self._r2
+        return self.sep2 + (1.0 - rx2) * (1.0 - ry2)
+
+    @functools.cached_property
+    def value(self):
+        """G(x, y)."""
+        sep2, image2 = self.sep2, self.image2
+        rx2, ry2 = self._r2
+        return -(np.log(sep2) + np.log(image2)) / (4.0 * np.pi) + (rx2 + ry2) / (4.0 * np.pi) + C0_DISK
+
+    @functools.cached_property
+    def _quotient(self):
+        """``(x - y) / |x - y|^2``."""
+        sep2 = self.sep2
+        dx0, dx1 = self._dx
+        return dx0 / sep2, dx1 / sep2
+
+    @functools.cached_property
+    def grad(self):
+        """grad_x G(x, y)."""
+        q0, q1 = self._quotient
+        image2, ry2 = self.image2, self._r2[1]
+        x0, x1, y0, y1 = self.x0, self.x1, self.y0, self.y1
+        # grad_x log||y|x - y/|y|| = (|y|^2 x - y) / image2
+        return (
+            -(q0 + (ry2 * x0 - y0) / image2) / (2.0 * np.pi) + x0 / (2.0 * np.pi),
+            -(q1 + (ry2 * x1 - y1) / image2) / (2.0 * np.pi) + x1 / (2.0 * np.pi),
+        )
+
+    @functools.cached_property
+    def coulomb(self):
+        """Coulomb piece ``-(x - y) / (2 pi |x - y|^2)`` of the gradient."""
+        q0, q1 = self._quotient
+        return -q0 / (2.0 * np.pi), -q1 / (2.0 * np.pi)
+
+    # -- the collar cutoff and the remainder K ---------------------------
+
+    @functools.cached_property
+    def _rx(self):
+        return np.hypot(self.x0, self.x1)
+
+    @functools.cached_property
+    def _ry(self):
+        return np.hypot(self.y0, self.y1)
+
+    @functools.cached_property
+    def _dist_y(self):
+        """Boundary distance ``d(y) = 1 - |y|``."""
+        return 1.0 - self._ry
+
+    @functools.cached_property
+    def z(self):
+        """Cutoff Z(y)."""
+        return cutoff_z_value(self._dist_y, self.decomp.sigma0)
+
+    @functools.cached_property
+    def _collar(self) -> _Selection:
+        """The pairs with Z(y) > 0."""
+        return _Selection(np.asarray(self.z) > 0.0, np.shape(self.sep2))
+
+    @functools.cached_property
+    def _x_minus_tau(self):
+        """``x - tau(y)`` on the collar pairs."""
+        collar = self._collar
+        t0, t1 = collar.tau(self.decomp, self.y0, self.y1)
+        return collar.on(self.x0) - t0, collar.on(self.x1) - t1
+
+    @functools.cached_property
+    def k(self):
+        """K(y, x) by subtraction of both logs from G."""
+        value = self.value
+        logs = np.log(np.hypot(*self._dx))
+        collar = self._collar
+        if collar.any:
+            d0, d1 = self._x_minus_tau
+            logs = logs + collar.scatter(collar.on(self.z) * np.log(np.hypot(d0, d1)), 0.0)
+        return value + logs / (2.0 * np.pi)
+
+    @functools.cached_property
+    def grad_k(self):
+        """grad_x K(y, x): grad_x G plus both log gradients."""
+        (e0, e1), (c0, c1) = self.grad, self.coulomb
+        g0, g1 = e0 - c0, e1 - c1
+        collar = self._collar
+        if collar.any:
+            d0, d1 = self._x_minus_tau
+            zm = collar.on(self.z)
+            sept2 = d0**2 + d1**2
+            g0 = g0 + collar.scatter(zm * d0 / sept2 / (2.0 * np.pi), 0.0)
+            g1 = g1 + collar.scatter(zm * d1 / sept2 / (2.0 * np.pi), 0.0)
+        return g0, g1
+
+    # -- the boundary frame and the gradient representation --------------
+
+    @functools.cached_property
+    def _normals(self):
+        """Unit vectors along x and y (NaN at the center) and the masks of
+        the points off the center."""
+        nux0, nux1, okx = _unit(self.x0, self.x1, self._rx)
+        nuy0, nuy1, oky = _unit(self.y0, self.y1, self._ry)
+        return nux0, nux1, nuy0, nuy1, okx, oky
+
+    @functools.cached_property
+    def _dist_x(self):
+        """Boundary distance ``d(x) = 1 - |x|``."""
+        return 1.0 - self._rx
+
+    @functools.cached_property
+    def _gap(self):
+        """Difference of the closest boundary points x + d(x) nu(x) and
+        y + d(y) nu(y), and ``D = |difference|^2 + (d(x) + d(y))^2``."""
+        nux0, nux1, nuy0, nuy1, _, _ = self._normals
+        dxv, dyv = self._dist_x, self._dist_y
+        dp0 = (self.x0 + dxv * nux0) - (self.y0 + dyv * nuy0)
+        dp1 = (self.x1 + dxv * nux1) - (self.y1 + dyv * nuy1)
+        return dp0, dp1, dp0**2 + dp1**2 + (dxv + dyv) ** 2
+
+    @functools.cached_property
+    def similarity(self):
+        """Similarity variables ``(Y0, Y1, lambda1, lambda2)``: the gap and
+        the two boundary distances over ``sqrt(D)``."""
+        dp0, dp1, D = self._gap
+        sqrtD = np.sqrt(D)
+        return dp0 / sqrtD, dp1 / sqrtD, self._dist_x / sqrtD, self._dist_y / sqrtD
+
+    @functools.cached_property
+    def _framed(self) -> _Selection:
+        """The pairs with Z(y) > 0 and both points off the center, on which
+        the image and curvature terms are evaluated; the frame is not read
+        when Z(y) vanishes on every pair."""
+        in_collar = np.asarray(self.z) > 0.0
+        if np.any(in_collar):
+            *_, okx, oky = self._normals
+            in_collar = in_collar & oky & okx
+        return _Selection(in_collar, np.shape(self.sep2))
+
+    @functools.cached_property
+    def image(self):
+        """Image term of the gradient representation (zero off ``_framed``)."""
+        sel = self._framed
+        if not sel.any:
+            return np.zeros(sel.shape), np.zeros(sel.shape)
+        dp0, dp1, D = self._gap
+        nux0, nux1, nuy0, nuy1, _, _ = self._normals
+        zm, Dm, dxm, dym = (sel.on(a) for a in (self.z, D, self._dist_x, self._dist_y))
+        return tuple(
+            sel.scatter(-zm * (sel.on(dp) - (dxm * sel.on(nx) + dym * sel.on(ny))) / Dm / (2.0 * np.pi), 0.0)
+            for dp, nx, ny in ((dp0, nux0, nuy0), (dp1, nux1, nuy1))
+        )
+
+    @functools.cached_property
+    def curvature(self):
+        """Curvature term: the kernels ``g_tangential`` and ``g_normal``
+        scaled by ``-Z(y) / (2 pi |y|)`` (zero off ``_framed``)."""
+        sel = self._framed
+        if not sel.any:
+            return np.zeros(sel.shape), np.zeros(sel.shape)
+        _, _, nuy0, nuy1, _, _ = self._normals
+        Y0, Y1, l1, l2 = (sel.on(a) for a in self.similarity)
+        y2 = Y0 * Y0 + Y1 * Y1
+        tangential, normal = _g_tangential_coef(y2, l1, l2), _g_normal(y2, l1, l2)
+        scale = -(sel.on(self.z) * (1.0 / sel.on(self._ry)) / (2.0 * np.pi))
+        return tuple(
+            sel.scatter(scale * (tangential * Yk + normal * sel.on(nuy)), 0.0)
+            for Yk, nuy in ((Y0, nuy0), (Y1, nuy1))
+        )
+
+    @functools.cached_property
+    def w(self):
+        """Remainder W: grad_x G minus the Coulomb, image and curvature terms."""
+        (e0, e1), (c0, c1) = self.grad, self.coulomb
+        (i0, i1), (k0, k1) = self.image, self.curvature
+        return e0 - c0 - i0 - k0, e1 - c1 - i1 - k1
+
+    @functools.cached_property
+    def image_conditioning(self):
+        """``|x - tau(y)|^2 / D`` on ``_framed``, NaN off it."""
+        sel = self._framed
+        if not sel.any:
+            return np.full(sel.shape, np.nan)
+        t0, t1 = sel.tau(self.decomp, self.y0, self.y1)
+        sep_tau2 = (sel.on(self.x0) - t0) ** 2 + (sel.on(self.x1) - t1) ** 2
+        return sel.scatter(sep_tau2 / sel.on(self._gap[2]), np.nan)
 
 
 def grad_x_G_terms(decomp: GreensDecomposition, x, y) -> GradGTerms:
@@ -306,63 +490,19 @@ def grad_x_G_terms(decomp: GreensDecomposition, x, y) -> GradGTerms:
     curvature terms and ``image_conditioning`` are computed only on the
     pairs with ``Z(y) > 0`` and both points off the center.
     """
-    x0, x1 = _components(x)
-    y0, y1 = _components(y)
-    e0, e1, sep2 = _grad_x_greens(x0, x1, y0, y1)
-    c0 = -(x0 - y0) / sep2 / (2.0 * np.pi)
-    c1 = -(x1 - y1) / sep2 / (2.0 * np.pi)
-
-    rx = np.hypot(x0, x1)
-    ry = np.hypot(y0, y1)
-    dxv = 1.0 - rx
-    dyv = 1.0 - ry
-    nux0, nux1, okx = _unit(x0, x1, rx)
-    nuy0, nuy1, oky = _unit(y0, y1, ry)
-    # difference of the closest boundary points x + d(x) nu(x), y + d(y) nu(y)
-    dp0 = (x0 + dxv * nux0) - (y0 + dyv * nuy0)
-    dp1 = (x1 + dxv * nux1) - (y1 + dyv * nuy1)
-    D = dp0**2 + dp1**2 + (dxv + dyv) ** 2
-    sqrtD = np.sqrt(D)
-    Y0 = dp0 / sqrtD
-    Y1 = dp1 / sqrtD
-    lam1 = dxv / sqrtD
-    lam2 = dyv / sqrtD
-
-    z = cutoff_z_value(dyv, decomp.sigma0)
-    mask = np.broadcast_to((np.asarray(z) > 0.0) & oky & okx, np.shape(D))
-    image = np.zeros(mask.shape + (2,))
-    curvature = np.zeros(mask.shape + (2,))
-    conditioning = np.full(mask.shape, np.nan)
-    if mask.any():
-        zm, Dm, l1, l2, dxm, dym = (_on(mask, a) for a in (z, D, lam1, lam2, dxv, dyv))
-        image = np.stack(
-            [
-                -zm * (_on(mask, dp) - (dxm * _on(mask, nx) + dym * _on(mask, ny))) / Dm / (2.0 * np.pi)
-                for dp, nx, ny in ((dp0, nux0, nuy0), (dp1, nux1, nuy1))
-            ],
-            axis=-1,
-        )
-        image = _scatter(mask, image, 0.0)
-        Ym = np.stack([_on(mask, Y0), _on(mask, Y1)], axis=-1)
-        nuy = np.stack([_on(mask, nuy0), _on(mask, nuy1)], axis=-1)
-        scale = -(zm * (1.0 / _on(mask, ry)) / (2.0 * np.pi))
-        kernels = g_tangential(Ym, l1, l2) + np.expand_dims(g_normal(Ym, l1, l2), -1) * nuy
-        curvature = _scatter(mask, np.expand_dims(scale, -1) * kernels, 0.0)
-        t0, t1 = _tau_on(decomp, mask, y0, y1)
-        sep_tau2 = (_on(mask, x0) - t0) ** 2 + (_on(mask, x1) - t1) ** 2
-        conditioning = _scatter(mask, sep_tau2 / Dm, np.nan)
-    exact = np.stack([e0, e1], axis=-1)
-    coulomb = np.stack([c0, c1], axis=-1)
+    pair = GreensPair.of(decomp, x, y)
+    w_remainder = np.stack(pair.w, axis=-1)
+    Y0, Y1, lam1, lam2 = pair.similarity
     return GradGTerms(
-        coulomb=coulomb,
-        image=image,
-        curvature=curvature,
-        w_remainder=exact - coulomb - image - curvature,
-        d_denominator=D,
+        coulomb=np.stack(pair.coulomb, axis=-1),
+        image=np.stack(pair.image, axis=-1),
+        curvature=np.stack(pair.curvature, axis=-1),
+        w_remainder=w_remainder,
+        d_denominator=pair._gap[2],
         y_sim=np.stack([Y0, Y1], axis=-1),
         lambda1=lam1,
         lambda2=lam2,
-        image_conditioning=conditioning,
+        image_conditioning=pair.image_conditioning,
     )
 
 

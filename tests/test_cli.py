@@ -463,6 +463,36 @@ def test_cmd_check_unknown_suite_exits_nonzero():
         main(["check", "nonsense"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["greens", "--mesh", "-0.01"],  # the inward Neumann stencil would sample outside the disk
+        ["greens", "--mesh", "0.25"],
+        ["greens", "--mesh", "nan"],
+        ["greens", "--mesh", "inf"],
+        ["testfn", "--mesh", "0"],
+        ["testfn", "--mesh", "0.2"],  # no core sample lies a mesh inside the wall
+        ["testfn", "--rho", "0"],
+        ["testfn", "--rho", "-0.02"],
+        ["testfn", "--rho", "5"],
+        ["weak-residual", "--levels", "abc"],
+        ["weak-residual", "--levels", "1 4"],
+        ["weak-residual", "--levels", "0 4"],
+        ["weak-residual", "--levels", "-4 8"],
+        ["weak-residual", "--levels", "64"],
+        ["weak-residual", "--levels", "64 12.5"],
+        ["sobolev", "--rho", "0"],
+    ],
+)
+def test_cmd_check_rejects_out_of_range_options(tmp_path, capsys, argv):
+    assert main(["--out", str(tmp_path), "check", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --"), captured.err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cmd_check_sobolev(tmp_path):
     rc = main(["--out", str(tmp_path), "check", "sobolev"])
     assert rc == 0

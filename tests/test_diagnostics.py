@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from kslab import checks
 from kslab import diagnostics as D
 from kslab import solver as S
 from kslab import sweep as SW
 from kslab import weakform as W
+from kslab.geometry import smoothstep5
 from kslab.testfn import phi
 
 
@@ -382,6 +384,62 @@ def test_sobolev_near_extremal_ratio_below_one():
         ratios.append(lhs / t1)
     assert all(r <= 1.0 for r in ratios)
     assert ratios == sorted(ratios)  # sharpens toward the cap as R shrinks
+
+
+# The Sobolev check with eta's constants recomputed on every call, on a
+# plain Field eta: the oracle for the weight that carries them.
+
+
+def _ref_sobolev_eta(nx, lx):
+    eta = S.Field(lx / nx, lx / nx, np.empty((nx, nx)))
+    X, Y = eta.cell_centers()
+    r = np.hypot(X - lx / 2, Y - lx / 2)
+    return eta.like(1.0 - smoothstep5((r - 0.25 * lx) / (0.15 * lx)))
+
+
+def _ref_sobolev_check(u, eta, delta, C=D.DEFAULT_SOBOLEV_C):
+    uv, ev = u.values, eta.values
+    lhs = u.integral(uv**3 * ev**6)
+    gx, gy = u.gradient()
+    grad2 = gx**2 + gy**2
+    grad_eta_inf = float(np.max(np.hypot(*eta.gradient())))
+    supp = ev > 0
+    mass_supp = u.integral(uv[supp])
+    supp_area = u.integral(supp)
+    t1 = (9.0 * (1.0 + delta) / (16.0 * np.pi)) * u.integral(grad2 * ev**6) * mass_supp
+    t2 = (C / delta**5) * grad_eta_inf**6 * mass_supp**3 * supp_area
+    return lhs, t1 + t2
+
+
+def _ref_check_sobolev(n_fields, seed):
+    rng = np.random.default_rng(seed)
+    eta = _ref_sobolev_eta(96, 1.0)
+    fails = 0
+    for _ in range(n_fields):
+        lhs, rhs = _ref_sobolev_check(D.random_band_limited_field(96, 1.0, rng), eta, 0.5)
+        fails += 0 if lhs <= rhs else 1
+    eta2 = _ref_sobolev_eta(192, 1.0)
+    X, Y = eta2.cell_centers()
+    worst_ratio = 0.0
+    for R in (0.12, 0.08, 0.05):
+        u = eta2.like(np.maximum(1 - ((X - 0.5) ** 2 + (Y - 0.5) ** 2) / R**2, 0.0) ** 5)
+        lhs, t1 = _ref_sobolev_check(u, eta2, 0.5, C=0.0)
+        worst_ratio = max(worst_ratio, lhs / t1)
+    return [fails, worst_ratio]
+
+
+@pytest.mark.parametrize("seed", [3, 11, 2024])
+def test_sobolev_weight_matches_per_call_constants(seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    eta, ref_eta = D._sobolev_eta(96, 1.0), _ref_sobolev_eta(96, 1.0)
+    assert np.array_equal(eta.values, ref_eta.values)
+    for _ in range(5):
+        u = D.random_band_limited_field(96, 1.0, rng)
+        ref = _ref_sobolev_check(D.random_band_limited_field(96, 1.0, ref_rng), ref_eta, 0.5)
+        assert D.sobolev_check(u, eta, 0.5)[:2] == ref
+        assert D.sobolev_check(u, ref_eta, 0.5)[:2] == ref  # a plain Field eta
+    rows, _ = checks.check_sobolev(seed=seed)
+    assert [row["value"] for row in rows] == _ref_check_sobolev(100, seed)
 
 
 # --------------------------------------------------------------------------

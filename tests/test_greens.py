@@ -447,6 +447,56 @@ def test_collar_pair_batches_match_per_pair_loop(decomp, seed, n_pairs):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def _ref_amplitude_scan(decomp, n_r, n_t):
+    """The scan as one public call per remainder and probe, on the filtered
+    (N, 2) sample points."""
+    pr = np.linspace(0.05, 0.97, 8)
+    pt = 2 * np.pi * np.arange(8) / 8
+    prr, ptt = np.meshgrid(pr, pt, indexing="ij")
+    probes = np.stack([prr * np.cos(ptt), prr * np.sin(ptt)], axis=-1).reshape(-1, 2)
+    r = np.linspace(0.02, 0.99, n_r)
+    th = 2 * np.pi * np.arange(n_t) / n_t
+    rr, tt = np.meshgrid(r, th, indexing="ij")
+    pts = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1).reshape(-1, 2)
+    kmax = gkmax = wmax = 0.0
+    for p in probes:
+        a = pts[np.hypot(pts[:, 0] - p[0], pts[:, 1] - p[1]) > 1e-2]
+        kmax = max(kmax, float(np.max(np.abs(greens.remainder_k_exact(decomp, p, a)))))
+        gkmax = max(gkmax, float(np.max(np.abs(greens.grad_x_remainder_k_exact(decomp, p, a)))))
+        wmax = max(wmax, float(np.max(np.abs(greens.grad_x_G_terms(decomp, a, p).w_remainder))))
+    return kmax, gkmax, wmax
+
+
+@pytest.mark.parametrize("n_r, n_t", [(10, 16), (20, 32), (40, 48), (80, 96)])
+def test_amplitude_scan_matches_per_call_scan(decomp, n_r, n_t):
+    assert checks._amplitude_scan(decomp, n_r, n_t) == _ref_amplitude_scan(decomp, n_r, n_t)
+
+
+@given(point_arguments())
+@example(_BOUNDARY_PAIR)
+@settings(max_examples=200, deadline=None)
+def test_pair_evaluator_matches_public_functions(args):
+    # the evaluator built from contiguous component copies gives the public
+    # functions' (strided) results bit for bit
+    x, y = args
+    decomp = greens.build_greens_decomposition(_DISK)
+    comps = [np.asarray(p)[..., k].copy() for p in (x, y) for k in (0, 1)]
+    pair = greens.GreensPair(decomp, *comps)
+    try:
+        terms = greens.grad_x_G_terms(decomp, x, y)
+    except greens.SingularityError:
+        with pytest.raises(greens.SingularityError):
+            pair.w
+        return
+    w = np.stack(pair.w, axis=-1)
+    grad_k = np.stack(pair.grad_k, axis=-1)
+    assert w.shape == terms.w_remainder.shape
+    assert np.array_equal(w, terms.w_remainder, equal_nan=True)
+    assert np.array_equal(grad_k, greens.grad_x_remainder_k_exact(decomp, y, x), equal_nan=True)
+    assert np.array_equal(pair.k, greens.remainder_k_exact(decomp, y, x), equal_nan=True)
+    assert np.array_equal(pair.value, greens.greens_disk_exact(x, y), equal_nan=True)
+
+
 def _ref_disk_mean(x, n_r, n_theta):
     x = np.asarray(x, dtype=float)
     nodes, weights = np.polynomial.legendre.leggauss(n_r)
