@@ -20,6 +20,7 @@ invariant of the finite-volume update (exact to rounding).  Two backends:
 
 Diffusive fluxes are central; advective fluxes first-order upwind on the
 face velocities grad v, which with the CFL bound keeps u nonnegative.
+``run`` and ``radial_run`` advance a state, both through one driver.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,7 +40,6 @@ __all__ = [
     "RadialField",
     "RegKind",
     "SolverConfig",
-    "RunState",
     "Trajectory",
     "REPEATED_TIME",
     "SolverError",
@@ -46,7 +47,6 @@ __all__ = [
     "f_eps",
     "solve_poisson_neumann",
     "radial_poisson_face_gradient",
-    "step",
     "diffusive_dt_limit",
     "run",
     "radial_run",
@@ -384,7 +384,7 @@ def radial_potential(grid: RadialGrid, vr_faces: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# configuration, state, trajectory
+# configuration and trajectory
 # ---------------------------------------------------------------------------
 
 
@@ -415,7 +415,7 @@ class SolverConfig:
     max_steps: int = 50_000_000
     snapshot_dt: float | None = None
     # tolerances and stopping
-    positivity_tol: float = 1e-13
+    positivity_tol: ClassVar[float] = 1e-13  # a step may leave cells down to -positivity_tol
     flag_umax_factor: float = 0.8  # "concentrated" flag at max u > factor/eps
     stop_umax_factor: float = 16.0  # hard stop well past flux saturation
     advection: bool = True
@@ -440,14 +440,6 @@ class SolverConfig:
             raise ValueError("cfl_safety must lie in (0, 1]")
         if self.dt_policy not in ("cfl", "fixed"):
             raise ValueError(f"dt_policy must be cfl or fixed, got {self.dt_policy!r}")
-
-
-@dataclass
-class RunState:
-    u: Field | RadialField
-    v: Field | RadialField | None
-    t: float
-    reg: RegKind
 
 
 # A snapshot interval no longer than this is a repeated time (the flag and the
@@ -520,7 +512,6 @@ class _Faces:
     m: np.ndarray  # per-cell mobility; the values themselves wherever it equals them
     dc: tuple  # per axis: diffusion coefficient at the faces (the scalar 1.0 for cutoff flux)
     w: tuple  # per axis: face velocity grad v (zero without advection)
-    v: object  # what the potential is built from (rect: v; radial: v' at all faces)
 
 
 def _sides(axis: int, ndim: int) -> tuple:
@@ -536,10 +527,10 @@ class _Stencil:
     faces, the center spacing across them, the face measure and the
     measures of the lower and upper cells; on the rectangle the face
     measure is the scalar 1.0 and both cells measure the one float h.  A
-    subclass supplies the potential solve (``_solve``), the CFL rate and
-    the potential field.  ``apply``, the nonlinear face diffusion, the
-    rectangle's face gradient and the disk's CFL rate and source work in
-    arrays that the stencil keeps from step to step.
+    subclass supplies the potential solve (``_solve``: the source mean and
+    the face gradient) and the CFL rate.  ``apply``, the nonlinear face
+    diffusion, the rectangle's face gradient and the disk's CFL rate and
+    source work in arrays that the stencil keeps from step to step.
     """
 
     backend: str
@@ -557,7 +548,7 @@ class _Stencil:
             for lo, hi, *_ in self.axes
         ]
         self._unit_dc = (1.0,) * len(self.axes)
-        self._faces = _Faces(0.0, None, self._unit_dc, (), None)
+        self._faces = _Faces(0.0, None, self._unit_dc, ())
 
     @cached_property
     def _dc(self) -> tuple:
@@ -575,9 +566,9 @@ class _Stencil:
         """Face data of the state ``vals`` whose (min, max) is ``bounds``;
         cells below zero are vacuum (``RegKind.vacuum``)."""
         f = self._faces
-        f.m = f.v = None  # the last step's mobility and potential go before this step makes its own
+        f.m = None  # the last step's mobility goes before this step makes its own
         f.m = reg.mobility(vals, bounds)
-        f.h_t, f.v, w = self._solve(f.m)
+        f.h_t, w = self._solve(f.m)
         f.w = w if advection else self._still
         # under nonlinear diffusion the mobility is u itself, vacuum read as 0
         f.dc = self._unit_dc if reg.is_cutoff else self._face_diffusion(f.m, reg.epsilon)
@@ -654,7 +645,7 @@ class _RectStencil(_Stencil):
         for (lo, hi, dist, *_), wa in zip(self.axes, self._w):
             np.subtract(v.values[hi], v.values[lo], out=wa)
             wa /= dist
-        return h_t, v, self._w
+        return h_t, self._w
 
     def rate(self, f: _Faces) -> float:
         (dcx, dcy), (wx, wy) = f.dc, f.w
@@ -663,9 +654,6 @@ class _RectStencil(_Stencil):
         rate += 2.0 * _abs_max(wx) / self.hx
         rate += 2.0 * _abs_max(wy) / self.hy
         return rate
-
-    def potential(self, f: _Faces) -> Field:
-        return f.v
 
 
 class _RadialStencil(_Stencil):
@@ -687,7 +675,7 @@ class _RadialStencil(_Stencil):
         np.multiply(m, self.grid.vol, out=src)
         h_t = float(2.0 * src.sum())  # disk mean (|disk| = pi)
         vr = radial_poisson_face_gradient(self.grid, np.subtract(m, h_t, out=src))
-        return h_t, vr, (vr[1:-1],)
+        return h_t, (vr[1:-1],)
 
     def rate(self, f: _Faces) -> float:
         grid, fr, cell = self.grid, self._face_rate, self._cell_rate
@@ -703,9 +691,6 @@ class _RadialStencil(_Stencil):
         cell /= grid.vol
         return float(cell.max())
 
-    def potential(self, f: _Faces) -> RadialField:
-        return RadialField(self.grid, radial_potential(self.grid, f.v))
-
 
 def _stencil(u: Field | RadialField) -> _Stencil:
     return _RectStencil(u) if isinstance(u, Field) else _RadialStencil(u)
@@ -715,54 +700,36 @@ def _dt_limit(safety: float, rate: float) -> float:
     return safety / rate if rate > 0 else np.inf
 
 
-def _advance(state: RunState, stencil: _Stencil, config: SolverConfig, bounds: tuple, dt: float | None = None):
-    """Advance ``state`` by one explicit step; return its face data and the
-    smallest cell value after the update.
+def _advance(vals: np.ndarray, t: float, reg: RegKind, stencil: _Stencil, config: SolverConfig, bounds: tuple):
+    """Advance the state ``vals`` at time ``t`` in place by one explicit
+    step; return its face data, the smallest cell value after the update
+    and the step's dt.
 
-    ``bounds`` is (min u, max u) of the state.  With ``dt=None`` the step
-    follows ``config.dt_policy`` clipped to ``t_end``; then None is
-    returned, and nothing changes, when that step is shorter than
-    ``dt_min``.  A dt above the stable limit raises
-    ``CFLError``; a cell below ``-positivity_tol`` after the update raises
-    ``SolverError``.
+    ``bounds`` is (min u, max u) of the state.  The step follows
+    ``config.dt_policy`` clipped to ``t_end``; None is returned, and
+    nothing changes, when that step is shorter than ``dt_min``.  A dt above
+    the stable limit raises ``CFLError``; a cell below ``-positivity_tol``
+    after the update raises ``SolverError``.
     """
-    vals = state.u.values
-    f = stencil.faces(vals, state.reg, config.advection, bounds)
+    f = stencil.faces(vals, reg, config.advection, bounds)
     rate = stencil.rate(f)
     dt_stable = _dt_limit(1.0, rate)
-    policy = dt is None
-    if policy:
-        dt = config.dt_fixed if config.dt_policy == "fixed" else _dt_limit(config.cfl_safety, rate)
+    dt = config.dt_fixed if config.dt_policy == "fixed" else _dt_limit(config.cfl_safety, rate)
     if dt > dt_stable:
         raise CFLError(dt, dt_stable)
-    if policy:
-        dt = min(dt, config.t_end - state.t)
-        if dt < config.dt_min:
-            return None
+    dt = min(dt, config.t_end - t)
+    if dt < config.dt_min:
+        return None
     stencil.apply(vals, f, dt)
     umin = float(vals.min())
     if umin < -config.positivity_tol:
         raise SolverError(f"positivity lost: min u = {umin}")
-    state.t += dt
-    return f, umin
+    return f, umin, dt
 
 
 # ---------------------------------------------------------------------------
-# public stepping and run drivers
+# the run driver
 # ---------------------------------------------------------------------------
-
-
-def step(state: RunState, dt: float, config: SolverConfig | None = None) -> RunState:
-    """Advance one explicit step of ``dt``; checks CFL and positivity.
-
-    ``state.v`` becomes the potential of the state before the update, the
-    one that drove the step.
-    """
-    stencil = _stencil(state.u)
-    vals = state.u.values
-    f, _ = _advance(state, stencil, config or SolverConfig(), (float(vals.min()), float(vals.max())), dt)
-    state.v = stencil.potential(f)
-    return state
 
 
 def diffusive_dt_limit(domain: str, config: SolverConfig) -> float:
@@ -774,7 +741,7 @@ def diffusive_dt_limit(domain: str, config: SolverConfig) -> float:
     else:
         u = Field(config.lx / config.nx, config.ly / config.ny, np.zeros((config.nx, config.ny)))
     stencil = _stencil(u)
-    f = _Faces(0.0, u.values, stencil._unit_dc, stencil._still, None)
+    f = _Faces(0.0, u.values, stencil._unit_dc, stencil._still)
     return _dt_limit(1.0, stencil.rate(f))
 
 
@@ -886,26 +853,30 @@ class _DiagRows:
         self.pending.clear()
 
 
-def _run_driver(state: RunState, config: SolverConfig) -> Trajectory:
+def _run_driver(u0: Field | RadialField, reg: RegKind, config: SolverConfig) -> Trajectory:
+    """Advance a copy of ``u0`` from t = 0 under ``config``: the one way a
+    state is advanced."""
     from . import diagnostics as diag_mod
 
-    stencil = _stencil(state.u)
+    u = u0.copy()
+    vals, t = u.values, 0.0
+    stencil = _stencil(u)
     traj = Trajectory(
-        backend=stencil.backend, reg=state.reg, config=config, times=[], snapshots=[], diag=[], **stencil.geometry
+        backend=stencil.backend, reg=reg, config=config, times=[], snapshots=[], diag=[], **stencil.geometry
     )
-    rows = _DiagRows(state.u, state.reg.epsilon, traj.diag, diag_mod)
+    rows = _DiagRows(u, reg.epsilon, traj.diag, diag_mod)
 
     def record_snapshot():
-        traj.times.append(state.t)
-        traj.snapshots.append(state.u.values.copy())
+        traj.times.append(t)
+        traj.snapshots.append(vals.copy())
 
     record_snapshot()
-    eps = state.reg.epsilon
+    eps = reg.epsilon
     flag_level = config.flag_umax_factor / eps if eps > 0 else np.inf
     stop_level = config.stop_umax_factor / eps if eps > 0 else np.inf
-    next_snap = state.t + (config.snapshot_dt or np.inf)
+    next_snap = config.snapshot_dt or np.inf
     steps = 0
-    bounds = (float(state.u.values.min()), float(state.u.values.max()))
+    bounds = (float(vals.min()), float(vals.max()))
     failure = None
     # one numeric policy for library and command-line runs: an overflow or
     # an invalid operation in a step, or in a diagnostics row (raised when
@@ -914,25 +885,26 @@ def _run_driver(state: RunState, config: SolverConfig) -> Trajectory:
     # every way out of the loop.
     with np.errstate(over="raise", invalid="raise"), closing(rows):
         try:
-            while state.t < config.t_end - 1e-15 and steps < config.max_steps:
+            while t < config.t_end - 1e-15 and steps < config.max_steps:
                 # ``faces`` holds the step's face arrays until the next step
                 # replaces it; freeing them before the diagnostics lets the
                 # allocator hand the pages back, and on 256^2 grids the page
                 # faults that follow cost more than the memory.
-                advanced = _advance(state, stencil, config, bounds)
+                advanced = _advance(vals, t, reg, stencil, config, bounds)
                 if advanced is None:
                     traj.stop_reason = "dt_min"
                     break
-                faces, umin = advanced
-                umax = float(state.u.values.max())
+                faces, umin, dt = advanced
+                t += dt
+                umax = float(vals.max())
                 bounds = (umin, umax)
-                rows.add(state.t, faces, umin, umax)
+                rows.add(t, faces, umin, umax)
                 steps += 1
                 if not traj.concentrated and umax > flag_level:
                     traj.concentrated = True
-                    traj.concentrated_time = state.t
+                    traj.concentrated_time = t
                     record_snapshot()
-                if state.t >= next_snap - 1e-15:
+                if t >= next_snap - 1e-15:
                     record_snapshot()
                     next_snap += config.snapshot_dt
                 if umax > stop_level:
@@ -948,21 +920,19 @@ def _run_driver(state: RunState, config: SolverConfig) -> Trajectory:
         traj.failed = True
         traj.failure_message = str(failure)
         traj.stop_reason = "error"
-    if not traj.times or traj.times[-1] != state.t:
+    if traj.times[-1] != t:
         record_snapshot()
     return traj
 
 
 def run(config: SolverConfig, reg: RegKind, u0: Field) -> Trajectory:
     """Rectangle run from the given initial field."""
-    state = RunState(u=u0.copy(), v=None, t=0.0, reg=reg)
-    return _run_driver(state, config)
+    return _run_driver(u0, reg, config)
 
 
 def radial_run(config: SolverConfig, reg: RegKind, u0: RadialField) -> Trajectory:
     """Radially symmetric disk run (1D reduction of the same flux form)."""
-    state = RunState(u=u0.copy(), v=None, t=0.0, reg=reg)
-    return _run_driver(state, config)
+    return _run_driver(u0, reg, config)
 
 
 # ---------------------------------------------------------------------------

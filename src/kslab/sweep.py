@@ -23,6 +23,7 @@ from .solver import REPEATED_TIME, RadialField, RegKind, Trajectory, initial_con
 from .testfn import phi as phi_profile
 
 __all__ = [
+    "SWEEP_SCHEMA",
     "SweepReport",
     "run_sweep",
     "fit_trend",
@@ -41,6 +42,21 @@ class SweepRow:
     concentrated: bool
     t_flag: float | None
     offsets: list = field(default_factory=list)  # per matched offset dicts
+
+
+# the sweep report's columns, in order, with their descriptions
+SWEEP_SCHEMA = {
+    "reg": "regularization variant",
+    "epsilon": "regularization strength",
+    "status": "ok or failed",
+    "t_flag": "time the concentration flag rose",
+    "offset": "matched-time offset past the common flag",
+    "alpha": "plateau ball mass of u",
+    "beta": "plateau ball mass of the companion density",
+    "ratio_eight_pi": "alpha^2 / (8 pi beta), diffusion model",
+    "no_atom": "plateau detection failed",
+    "run_dir": "per-run artifact directory",
+}
 
 
 @dataclass
@@ -70,8 +86,6 @@ class SweepReport:
                     }
                 )
         return out
-
-    COLUMNS = ["reg", "epsilon", "status", "t_flag", "offset", "alpha", "beta", "ratio_eight_pi", "no_atom", "run_dir"]
 
 
 def _single_run(cfg: RunConfig, out_root: Path):
@@ -206,7 +220,7 @@ def run_sweep(plan: SweepPlanConfig, out_dir, threads: int = 1) -> SweepReport:
             if t_a[2] is not None or t_b[2] is not None:
                 continue
             ta, tb = t_a[0], t_b[0]
-            vol = 2.0 * np.pi * ta.grid.vol
+            vol = ta.grid.cell_areas
             t_pre = 0.5 * min(
                 ta.concentrated_time or t_common, tb.concentrated_time or t_common
             )
@@ -233,23 +247,7 @@ def run_sweep(plan: SweepPlanConfig, out_dir, threads: int = 1) -> SweepReport:
         divergence=divergence,
         verdicts=verdicts,
     )
-    io.write_csv(
-        out_root / "sweep_report.csv",
-        SweepReport.COLUMNS,
-        report.csv_rows(),
-        {
-            "reg": "regularization variant",
-            "epsilon": "regularization strength",
-            "status": "ok or failed",
-            "t_flag": "time the concentration flag rose",
-            "offset": "matched-time offset past the common flag",
-            "alpha": "plateau ball mass of u",
-            "beta": "plateau ball mass of the companion density",
-            "ratio_eight_pi": "alpha^2 / (8 pi beta), diffusion model",
-            "no_atom": "plateau detection failed",
-            "run_dir": "per-run artifact directory",
-        },
-    )
+    io.write_csv(out_root / "sweep_report.csv", list(SWEEP_SCHEMA), report.csv_rows(), SWEEP_SCHEMA)
     trend_rows = [
         {"reg": reg_name, **{k: v for k, v in t.items()}} for reg_name, t in sorted(trend.items())
     ]
@@ -260,11 +258,7 @@ def run_sweep(plan: SweepPlanConfig, out_dir, threads: int = 1) -> SweepReport:
             trend_rows,
         )
     if divergence:
-        io.write_csv(
-            out_root / "sweep_divergence.csv",
-            ["epsilon", "pre_l1", "post_l1_max"],
-            [{k: d[k] for k in ("epsilon", "pre_l1", "post_l1_max")} for d in divergence],
-        )
+        io.write_csv(out_root / "sweep_divergence.csv", ["epsilon", "pre_l1", "post_l1_max"], divergence)
     io.write_manifest(
         out_root / "sweep_manifest.ini",
         {

@@ -513,7 +513,11 @@ class BumpReport:
 
 def _bump_samples(bump: BoundaryBump, radius_lo: float, radius_hi: float, n: int, mesh: float):
     """Sample points of the annulus radius_lo..radius_hi around the bump
-    center, inside the disk, at least ``mesh`` away from the wall."""
+    center, inside the disk, at least ``mesh`` away from the wall;
+    ValueError when no point of the annulus lies that far inside."""
+    r0 = float(np.hypot(*bump.x0))
+    if max(r0 - radius_hi, radius_lo - r0) >= 1.0 - mesh:  # the annulus' nearest point to the disk center
+        raise ValueError(f"no point of the annulus {radius_lo}..{radius_hi} around the bump is {mesh} inside the wall")
     rng = np.random.default_rng(7)
     pts = []
     while len(pts) < n:

@@ -195,12 +195,28 @@ def test_mass_conservation_radial():
     assert min(r["min_u"] for r in traj.diag) >= -1e-13
 
 
+def _drive(u0):
+    return S.radial_run if isinstance(u0, S.RadialField) else S.run
+
+
 def test_cfl_error_reports_suggestion():
-    u0 = S.initial_condition_rect(32, 32, 1.0, 1.0, "gaussian", mass=4.0, width=0.1)
-    state = S.RunState(u=u0, v=None, t=0.0, reg=S.RegKind("cutoff_flux", 0.1))
-    with pytest.raises(S.CFLError) as exc:
-        S.step(state, dt=1.0)
-    assert exc.value.suggested_dt < 1.0
+    # a fixed dt above the stable limit ends the run before its first step;
+    # the stable dt that CFLError names is, bit for bit, the dt of a
+    # cfl_safety = 1 step
+    for u0 in (
+        S.initial_condition_radial(S.make_radial_grid(128, 1.005), "gaussian", mass=30.0, width=0.1),
+        S.initial_condition_rect(24, 20, 1.0, 1.0, "gaussian", mass=30.0, width=0.1),
+    ):
+        for reg in (S.RegKind("cutoff_flux", 1e-2), S.RegKind("nonlinear_diffusion", 1e-2)):
+            one = _drive(u0)(S.SolverConfig(t_end=1.0, cfl_safety=1.0, max_steps=1), reg, u0)
+            assert not one.failed and len(one.diag) == 1
+            dt = one.diag[0]["t"]
+            assert dt < 1.0 and dt == _stable_dt(u0, reg)
+            traj = _drive(u0)(S.SolverConfig(t_end=1.0, dt_policy="fixed", dt_fixed=1.0), reg, u0)
+            assert traj.failed and traj.stop_reason == "error" and traj.diag == []
+            message = str(S.CFLError(1.0, dt))
+            assert traj.failure_message == message == f"dt=1.0 violates CFL; largest stable dt ~ {dt!r}"
+            assert traj.snapshots[-1].tobytes() == u0.values.tobytes()
 
 
 def test_zero_time_run_returns_initial():
@@ -343,22 +359,24 @@ def rect_initial(draw):
 
 
 def _check_invariants_and_replay(u0, reg):
-    # cfl_safety = 1 makes the driver's dt the stable dt that CFLError reports
-    cfg = S.SolverConfig(t_end=1.0, cfl_safety=1.0, max_steps=20)
-    drive = S.radial_run if isinstance(u0, S.RadialField) else S.run
+    # cfl_safety = 1 makes the driver's dt the stable dt that CFLError
+    # reports; a snapshot after every step, and the flag, which would record
+    # a step twice, out of reach
+    cfg = S.SolverConfig(t_end=1.0, cfl_safety=1.0, max_steps=20, snapshot_dt=1e-300, flag_umax_factor=1e30)
+    drive = _drive(u0)
     traj = drive(cfg, reg, u0)
     assert not traj.failed, traj.failure_message
     m0 = u0.mass()
     assert np.max(np.abs(traj.mass_series() - m0)) / m0 <= 1e-12
     assert min(row["min_u"] for row in traj.diag) >= -cfg.positivity_tol
 
-    state = S.RunState(u=u0.copy(), v=None, t=0.0, reg=reg)
-    for row in traj.diag:
-        with pytest.raises(S.CFLError) as exc:
-            S.step(state, np.inf, cfg)
-        S.step(state, exc.value.suggested_dt, cfg)
-        assert state.t == row["t"]
-    assert state.u.values.tobytes() == traj.snapshots[-1].tobytes()
+    # a one-step run from snapshot k takes step k: the same dt, the same bits
+    assert len(traj.snapshots) == len(traj.diag) + 1
+    one = dataclasses.replace(cfg, max_steps=1)
+    for k, row in enumerate(traj.diag):
+        step = drive(one, reg, u0.like(traj.snapshots[k]))
+        assert traj.times[k] + step.times[-1] == traj.times[k + 1] == row["t"]
+        assert step.snapshots[-1].tobytes() == traj.snapshots[k + 1].tobytes()
 
 
 @given(radial_initial(), regs)
@@ -488,8 +506,8 @@ def test_worker_run_keeps_every_row_before_a_cfl_failure(reg, mass, dt_factor):
     assert traj.failed and traj.stop_reason == "error" and "violates CFL" in traj.failure_message
     assert len(traj.diag) >= 2
     last = _replay_rect_run(traj, u0, reg, dt, True)
-    with pytest.raises(S.CFLError):
-        S.step(S.RunState(u=u0.like(last.copy()), v=None, t=traj.times[-1], reg=reg), dt)
+    again = S.run(dataclasses.replace(traj.config, max_steps=1), reg, u0.like(last))
+    assert again.failed and again.failure_message.startswith(f"dt={dt!r} violates CFL")
 
 
 @pytest.mark.parametrize("nx", [96, 256])  # the row inline, and on the worker
@@ -517,38 +535,39 @@ def test_row_error_propagates_out_of_run(monkeypatch, nx):
 
 
 # --------------------------------------------------------------------------
-# diagnostics rows computed in blocks, and the potential that step() leaves
+# diagnostics rows computed in blocks
 # --------------------------------------------------------------------------
 
 
 def _reference_rows(u0, reg, cfg):
     """The per-step rows of a fixed-dt disk run, each computed on its own:
-    public ``step`` calls, with the step's face gradient w_n rebuilt from
-    the state before the update.  Returns the rows and whether a step failed."""
+    one-step runs advance the state, and the step's face gradient w_n is
+    rebuilt from the state before the update.  Returns the rows and
+    whether a step failed."""
     from kslab import diagnostics as D
 
     grid = u0.grid
-    state = S.RunState(u=u0.copy(), v=None, t=0.0, reg=reg)
+    u, t = u0, 0.0
     rows = []
-    while state.t < cfg.t_end - 1e-15 and len(rows) < cfg.max_steps:
-        vals = state.u.values
+    while t < cfg.t_end - 1e-15 and len(rows) < cfg.max_steps:
+        vals = u.values
         m = S.f_eps(vals, reg.epsilon) if reg.is_cutoff else vals
         h_t = float(2.0 * np.sum(m * grid.vol))
         w = S.radial_poisson_face_gradient(grid, m - h_t)[1:-1] if cfg.advection else np.zeros(grid.n - 1)
-        dt = min(cfg.dt_fixed, cfg.t_end - state.t)
+        dt = min(cfg.dt_fixed, cfg.t_end - t)
         if dt < cfg.dt_min:
             break
-        try:
-            S.step(state, dt, cfg)
-        except S.SolverError:
+        step = S.radial_run(dataclasses.replace(cfg, dt_fixed=dt, max_steps=1), reg, u)
+        if step.failed:
             return rows, True
-        vals = state.u.values
-        pair = D.entropy(state.u, None, reg.epsilon, w=(w,))
+        u, t = u.like(step.snapshots[-1]), t + dt
+        vals = u.values
+        pair = D.entropy(u, None, reg.epsilon, w=(w,))
         E, Dv = pair
         rows.append(
             {
-                "t": state.t,
-                "mass": state.u.mass(),
+                "t": t,
+                "mass": u.mass(),
                 "min_u": float(vals.min()),
                 "max_u": float(vals.max()),
                 "entropy": E,
@@ -561,10 +580,11 @@ def _reference_rows(u0, reg, cfg):
 
 
 def _stable_dt(u0, reg):
-    state = S.RunState(u=u0.copy(), v=None, t=0.0, reg=reg)
-    with pytest.raises(S.CFLError) as exc:
-        S.step(state, np.inf)
-    return exc.value.suggested_dt
+    """The largest stable dt of the first step from ``u0``, as the CFLError
+    of an infinite fixed dt reports it; the run takes no step."""
+    traj = _drive(u0)(S.SolverConfig(dt_policy="fixed", dt_fixed=np.inf), reg, u0)
+    assert traj.diag == [] and traj.failure_message.startswith("dt=inf violates CFL")
+    return float(traj.failure_message.rsplit("~ ", 1)[1])
 
 
 def _assert_same_rows(rows, ref):
@@ -613,31 +633,6 @@ def test_failed_run_keeps_every_row_before_the_failure():
     _assert_same_rows(traj.diag, ref)
 
 
-def _potential_before(u, reg):
-    m = S.f_eps(u.values, reg.epsilon) if reg.is_cutoff else u.values
-    if isinstance(u, S.RadialField):
-        h_t = float(2.0 * np.sum(m * u.grid.vol))
-        return S.radial_potential(u.grid, S.radial_poisson_face_gradient(u.grid, m - h_t))
-    h_t = float(m.mean())
-    return S.solve_poisson_neumann(u.like(m - h_t), scale=float(np.max(np.abs(m)))).values
-
-
-@pytest.mark.parametrize("variant", ["cutoff_flux", "nonlinear_diffusion"])
-@pytest.mark.parametrize("backend", ["radial", "rect"])
-def test_step_sets_potential_of_state_before_update(backend, variant):
-    if backend == "radial":
-        u0 = S.initial_condition_radial(S.make_radial_grid(128, 1.005), "gaussian", mass=30.0, width=0.1)
-    else:
-        u0 = S.initial_condition_rect(24, 20, 1.0, 1.0, "gaussian", mass=30.0, width=0.1)
-    reg = S.RegKind(variant, 1e-2)
-    state = S.RunState(u=u0.copy(), v=None, t=0.0, reg=reg)
-    for _ in range(3):
-        want = _potential_before(state.u, reg)
-        S.step(state, 0.5 * _stable_dt(state.u, reg))
-        assert type(state.v) is type(u0)
-        assert state.v.values.tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("variant", ["cutoff_flux", "nonlinear_diffusion"])
 @pytest.mark.parametrize("backend", ["radial", "rect"])
 def test_cells_below_zero_are_vacuum(backend, variant):
@@ -649,9 +644,8 @@ def test_cells_below_zero_are_vacuum(backend, variant):
         u0 = S.initial_condition_rect(8, 8, 1.0, 1.0, "constant", value=-1e-14)
         u0.values[:3, :3] = 2.0
     reg = S.RegKind(variant, 1e-2)
-    S.step(S.RunState(u=u0.copy(), v=None, t=0.0, reg=reg), 1e-4)  # takes its bounds from the state
-    run = S.radial_run if backend == "radial" else S.run
-    traj = run(S.SolverConfig(t_end=3e-4, dt_policy="fixed", dt_fixed=1e-4), reg, u0)
+    # the first step takes its bounds from the state
+    traj = _drive(u0)(S.SolverConfig(t_end=3e-4, dt_policy="fixed", dt_fixed=1e-4), reg, u0)
     assert not traj.failed and len(traj.diag) == 3
     assert all(row["min_u"] < 0.0 for row in traj.diag)
     assert all(np.isfinite(value) for row in traj.diag for value in row.values())

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -284,6 +289,26 @@ def test_bump_verification_gates(x0, rho):
     assert rep.support_leak == 0.0
     assert rep.annulus_min_laplacian >= -0.12
     assert rep.passed
+
+
+def test_verify_bump_refuses_a_mesh_wider_than_the_core():
+    # no point of the core of a wall-centered bump lies a mesh of 0.2 inside
+    # the wall: verify_bump raises before it draws a sample, where it drew
+    # forever.  A fresh interpreter, so that a hang ends at the timeout.
+    code = (
+        "from kslab.geometry import unit_disk\n"
+        "from kslab.testfn import build_boundary_bump, verify_bump\n"
+        "bump = build_boundary_bump(unit_disk(), (1, 0), 0.02)\n"
+        "try:\n"
+        "    verify_bump(bump, mesh=0.2)\n"
+        "except ValueError as exc:\n"
+        "    print(f'ValueError: {exc}')\n"
+    )
+    src = str(Path(T.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("ValueError: no point of the annulus 0.0..0.0176"), res.stdout
 
 
 def test_bump_rejects_bad_geometry():
