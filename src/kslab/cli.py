@@ -158,24 +158,21 @@ def cmd_report(args) -> int:
         for key in sorted(entries):
             print(f"  {key} = {entries[key]}")
         diag = m.parent / "diagnostics.csv"
-        if diag.exists():
-            lines = diag.read_text().strip().splitlines()
-            if len(lines) > 1:
-                cols = lines[0].split(",")
-                last = lines[-1].split(",")
-                mass_idx = cols.index("mass") if "mass" in cols else None
-                if mass_idx is not None:
-                    first = lines[1].split(",")
-                    drift = abs(float(last[mass_idx]) - float(first[mass_idx]))
-                    print(f"  steps = {len(lines) - 1}, final mass drift = {drift!r}")
-                config = m.parent / "config.ini"
-                if "t" in cols and config.exists():
-                    t_idx = cols.index("t")
-                    _report_dt_regime(config, [float(line.split(",")[t_idx]) for line in lines[1:]])
+        lines = diag.read_text().strip().splitlines() if diag.exists() else []
+        if len(lines) < 2:
+            continue
+        rows = dict(zip(lines[0].split(","), np.array([line.split(",") for line in lines[1:]], dtype=float).T))
+        print(f"  steps = {len(lines) - 1}, final mass drift = {float(abs(rows['mass'][-1] - rows['mass'][0]))!r}")
+        if len(lines) < 3:  # row n is the state before step n
+            print("  dt and energy law unavailable: one row")
+            continue
+        if (m.parent / "config.ini").exists():
+            _report_dt_regime(m.parent / "config.ini", rows["t"])
+        _report_energy_law(rows["t"], rows["entropy"], rows["dissipation"])
     return 0
 
 
-def _report_dt_regime(config_path: Path, times: list) -> None:
+def _report_dt_regime(config_path: Path, times: np.ndarray) -> None:
     """Median dt and median dt over the pure-diffusion CFL bound of the
     run's grid: near ``cfl_safety`` diffusion sets the step, well below it
     advection does."""
@@ -184,9 +181,18 @@ def _report_dt_regime(config_path: Path, times: list) -> None:
     except (ConfigError, OSError) as exc:
         print(f"  dt regime unavailable: {exc}")
         return
-    dt = np.diff(np.concatenate([[0.0], times]))  # runs start at t = 0
+    dt = np.diff(times)  # row n is the state at t_n, before step n
     ratio = dt / diffusive_dt_limit(cfg.domain, cfg.solver)
     print(f"  median dt = {float(np.median(dt))!r}, median dt / diffusive CFL = {float(np.median(ratio)):.4f}")
+
+
+def _report_energy_law(t: np.ndarray, E: np.ndarray, D: np.ndarray) -> None:
+    """Median over the rows of |(E_{n+1} - E_n) / (t_{n+1} - t_n) + D_n| / |D_n|:
+    D_n is step n's own energy rate, so this is O(dt) below the cutoff knee."""
+    moving = D[:-1] != 0.0  # a state at rest has no relative residual
+    residual = np.abs(np.diff(E) / np.diff(t) + D[:-1])[moving] / np.abs(D[:-1][moving])
+    if residual.size:
+        print(f"  energy law: median |dE/dt + D| / |D| = {float(np.median(residual)):.3e} over {residual.size} steps")
 
 
 def main(argv=None) -> int:

@@ -61,71 +61,53 @@ DEFAULT_SOBOLEV_C = 5e-7
 _ULOG_FLOOR = 1e-280
 
 
-class _EntropyPair(tuple):
-    """The (E, D) pair that ``entropy`` returns, carrying ``int_u76``: the
-    integral of u^{7/6} of the same state(s), from the same u^{1/6}."""
-
-    def __new__(cls, E, D, int_u76):
-        pair = super().__new__(cls, (E, D))
-        pair.int_u76 = int_u76
-        return pair
-
-
-def entropy(u: Field | RadialField, v, epsilon: float, w=None):
-    """Free energy E and its dissipation D for the current (u, v) pair.
+def entropy(u: Field | RadialField, v, epsilon: float, u_t=None):
+    """Free energy E of the state u with potential v, and its dissipation D
+    along the rate u_t.
 
     E = int [ u(log u - 1) + 6 eps u^{7/6} - |grad v|^2 / 2 ],
-    D = int u | grad(log u + 7 eps u^{1/6}) - grad v |^2,
+    D = -int xi u_t,   xi = log u + 7 eps u^{1/6} - v,
 
-    with u log u := 0 at vacuum and the face weight for D taken as the
-    logarithmic mean, which makes dE/dt = -D exact for the semi-discrete
-    heat flow.  ``v`` may be None (treated as zero potential).  ``w``, if
-    given, is the face gradient of v per axis (rectangle: x then y faces;
-    disk: the interior faces) and is used instead of differentiating v.
-    The returned pair also carries ``int_u76``, int u^{7/6}, which the
-    per-step diagnostics rows take from it.
+    with u log u := 0 and log u read as 0 at vacuum (cells at or below
+    ``_ULOG_FLOOR``), and grad v the face differences of v, so that xi is
+    the variational derivative of E whenever -Lap v is u less its mean (the
+    Poisson source up to the cutoff knee).  With u_t the step's own
+    (u_{n+1} - u_n) / dt, D is the step's energy rate: (E_{n+1} - E_n) / dt
+    + D is the second-order remainder of the chain rule, O(dt).  Past the
+    cutoff knee the source is f_eps(u) and the identity carries the term
+    int (1 - f_eps'(u)) v u_t as well.  ``v`` may be None (zero potential)
+    and so may ``u_t`` (a state at rest, D = 0).  Returns (E, D, int_u76),
+    the last int u^{7/6}, which the per-step diagnostics rows take from it.
 
-    ``u`` may also hold a stack of states on one grid: ``u.values``, and
-    ``v.values`` or each ``w``, then carry a leading row axis, and E, D
-    and int_u76 come back as arrays with one entry per row.  One state is
-    the one-row case of the same kernel (``_entropy_rows``); each row is
-    reduced over its flattened cells, so a row of a stack gives the bits
-    of the one-state call.
+    ``u`` may also hold a stack of states on one grid: ``u.values``,
+    ``v.values`` and ``u_t`` then carry a leading row axis, and E, D and
+    int_u76 come back as arrays with one entry per row.  One state is the
+    one-row case of the same kernel (``_entropy_rows``); each row is
+    reduced over its flattened cells, so a row of a stack gives the bits of
+    the one-state call.
     """
-    _, axes, cell_ndim = _entropy_axes(u)
+    _, _, cell_ndim = _entropy_axes(u)
     stacked = u.values.ndim > cell_ndim
+    vv = None if v is None else v.values
     if not stacked:
         u = u.like(u.values[None])
-        if w is not None:
-            w = tuple(wa[None] for wa in w)
-    if w is None:
-        vv = None if v is None else v.values if stacked else v.values[None]
-        w = tuple(
-            np.zeros(u.values[lo].shape) if vv is None else (vv[hi] - vv[lo]) / spacing
-            for lo, hi, spacing, _ in axes
-        )
-    rows = _entropy_rows(u, epsilon, w)
-    return _EntropyPair(*rows) if stacked else _EntropyPair(*(float(a[0]) for a in rows))
+        vv = None if vv is None else vv[None]
+        u_t = None if u_t is None else u_t[None]
+    rows = _entropy_rows(u, vv, epsilon, u_t)
+    return rows if stacked else tuple(float(a[0]) for a in rows)
 
 
-def _entropy_rows(u: Field | RadialField, epsilon: float, w: tuple):
+def _entropy_rows(u: Field | RadialField, v, epsilon: float, u_t):
     """E, D (see ``entropy``) and int u^{7/6} of each row of a stack of
-    states: ``u.values`` and each face gradient in ``w`` carry a leading
-    row axis.
+    states: ``u.values``, the potentials ``v`` and the rates ``u_t`` (each
+    None or an array) carry a leading row axis.
 
-    One pass: log u is taken once per cell, u^{1/6} as exp(log u / 6) and
-    u^{7/6} as u u^{1/6}; each face combines the values of its two cells.
-    The logarithmic mean (b - a) / log(b / a) is the quotient of the two
-    differences, except on the faces where |log b - log a| <= 1e-6: there
-    log(b / a) is log1p((b - a) / a), which the difference of two logs
-    carries only to about 1e-16 |log a|, and faces with
-    |b - a| <= 1e-12 (a + b) take (a + b) / 2 instead of the quotient.
-    Cells at or below ``_ULOG_FLOOR`` count as vacuum: u log u, u^{1/6}
-    and u^{7/6} are 0 there and a face touching one takes the weight
-    4 (sqrt b - sqrt a)^2 / h^2 of its D term; a cell below zero, which a
-    step may leave down to -positivity_tol, is vacuum with root 0.  The
-    masks this needs are built only when the stack holds such a cell, and
-    the positive cells go through the same arithmetic either way.
+    log u is taken once per cell, u^{1/6} as exp(log u / 6) and u^{7/6} as
+    u u^{1/6}.  Cells at or below ``_ULOG_FLOOR`` count as vacuum: u log u,
+    log u, u^{1/6} and u^{7/6} are 0 there, so xi is -v; a cell below zero,
+    which a step may leave down to -positivity_tol, is vacuum too.  The
+    mask this needs is built only when the stack holds such a cell, and the
+    positive cells go through the same arithmetic either way.
     """
     cell_meas, axes, _ = _entropy_axes(u)
     vals = u.values
@@ -138,17 +120,16 @@ def _entropy_rows(u: Field | RadialField, epsilon: float, w: tuple):
     if vacuum:
         pos = vals > _ULOG_FLOOR
         logu = np.log(np.where(pos, vals, 1.0))  # 0 at vacuum
-        root = np.sqrt(np.maximum(vals, 0.0))  # a negative cell is vacuum too
     else:
         logu = np.log(vals)
     root6 = np.divide(logu, 6.0)
     np.exp(root6, out=root6)
     if vacuum:
         np.copyto(root6, 0.0, where=~pos)
-    # everything after works in place in ``work``, whose rows every axis
-    # reuses: fresh full-grid temporaries cost more in page faults than
-    # in arithmetic
-    work = np.empty((4, vals.size))
+    # everything after works in place in ``work``, whose two rows are
+    # reused: fresh full-grid temporaries cost more in page faults than in
+    # arithmetic
+    work = np.empty((2, vals.size))
     # u (log u - 1 + 6 eps u^{1/6}), 0 at vacuum
     bulk = np.multiply(root6, 6.0 * epsilon, out=work[0].reshape(vals.shape))
     bulk += logu
@@ -161,45 +142,22 @@ def _entropy_rows(u: Field | RadialField, epsilon: float, w: tuple):
     u76 = np.multiply(vals, root6, out=work[1].reshape(vals.shape))
     u76 *= cell_meas
     int_u76 = row_sums(u76)
-    D = np.zeros(n_rows)
-    for (lo, hi, spacing, face_meas), wa in zip(axes, w):
-        g, du, lm, dlog = (row[: wa.size].reshape(wa.shape) for row in work)
-        np.square(wa, out=g)
-        g *= face_meas
-        E -= 0.5 * row_sums(g)
-        np.subtract(vals[hi], vals[lo], out=du)
-        np.subtract(logu[hi], logu[lo], out=dlog)
-        if vacuum:
-            both = pos[lo] & pos[hi]
-            np.copyto(dlog, 1.0, where=~both)  # keeps vacuum faces out of the index path below
-        # faces whose two cells are within a factor e^{1e-6}: a superset of
-        # the close faces, since the log difference errs by <= 2e-13
-        near = close = np.flatnonzero(np.abs(dlog, out=lm) <= 1e-6)
-        if near.size:
-            cells = np.unravel_index(near, du.shape)
-            a, b, gap = vals[lo][cells], vals[hi][cells], du.reshape(-1)[near]
-            dlog.reshape(-1)[near] = np.log1p(gap / a)
-            half = b + a
-            keep = np.abs(gap) <= half * 1e-12
-            close, half = near[keep], 0.5 * half[keep]
-        np.subtract(root6[hi], root6[lo], out=g)
-        g *= 7.0 * epsilon
-        g += dlog
-        g /= spacing
-        g -= wa
-        g *= g
-        if close.size:
-            dlog.reshape(-1)[close] = 1.0  # keeps the close faces out of the divide
-        np.divide(du, dlog, out=lm)
-        if close.size:
-            lm.reshape(-1)[close] = half
-        lm *= g
-        if vacuum:
-            vac = (root[hi] - root[lo]) / spacing
-            lm = np.where(both, lm, 4.0 * vac**2)
-        lm *= face_meas
-        D += row_sums(lm)
-    return E, D, int_u76
+    if v is not None:
+        for lo, hi, spacing, face_meas in axes:
+            g = np.subtract(v[hi], v[lo], out=work[0][: v[lo].size].reshape(v[lo].shape))
+            g /= spacing
+            g *= g
+            g *= face_meas
+            E -= 0.5 * row_sums(g)
+    if u_t is None:
+        return E, np.zeros(n_rows), int_u76
+    xi = np.multiply(root6, 7.0 * epsilon, out=work[0].reshape(vals.shape))
+    xi += logu
+    if v is not None:
+        xi -= v
+    xi *= u_t
+    xi *= cell_meas
+    return E, -row_sums(xi), int_u76
 
 
 def _entropy_axes(u: Field | RadialField):
@@ -217,11 +175,13 @@ def _entropy_axes(u: Field | RadialField):
 
 
 def entropy_epsilon_bound(traj: Trajectory, alpha_exp: float = 0.1) -> float:
-    """max_t eps^{1+alpha} int u^{7/6}, for cross-eps boundedness studies."""
+    """max_t eps^{1+alpha} int u^{7/6}, for cross-eps boundedness studies:
+    over the rows and the final state, which has no row."""
     if traj.reg.is_cutoff:
         raise ValueError("entropy_epsilon_bound applies to nonlinear_diffusion runs")
     eps = traj.reg.epsilon
-    return eps ** (1.0 + alpha_exp) * max(row["int_u76"] for row in traj.diag)
+    final = entropy(traj.field_at(len(traj.times) - 1), None, eps)[2]
+    return eps ** (1.0 + alpha_exp) * max(final, *(row["int_u76"] for row in traj.diag))
 
 
 # ---------------------------------------------------------------------------

@@ -43,12 +43,14 @@ _REG_CODE = {"cutoff_flux": 0, "nonlinear_diffusion": 1}
 _REG_NAME = {v: k for k, v in _REG_CODE.items()}
 
 DIAG_SCHEMA = {
-    "t": "time after the step",
+    "t": "time of the state; row n is the state before step n: rows start at t = 0, the final state is "
+    "only in the snapshots",
     "mass": "total mass of u (conserved)",
     "min_u": "minimum cell value of u",
     "max_u": "maximum cell value of u",
-    "entropy": "free energy E",
-    "dissipation": "entropy production D",
+    "entropy": "free energy E of the state, with its own potential",
+    "dissipation": "the step's own energy rate D = -sum xi (u_next - u) |cell| / dt, xi = log u + 7 eps u^{1/6} - v: "
+    "(E_next - E) / dt + D = O(dt); past the cutoff knee the identity carries int (1 - f_eps'(u)) v u_t too",
     "h_t": "mean of the chemoattractant source",
     "int_u76": "integral of u^{7/6}",
 }

@@ -374,12 +374,13 @@ def radial_poisson_face_gradient(grid: RadialGrid, rhs: np.ndarray) -> np.ndarra
 
 
 def radial_potential(grid: RadialGrid, vr_faces: np.ndarray) -> np.ndarray:
-    """Cell values of v from its face gradient, disk mean removed."""
-    v = np.zeros(grid.n)
+    """Cell values of v from its face gradient, disk mean removed.
+    ``vr_faces`` may carry a leading stack axis; each row of the result
+    has the bits of the one-row call."""
+    v = np.zeros((*vr_faces.shape[:-1], grid.n))
     # integrate center-to-center using interior-face slopes
-    dv = vr_faces[1:-1] * grid.dcen
-    v[1:] = np.cumsum(dv)
-    v -= 2.0 * np.sum(v * grid.vol)  # subtract disk mean (|disk| = pi)
+    np.cumsum(vr_faces[..., 1:-1] * grid.dcen, axis=-1, out=v[..., 1:])
+    v -= 2.0 * np.sum(v * grid.vol, axis=-1, keepdims=True)  # subtract disk mean (|disk| = pi)
     return v
 
 
@@ -457,7 +458,7 @@ class Trajectory:
     config: SolverConfig
     times: list
     snapshots: list  # value arrays at `times`
-    diag: list  # per-step dict rows
+    diag: list  # per-step dict rows, row n the state before step n
     grid: RadialGrid | None = None
     hx: float | None = None
     hy: float | None = None
@@ -512,6 +513,10 @@ class _Faces:
     m: np.ndarray  # per-cell mobility; the values themselves wherever it equals them
     dc: tuple  # per axis: diffusion coefficient at the faces (the scalar 1.0 for cutoff flux)
     w: tuple  # per axis: face velocity grad v (zero without advection)
+    # the potential as the diagnostics row keeps it (``cell_potential`` makes
+    # v of it): v per cell on the rectangle, v' at every face on the disk;
+    # None without advection
+    v: np.ndarray | None = None
 
 
 def _sides(axis: int, ndim: int) -> tuple:
@@ -527,8 +532,10 @@ class _Stencil:
     faces, the center spacing across them, the face measure and the
     measures of the lower and upper cells; on the rectangle the face
     measure is the scalar 1.0 and both cells measure the one float h.  A
-    subclass supplies the potential solve (``_solve``: the source mean and
-    the face gradient) and the CFL rate.  ``apply``, the nonlinear face
+    subclass supplies the potential solve (``_solve``: the source mean, the
+    face gradient and the potential as the diagnostics row keeps it), v per
+    cell of a stack of kept potentials (``cell_potential``) and the CFL
+    rate.  ``apply``, the nonlinear face
     diffusion, the rectangle's face gradient and the disk's CFL rate and
     source work in arrays that the stencil keeps from step to step.
     """
@@ -566,10 +573,10 @@ class _Stencil:
         """Face data of the state ``vals`` whose (min, max) is ``bounds``;
         cells below zero are vacuum (``RegKind.vacuum``)."""
         f = self._faces
-        f.m = None  # the last step's mobility goes before this step makes its own
+        f.m = f.v = None  # the last step's mobility and potential go before this step makes its own
         f.m = reg.mobility(vals, bounds)
-        f.h_t, w = self._solve(f.m)
-        f.w = w if advection else self._still
+        f.h_t, w, v = self._solve(f.m)
+        f.w, f.v = (w, v) if advection else (self._still, None)
         # under nonlinear diffusion the mobility is u itself, vacuum read as 0
         f.dc = self._unit_dc if reg.is_cutoff else self._face_diffusion(f.m, reg.epsilon)
         return f
@@ -641,11 +648,16 @@ class _RectStencil(_Stencil):
     def _solve(self, m):
         h_t = float(m.mean())
         rhs = Field(self.hx, self.hy, np.subtract(m, h_t, out=self._rhs))
-        v = solve_poisson_neumann(rhs, scale=_abs_max(m))
+        v = solve_poisson_neumann(rhs, scale=_abs_max(m)).values
         for (lo, hi, dist, *_), wa in zip(self.axes, self._w):
-            np.subtract(v.values[hi], v.values[lo], out=wa)
+            np.subtract(v[hi], v[lo], out=wa)
             wa /= dist
-        return h_t, self._w
+        return h_t, self._w, v
+
+    @staticmethod
+    def cell_potential(rows: np.ndarray) -> np.ndarray:
+        """v per cell of a stack of kept potentials (``_Faces.v``)."""
+        return rows
 
     def rate(self, f: _Faces) -> float:
         (dcx, dcy), (wx, wy) = f.dc, f.w
@@ -675,7 +687,11 @@ class _RadialStencil(_Stencil):
         np.multiply(m, self.grid.vol, out=src)
         h_t = float(2.0 * src.sum())  # disk mean (|disk| = pi)
         vr = radial_poisson_face_gradient(self.grid, np.subtract(m, h_t, out=src))
-        return h_t, (vr[1:-1],)
+        return h_t, (vr[1:-1],), vr
+
+    def cell_potential(self, rows: np.ndarray) -> np.ndarray:
+        """v per cell of a stack of kept potentials (``_Faces.v``)."""
+        return radial_potential(self.grid, rows)
 
     def rate(self, f: _Faces) -> float:
         grid, fr, cell = self.grid, self._face_rate, self._cell_rate
@@ -700,16 +716,18 @@ def _dt_limit(safety: float, rate: float) -> float:
     return safety / rate if rate > 0 else np.inf
 
 
-def _advance(vals: np.ndarray, t: float, reg: RegKind, stencil: _Stencil, config: SolverConfig, bounds: tuple):
+def _advance(vals: np.ndarray, t: float, reg: RegKind, stencil: _Stencil, config: SolverConfig, bounds: tuple,
+             rows: "_DiagRows"):
     """Advance the state ``vals`` at time ``t`` in place by one explicit
-    step; return its face data, the smallest cell value after the update
-    and the step's dt.
+    step; return the smallest cell value after the update and the step's dt.
 
     ``bounds`` is (min u, max u) of the state.  The step follows
-    ``config.dt_policy`` clipped to ``t_end``; None is returned, and
-    nothing changes, when that step is shorter than ``dt_min``.  A dt above
+    ``config.dt_policy``; None is returned, and nothing changes, when that
+    step is shorter than ``dt_min``.  It is then clipped to ``t_end``, which
+    the driver calls only while at least ``dt_min`` remains.  A dt above
     the stable limit raises ``CFLError``; a cell below ``-positivity_tol``
-    after the update raises ``SolverError``.
+    after the update raises ``SolverError``.  ``rows`` takes the state
+    before the update and, once the step has been taken, the update.
     """
     f = stencil.faces(vals, reg, config.advection, bounds)
     rate = stencil.rate(f)
@@ -717,14 +735,16 @@ def _advance(vals: np.ndarray, t: float, reg: RegKind, stencil: _Stencil, config
     dt = config.dt_fixed if config.dt_policy == "fixed" else _dt_limit(config.cfl_safety, rate)
     if dt > dt_stable:
         raise CFLError(dt, dt_stable)
-    dt = min(dt, config.t_end - t)
     if dt < config.dt_min:
         return None
+    dt = min(dt, config.t_end - t)
+    rows.add(t, f, bounds)
     stencil.apply(vals, f, dt)
     umin = float(vals.min())
     if umin < -config.positivity_tol:
         raise SolverError(f"positivity lost: min u = {umin}")
-    return f, umin, dt
+    rows.commit(dt)
+    return umin, dt
 
 
 # ---------------------------------------------------------------------------
@@ -760,12 +780,15 @@ _DIAG_WORKER_CELLS = 32768
 class _DiagRows:
     """The per-step diagnostics rows of one run, computed a block at a time.
 
-    ``add`` keeps a step's scalars and copies u_{n+1} and the step's face
-    gradient w_n into the block; a full block, and ``flush``, compute E, D,
-    mass and int_u76 of the pending rows with one stacked
-    ``diagnostics.entropy`` call and append the rows to ``out``.  A block
-    holds max(1, _DIAG_BLOCK_CELLS // cells) rows, and each value has the
-    bits of the one-state computation.
+    Row n is the state u_n at t_n, before step n updates it: ``add`` keeps
+    the row's scalars and copies u_n and its potential (``_Faces.v``) into
+    the block, and ``commit``, once the step is taken, its dt and update
+    u_{n+1} - u_n.  A full block, and ``flush``, compute E (with u_n's own
+    potential), D (the step's own energy rate), mass and int_u76 of the
+    committed rows with one stacked ``diagnostics.entropy`` call and append
+    them to ``out``; a row begun by ``add`` but not committed is dropped.
+    A block holds max(1, _DIAG_BLOCK_CELLS // cells) rows, and each value
+    has the bits of the one-state computation.
 
     On a grid of at least _DIAG_WORKER_CELLS cells the one-row block is
     computed on one worker thread, under the run's numpy error state, while
@@ -775,25 +798,32 @@ class _DiagRows:
     ``close`` stops the worker.
     """
 
-    def __init__(self, u: Field | RadialField, epsilon: float, out: list, diagnostics):
-        self.u, self.epsilon, self.out = u, epsilon, out
+    def __init__(self, u: Field | RadialField, stencil: _Stencil, epsilon: float, out: list, diagnostics):
+        self.u, self.stencil, self.epsilon, self.out = u, stencil, epsilon, out
         self.diagnostics = diagnostics  # ``entropy`` is looked up per call, so patches apply
         self.size = max(1, _DIAG_BLOCK_CELLS // u.values.size)
-        self.pending = []  # (t, min_u, max_u, h_t) of the rows not yet computed
-        self.ublock = self.wblock = None  # made on the first add
+        self.pending = []  # (t, min_u, max_u, h_t, dt) of the committed rows not yet computed
+        self.staged = None  # (t, min_u, max_u, h_t) of the row that ``add`` began
+        self.ublock = self.vblock = self.dblock = None  # made on the first add
         self.overlap = u.values.size >= _DIAG_WORKER_CELLS
         self.worker = self.busy = None  # made on the first overlapped row; the row in flight
 
-    def add(self, t: float, f: _Faces, umin: float, umax: float) -> None:
+    def add(self, t: float, f: _Faces, bounds: tuple) -> None:
         self._wait()
         k = len(self.pending)
-        self.pending.append((t, umin, umax, f.h_t))
         if self.ublock is None:
-            self.ublock = np.empty((self.size, *self.u.values.shape))
-            self.wblock = tuple(np.empty((self.size, *wa.shape)) for wa in f.w)
+            self.ublock, self.dblock = (np.empty((self.size, *self.u.values.shape)) for _ in range(2))
+            if f.v is not None:
+                self.vblock = np.empty((self.size, *f.v.shape))
+        self.staged = (t, *bounds, f.h_t)
         np.copyto(self.ublock[k], self.u.values)
-        for block, wa in zip(self.wblock, f.w):
-            np.copyto(block[k], wa)
+        if f.v is not None:
+            np.copyto(self.vblock[k], f.v)
+
+    def commit(self, dt: float) -> None:
+        k = len(self.pending)
+        np.subtract(self.u.values, self.ublock[k], out=self.dblock[k])
+        self.pending.append((*self.staged, dt))
         if k + 1 < self.size:
             return
         if not self.overlap:
@@ -828,14 +858,14 @@ class _DiagRows:
 
     def _compute(self) -> None:
         k = len(self.pending)
-        rows, w = self.ublock[:k], tuple(block[:k] for block in self.wblock)
-        # the step's face gradient, zero with advection disabled: then the
-        # free energy of the dynamics carries no potential term
-        pair = self.diagnostics.entropy(self.u.like(rows), None, self.epsilon, w=w)
-        E, D = pair
-        int_u76 = pair.int_u76
+        rows, u_t = self.ublock[:k], self.dblock[:k]
+        # each row's update over its own dt, in place: the rate u_t of the step
+        u_t /= np.array([row[-1] for row in self.pending]).reshape(-1, *(1,) * (u_t.ndim - 1))
+        # without advection the free energy of the dynamics carries no potential term
+        v = None if self.vblock is None else self.u.like(self.stencil.cell_potential(self.vblock[:k]))
+        E, D, int_u76 = self.diagnostics.entropy(self.u.like(rows), v, self.epsilon, u_t)
         mass = self.u.row_integrals(rows)
-        for (t, umin, umax, h_t), e, d, m, i76 in zip(
+        for (t, umin, umax, h_t, _), e, d, m, i76 in zip(
             self.pending, E.tolist(), D.tolist(), mass.tolist(), int_u76.tolist()
         ):
             self.out.append(
@@ -864,7 +894,7 @@ def _run_driver(u0: Field | RadialField, reg: RegKind, config: SolverConfig) -> 
     traj = Trajectory(
         backend=stencil.backend, reg=reg, config=config, times=[], snapshots=[], diag=[], **stencil.geometry
     )
-    rows = _DiagRows(u, reg.epsilon, traj.diag, diag_mod)
+    rows = _DiagRows(u, stencil, reg.epsilon, traj.diag, diag_mod)
 
     def record_snapshot():
         traj.times.append(t)
@@ -885,20 +915,17 @@ def _run_driver(u0: Field | RadialField, reg: RegKind, config: SolverConfig) -> 
     # every way out of the loop.
     with np.errstate(over="raise", invalid="raise"), closing(rows):
         try:
-            while t < config.t_end - 1e-15 and steps < config.max_steps:
-                # ``faces`` holds the step's face arrays until the next step
-                # replaces it; freeing them before the diagnostics lets the
-                # allocator hand the pages back, and on 256^2 grids the page
-                # faults that follow cost more than the memory.
-                advanced = _advance(vals, t, reg, stencil, config, bounds)
+            # less than dt_min before t_end (fixed steps leave rounding
+            # there) is the end of the run, not a dt_min stop
+            while config.t_end - t >= max(config.dt_min, 1e-15) and steps < config.max_steps:
+                advanced = _advance(vals, t, reg, stencil, config, bounds, rows)
                 if advanced is None:
                     traj.stop_reason = "dt_min"
                     break
-                faces, umin, dt = advanced
+                umin, dt = advanced
                 t += dt
                 umax = float(vals.max())
                 bounds = (umin, umax)
-                rows.add(t, faces, umin, umax)
                 steps += 1
                 if not traj.concentrated and umax > flag_level:
                     traj.concentrated = True

@@ -415,6 +415,43 @@ def test_cmd_run_concentration_exit2(tmp_path):
     assert man["concentrated"] == "True"
 
 
+FIXED_DT_TEXT = """
+[domain]
+kind = rectangle
+
+[grid]
+nx = 64
+ny = 64
+
+[regularization]
+kind = cutoff_flux
+epsilon = 1e-2
+
+[initial]
+kind = gaussian
+mass = 200.0
+width = 0.05
+
+[time]
+t_end = 5e-2
+dt_policy = fixed
+dt = 2e-5
+
+[stopping]
+stop_factor = 1e30
+"""
+
+
+def test_cmd_run_fixed_dt_reaching_t_end_exit0(tmp_path, capsys):
+    # 2,500 fixed steps leave t_end - t = 1.7e-15, below dt_min: that is
+    # the end of the run, not a dt_min stop
+    cfg = tmp_path / "fixed.ini"
+    cfg.write_text(FIXED_DT_TEXT)
+    assert main(["--out", str(tmp_path / "out"), "run", str(cfg)]) == 0
+    assert "with 2500 steps" in capsys.readouterr().out
+    assert io.read_manifest(tmp_path / "out" / "manifest.ini")["stop_reason"] == "t_end"
+
+
 def test_cmd_run_missing_field_exit1(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[domain]\nkind = disk\n")
@@ -567,20 +604,30 @@ def test_rectangle_run_loads_scipy_fft_inside_the_step(tmp_path):
     assert _fresh_python(code, tmp_path) == "False 0 True"
 
 
-@pytest.mark.parametrize("text", [RUN_TEXT, TWO_BUMP_TEXT], ids=["disk", "rectangle"])
+# the rectangle run is taken to 2e-3: to 2e-4 it is one step, one row
+@pytest.mark.parametrize(
+    "text", [RUN_TEXT, TWO_BUMP_TEXT.replace("t_end = 2e-4", "t_end = 2e-3")], ids=["disk", "rectangle"]
+)
 def test_cmd_report_shows_dt_over_diffusive_cfl(tmp_path, capsys, text):
-    # the explicit step is at most cfl_safety of the pure-diffusion bound
+    # the explicit step is at most cfl_safety of the pure-diffusion bound;
+    # the median dt comes from consecutive row times
     cfg = tmp_path / "run.ini"
     cfg.write_text(text)
     assert main(["--out", str(tmp_path / "out"), "run", str(cfg)]) == 0
     artifacts = _tree_bytes(tmp_path / "out")
     capsys.readouterr()
     assert main(["report", str(tmp_path / "out")]) == 0
-    line = next(ln for ln in capsys.readouterr().out.splitlines() if "diffusive CFL" in ln)
+    out = capsys.readouterr().out.splitlines()
+    line = next(ln for ln in out if "diffusive CFL" in ln)
     ratio = float(line.rsplit("=", 1)[1])
     median_dt = float(line.split("median dt = ", 1)[1].split(",", 1)[0])
     assert median_dt > 0.0
     assert 0.0 < ratio <= parse_run_config(cfg).solver.cfl_safety
+    # D_n is step n's own energy rate, so the energy law holds to O(dt);
+    # the disk's Gaussian spans 50 cells, the rectangle's bumps under two
+    law = next(ln for ln in out if "energy law" in ln)
+    residual = float(law.split(" = ", 1)[1].split()[0])
+    assert 0.0 < residual < (1e-2 if text is RUN_TEXT else 0.1)
     assert _tree_bytes(tmp_path / "out") == artifacts  # reporting writes nothing
 
 
