@@ -656,7 +656,11 @@ def test_trajectory_analyses_match_per_snapshot_formulas(case):
     dt = np.diff(np.asarray(traj.times))
     keep = dt > 1e-14
     rate = np.where(keep, np.diff(pm) / np.where(keep, dt, 1.0), 0.0)
-    np.testing.assert_allclose(series.rate, rate, **rel)
+    # a rate is a difference of two masses over dt: the masses' rounding,
+    # not the difference, sets its error, and two close masses leave it a
+    # large part of a small rate.  A repeated time has rate 0 on both sides.
+    tol = np.where(keep, rel["rtol"] * np.max(np.abs(pm)) / np.where(keep, dt, 1.0), 0.0)
+    assert np.all(np.abs(series.rate - rate) <= tol)
     if not traj.reg.is_cutoff:
         # the ball sits at the probe center, off-center disk probes included
         u76 = [_oracle_ball_mass(u.like(u.values ** (7.0 / 6.0)), x0, rho) for u in fields]

@@ -150,16 +150,16 @@ def test_poisson_rejects_nonzero_mean():
 
 
 def test_radial_poisson_piecewise_oracle():
-    # rhs = indicator(r < rho) minus its disk mean; v'(r) integrates by hand
+    # source indicator(r < rho): v'(r) of it less its disk mean integrates by hand
     grid = S.make_radial_grid(1024, 1.0)
     rho = 0.4
     ind = np.where(grid.centers < rho, 1.0, 0.0)
-    mean = 2.0 * np.sum(ind * grid.vol)  # discrete disk mean
-    vr = S.radial_poisson_face_gradient(grid, ind - mean)
+    mean, g = S.radial_poisson_face_gradient(grid, ind)
+    assert mean == float(2.0 * np.sum(ind * grid.vol))  # discrete disk mean
     r = grid.faces[1:-1]
     exact = np.where(r < rho, -(1 - mean) * r / 2, -(rho**2 / r - mean * r) / 2)
-    assert np.max(np.abs(vr[1:-1] - exact)) < 2e-3  # cell rasterization of the jump
-    assert abs(vr[-1]) < 1e-14  # discrete mean-zero rhs: zero outer flux
+    assert np.max(np.abs(g / r - exact)) < 2e-3  # cell rasterization of the jump
+    assert abs(0.5 * mean - np.sum(ind * grid.vol)) < 1e-14  # G at the wall: zero outer flux
 
 
 # --------------------------------------------------------------------------
@@ -288,11 +288,12 @@ def test_elliptic_solve_invariants_along_run():
     # recompute the last potential: disk mean of v vanishes
     state_u = traj.field_at(len(traj.times) - 1)
     src = S.f_eps(state_u.values, 1e-2)
-    h_t = 2.0 * np.sum(src * grid.vol)
-    vr = S.radial_poisson_face_gradient(grid, src - h_t)
-    v = S.radial_potential(grid, vr)
+    h_t, g = S.radial_poisson_face_gradient(grid, src)
+    v = S.radial_potential(grid, g)
     assert abs(2.0 * np.sum(v * grid.vol)) <= 1e-13
-    assert abs(vr[-1]) <= 1e-12
+    # G at the wall, h_t / 2 less the whole source, is rounding: the step's
+    # zero wall flux drops nothing
+    assert abs(0.5 * h_t - np.sum(src * grid.vol)) <= 1e-12
 
 
 def test_snapshot_cadence_and_flag():
@@ -402,8 +403,7 @@ def _own_potential(u, reg):
     """v of the state u, solved as the step solves it."""
     m = reg.mobility(u.values)
     if isinstance(u, S.RadialField):
-        h_t = float(2.0 * np.sum(m * u.grid.vol))
-        return u.like(S.radial_potential(u.grid, S.radial_poisson_face_gradient(u.grid, m - h_t)))
+        return u.like(S.radial_potential(u.grid, S.radial_poisson_face_gradient(u.grid, m)[1]))
     return u.like(S.solve_poisson_neumann(u.like(m - float(m.mean())), scale=float(np.max(np.abs(m)))).values)
 
 
@@ -473,17 +473,65 @@ def _reference_rect_step(vals, reg, dt, advection, hx, hy):
     return vals - div * dt, h_t, v if advection else None
 
 
-def _replay_rect_run(traj, u0, reg, dt, advection):
-    """Replay a fixed-dt rectangle run with a snapshot after every step by
-    the scheme's formula: each snapshot, time and diagnostics row has the
-    bits of ``_reference_rect_step`` and the one-state ``entropy``, row n
-    those of the state before step n.  Returns the last state."""
+def _reference_disk_step(vals, reg, dt, advection, faces):
+    """One explicit disk step by the scheme's formula on the grid ``faces``:
+    G = r v' = h_t r^2 / 2 - cumsum(m vol) at the interior faces, the face
+    flux F = m_up G - dc (r / dcen) (u_hi - u_lo), 0 at both walls, and
+    u - dt (1 / vol) (F_hi - F_lo).  Returns the new values, the source
+    mean h_t and the potential v that drove the step (None without
+    advection)."""
+    centers = 0.5 * (faces[1:] + faces[:-1])
+    vol = 0.5 * np.diff(faces**2)
+    r = faces[1:-1]
+    m = S.f_eps(vals, reg.epsilon) if reg.is_cutoff else vals
+    src = m * vol
+    h_t = float(2.0 * src.sum())
+    g = h_t * (0.5 * r**2) - np.cumsum(src)[:-1]
+    w = g if advection else np.zeros_like(g)
+    k = r / np.diff(centers)
+    if not reg.is_cutoff:
+        k = (1.0 + reg.epsilon * (7.0 / 6.0) * (0.5 * (vals[1:] + vals[:-1])) ** (1.0 / 6.0)) * k
+    m_up = np.where(w > 0.0, m[:-1], m[1:])
+    flux = np.zeros(vals.size + 1)
+    flux[1:-1] = m_up * w - k * (vals[1:] - vals[:-1])
+    new = vals - (flux[1:] - flux[:-1]) * (1.0 / vol) * dt
+    return new, h_t, S.radial_potential(S.RadialGrid(faces), g) if advection else None
+
+
+def _divide_based_disk_step(vals, reg, dt, advection, faces):
+    """The disk step as computed before the face conductances:
+    v' = -(1/r) cumsum((m - h_t) vol), the flux r (m_up v' - dc (u_hi -
+    u_lo) / dcen), divided by each side's cell measure."""
+    dcen = np.diff(0.5 * (faces[1:] + faces[:-1]))
+    vol = 0.5 * np.diff(faces**2)
+    r = faces[1:-1]
+    m = S.f_eps(vals, reg.epsilon) if reg.is_cutoff else vals
+    h_t = float(2.0 * np.sum(m * vol))
+    w = np.cumsum((m - h_t) * vol)[:-1] / -r if advection else np.zeros_like(r)
+    dc = 1.0 if reg.is_cutoff else 1.0 + reg.epsilon * (7.0 / 6.0) * (0.5 * (vals[1:] + vals[:-1])) ** (1.0 / 6.0)
+    q = (np.where(w > 0.0, m[:-1], m[1:]) * w - (vals[1:] - vals[:-1]) * dc / dcen) * r
+    div = np.zeros_like(vals)
+    div[:-1] += q / vol[:-1]
+    div[1:] -= q / vol[1:]
+    return vals - div * dt
+
+
+def _replay_run(traj, u0, reg, dt, advection):
+    """Replay a fixed-dt run with a snapshot after every step by the
+    scheme's formula: each snapshot, time and diagnostics row has the bits
+    of ``_reference_rect_step`` or ``_reference_disk_step`` and the
+    one-state ``entropy``, row n those of the state before step n.
+    Returns the last state."""
     from kslab import diagnostics as D
 
+    if isinstance(u0, S.RadialField):
+        step = lambda vals: _reference_disk_step(vals, reg, dt, advection, u0.grid.faces)
+    else:
+        step = lambda vals: _reference_rect_step(vals, reg, dt, advection, u0.hx, u0.hy)
     assert len(traj.snapshots) == len(traj.times) == len(traj.diag) + 1
     ref, t = u0.values, 0.0
     for snap, time, row in zip(traj.snapshots[1:], traj.times[1:], traj.diag):
-        new, h_t, v = _reference_rect_step(ref, reg, dt, advection, u0.hx, u0.hy)
+        new, h_t, v = step(ref)
         E, Dv, int_u76 = D.entropy(u0.like(ref), None if v is None else u0.like(v), reg.epsilon, (new - ref) / dt)
         want = {
             "t": t, "mass": u0.like(ref).mass(), "min_u": float(ref.min()), "max_u": float(ref.max()),
@@ -495,12 +543,12 @@ def _replay_rect_run(traj, u0, reg, dt, advection):
     return ref
 
 
-def _fixed_dt_rect_run(u0, reg, dt, advection, max_steps):
+def _fixed_dt_run(u0, reg, dt, advection, max_steps):
     cfg = S.SolverConfig(
         t_end=1.0, dt_policy="fixed", dt_fixed=dt, snapshot_dt=dt, max_steps=max_steps,
         flag_umax_factor=1e30, stop_umax_factor=1e30, advection=advection,
     )
-    return S.run(cfg, reg, u0)
+    return _drive(u0)(cfg, reg, u0)
 
 
 @given(
@@ -514,9 +562,32 @@ def test_rect_steps_match_reference_formula(nx, ny, lx, ly, reg, advection, leve
     vals = level * np.exp(np.random.default_rng(seed).normal(size=(nx, ny)))
     u0 = S.Field(lx / nx, ly / ny, vals)
     dt = 0.5 * _stable_dt(u0, reg)
-    traj = _fixed_dt_rect_run(u0, reg, dt, advection, 6)
+    traj = _fixed_dt_run(u0, reg, dt, advection, 6)
     assert len(traj.diag) >= 1
-    _replay_rect_run(traj, u0, reg, dt, advection)
+    _replay_run(traj, u0, reg, dt, advection)
+
+
+@given(
+    st.integers(2, 160), st.floats(0.95, 1.05).filter(lambda ratio: ratio != 1.0),
+    regs, st.booleans(), st.floats(0.1, 300.0), st.integers(0, 2**32 - 1),
+)
+@example(64, 1.02, S.RegKind("cutoff_flux", 1e-2), True, 200.0, 1)  # most cells past the knee 99
+@example(64, 0.98, S.RegKind("nonlinear_diffusion", 1e-3), False, 300.0, 2)
+@settings(max_examples=60, deadline=None)
+def test_disk_steps_match_reference_formula(n, ratio, reg, advection, level, seed):
+    # a fixed-dt run on a geometric grid, a snapshot after every step: each
+    # step, and the potential its diagnostics row saw, has the bits of the
+    # formula; each step is within 1e-13 of the divide-based formula it
+    # replaced, relative to the largest cell
+    grid = S.make_radial_grid(n, ratio)
+    u0 = S.RadialField(grid, level * np.exp(np.random.default_rng(seed).normal(size=n)))
+    dt = 0.5 * _stable_dt(u0, reg)
+    traj = _fixed_dt_run(u0, reg, dt, advection, 6)
+    assert len(traj.diag) >= 1  # a collapse may outgrow dt: CFLError ends the run
+    _replay_run(traj, u0, reg, dt, advection)
+    for before, after in zip(traj.snapshots, traj.snapshots[1:]):
+        old = _divide_based_disk_step(before, reg, dt, advection, grid.faces)
+        assert np.max(np.abs(after - old)) <= 1e-13 * np.max(np.abs(old))
 
 
 @pytest.mark.parametrize("advection", [True, False])
@@ -528,10 +599,10 @@ def test_one_row_blocks_match_reference_formula(nx, ny, reg, advection):
     u0 = S.Field(1.0 / nx, 1.0 / ny, vals)
     dt = 0.5 * _stable_dt(u0, reg)
     threads = threading.active_count()
-    traj = _fixed_dt_rect_run(u0, reg, dt, advection, 6)
+    traj = _fixed_dt_run(u0, reg, dt, advection, 6)
     assert threading.active_count() == threads
     assert not traj.failed and len(traj.diag) == 6
-    _replay_rect_run(traj, u0, reg, dt, advection)
+    _replay_run(traj, u0, reg, dt, advection)
 
 
 @pytest.mark.parametrize(
@@ -544,11 +615,11 @@ def test_worker_run_keeps_every_row_before_a_cfl_failure(reg, mass, dt_factor):
     u0 = S.initial_condition_rect(256, 256, 1.0, 1.0, "gaussian", mass=mass, width=0.05)
     dt = dt_factor * _stable_dt(u0, reg)
     threads = threading.active_count()
-    traj = _fixed_dt_rect_run(u0, reg, dt, True, 200)
+    traj = _fixed_dt_run(u0, reg, dt, True, 200)
     assert threading.active_count() == threads
     assert traj.failed and traj.stop_reason == "error" and "violates CFL" in traj.failure_message
     assert len(traj.diag) >= 2
-    last = _replay_rect_run(traj, u0, reg, dt, True)
+    last = _replay_run(traj, u0, reg, dt, True)
     again = S.run(dataclasses.replace(traj.config, max_steps=1), reg, u0.like(last))
     assert again.failed and again.failure_message.startswith(f"dt={dt!r} violates CFL")
 
@@ -671,6 +742,32 @@ def test_failed_run_keeps_every_row_before_the_failure():
     assert traj.failed and failed and traj.stop_reason == "error"
     assert len(traj.diag) > 32 and len(traj.diag) % 32 != 0
     _assert_same_rows(traj.diag, ref)
+
+
+def test_positivity_failure_keeps_every_row_before_it(monkeypatch):
+    # step 37 (part way into the second block) updates the state and then
+    # fails the positivity check: its row is dropped, and row 36 keeps the
+    # update to the state that step began from, as a 37-step run records it
+    grid = S.make_radial_grid(256, 1.0)
+    u0 = S.initial_condition_radial(grid, "gaussian", mass=12 * np.pi, width=0.05)
+    reg = S.RegKind("cutoff_flux", 1e-2)
+    cfg = S.SolverConfig(
+        t_end=1.0, dt_policy="fixed", dt_fixed=0.5 * _stable_dt(u0, reg), max_steps=60, stop_umax_factor=1e30
+    )
+    ref = S.radial_run(dataclasses.replace(cfg, max_steps=37), reg, u0)
+    apply, steps = S._RadialStencil.apply, []
+
+    def apply_then_fail(self, vals, f, dt):
+        apply(self, vals, f, dt)
+        steps.append(dt)
+        if len(steps) == 38:
+            vals[0] = -1.0
+
+    monkeypatch.setattr(S._RadialStencil, "apply", apply_then_fail)
+    traj = S.radial_run(cfg, reg, u0)
+    assert traj.failed and traj.failure_message.startswith("positivity lost")
+    assert not ref.failed and len(ref.diag) == 37
+    _assert_same_rows(traj.diag, ref.diag)
 
 
 @pytest.mark.parametrize("variant", ["cutoff_flux", "nonlinear_diffusion"])
