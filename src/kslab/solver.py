@@ -809,9 +809,12 @@ class _DiagRows:
     Row n is the state u_n at t_n, before step n updates it: ``add`` keeps
     the row's scalars and its potential (``_Faces.v``), and ``commit``,
     once the step is taken, its dt and the new state u_{n+1}.  A block of
-    ``size`` rows keeps ``size + 1`` states, its first copied by ``add``,
-    so each row's update u_{n+1} - u_n is the next state less its own, one
-    subtraction for the block.  A full block, and ``flush``, compute E
+    ``size`` rows keeps ``size + 1`` states, so each row's update
+    u_{n+1} - u_n is the next state less its own, one subtraction for the
+    block.  The run's first state is copied by the first ``add``; a full
+    block's last state is the next block's first, and reversing the row
+    order of the buffer puts it there without a copy.  A full block, and
+    ``flush``, which computes the run's last rows, compute E
     (with u_n's own potential), D (the step's own energy rate), mass and
     int_u76 of the committed rows with one stacked ``diagnostics.entropy``
     call and append them to ``out``; a row begun by ``add`` but not
@@ -839,14 +842,13 @@ class _DiagRows:
     def add(self, t: float, f: _Faces, bounds: tuple) -> None:
         self._wait()
         k = len(self.pending)
-        if self.ublock is None:
+        if self.ublock is None:  # later rows' states are their previous rows' new states
             self.ublock = np.empty((self.size + 1, *self.u.values.shape))
             self.dblock = np.empty((self.size, *self.u.values.shape))
             if f.v is not None:
                 self.vblock = np.empty((self.size, *f.v.shape))
-        self.staged = (t, *bounds, f.h_t)
-        if k == 0:  # later rows' states are their previous rows' new states
             np.copyto(self.ublock[0], self.u.values)
+        self.staged = (t, *bounds, f.h_t)
         if f.v is not None:
             np.copyto(self.vblock[k], f.v)
 
@@ -855,20 +857,22 @@ class _DiagRows:
         np.copyto(self.ublock[len(self.pending)], self.u.values)
         if len(self.pending) < self.size:
             return
+        # the block's last state, u_{n+1}, is the next block's first
+        states, self.ublock = self.ublock, self.ublock[::-1]
         if not self.overlap:
-            self.flush()
+            self._compute(states)
             return
         if self.worker is None:
             from concurrent.futures import ThreadPoolExecutor  # deferred: only large grids need it
 
             self.worker = ThreadPoolExecutor(max_workers=1)
         # numpy's error state is per thread, so the row takes the run's along
-        self.busy = self.worker.submit(self._compute_under, np.geterr())
+        self.busy = self.worker.submit(self._compute_under, states, np.geterr())
 
     def flush(self) -> None:
         self._wait()
         if self.pending:
-            self._compute()
+            self._compute(self.ublock)
 
     def close(self) -> None:
         """Stop the worker, after the row in flight, if any."""
@@ -881,15 +885,15 @@ class _DiagRows:
         if busy is not None:
             busy.result()
 
-    def _compute_under(self, errstate: dict) -> None:
+    def _compute_under(self, states: np.ndarray, errstate: dict) -> None:
         with np.errstate(**errstate):
-            self._compute()
+            self._compute(states)
 
-    def _compute(self) -> None:
+    def _compute(self, states: np.ndarray) -> None:
         k = len(self.pending)
-        rows = self.ublock[:k]
+        rows = states[:k]
         # each row's update over its own dt: the rate u_t of the step
-        u_t = np.subtract(self.ublock[1 : k + 1], rows, out=self.dblock[:k])
+        u_t = np.subtract(states[1 : k + 1], rows, out=self.dblock[:k])
         u_t /= np.array([row[-1] for row in self.pending]).reshape(-1, *(1,) * (u_t.ndim - 1))
         # without advection the free energy of the dynamics carries no potential term
         v = None if self.vblock is None else self.u.like(self.stencil.cell_potential(self.vblock[:k]))

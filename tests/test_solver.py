@@ -159,7 +159,11 @@ def test_radial_poisson_piecewise_oracle():
     r = grid.faces[1:-1]
     exact = np.where(r < rho, -(1 - mean) * r / 2, -(rho**2 / r - mean * r) / 2)
     assert np.max(np.abs(g / r - exact)) < 2e-3  # cell rasterization of the jump
-    assert abs(0.5 * mean - np.sum(ind * grid.vol)) < 1e-14  # G at the wall: zero outer flux
+    # G at the wall (r = 1, r^2/2 = 1/2): the returned G carried on through
+    # the last cell, as the solve's running sum would; the step takes it as 0
+    g_wall = g[-1] + mean * (0.5 - grid.inner_vol[-1]) - ind[-1] * grid.vol[-1]
+    assert abs(g_wall) < 1e-14
+    assert abs(0.5 * mean - np.cumsum(ind * grid.vol)[-1]) < 1e-14
 
 
 # --------------------------------------------------------------------------
@@ -291,9 +295,12 @@ def test_elliptic_solve_invariants_along_run():
     h_t, g = S.radial_poisson_face_gradient(grid, src)
     v = S.radial_potential(grid, g)
     assert abs(2.0 * np.sum(v * grid.vol)) <= 1e-13
-    # G at the wall, h_t / 2 less the whole source, is rounding: the step's
-    # zero wall flux drops nothing
-    assert abs(0.5 * h_t - np.sum(src * grid.vol)) <= 1e-12
+    # G at the wall, the returned G carried on through the last cell as the
+    # solve's running sum would, is rounding: the step's zero wall flux drops
+    # nothing
+    g_wall = g[-1] + h_t * (0.5 - grid.inner_vol[-1]) - src[-1] * grid.vol[-1]
+    assert abs(g_wall) <= 1e-12
+    assert abs(0.5 * h_t - np.cumsum(src * grid.vol)[-1]) <= 1e-12
 
 
 def test_snapshot_cadence_and_flag():
