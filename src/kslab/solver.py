@@ -28,7 +28,7 @@ from __future__ import annotations
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -517,8 +517,8 @@ class _Faces:
 
     h_t: float  # mean of the chemoattractant source
     m: np.ndarray  # per-cell mobility; the values themselves wherever it equals them
-    # per axis, the diffusive face data: on the rectangle the coefficient (the
-    # scalar 1.0 for cutoff flux), on the disk the coefficient times r / dcen
+    # per axis, the diffusive face conductance k of the step: the diffusion
+    # coefficient (1 under cutoff flux) times the grid's conductance
     dc: tuple
     w: tuple  # per axis: grad v at the faces on the rectangle, r v' on the disk (zero without advection)
     # the potential as the diagnostics row keeps it (``cell_potential`` makes
@@ -527,45 +527,74 @@ class _Faces:
     v: np.ndarray | None = None
 
 
-def _sides(axis: int, ndim: int) -> tuple:
-    lo, hi = [slice(None)] * ndim, [slice(None)] * ndim
-    lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-    return tuple(lo), tuple(hi)
+def _along(axis: int, ndim: int, part: slice) -> tuple:
+    """The index that takes ``part`` of ``axis`` and all of the others."""
+    index = [slice(None)] * ndim
+    index[axis] = part
+    return tuple(index)
+
+
+class _Axis(NamedTuple):
+    """One direction of a stencil, with the views its flux update works in."""
+
+    lo: tuple  # the cells below each interior face
+    hi: tuple  # and above it
+    conductance: float | np.ndarray  # face flux of unit coefficient per unit jump
+    inv_measure: float | np.ndarray  # 1 / the cell measure across this axis
+    inner: np.ndarray  # the interior faces of a face array that holds 0 at both walls
+    below: np.ndarray  # each cell's lower face in it
+    above: np.ndarray  # and its upper face
+    m_up: np.ndarray  # the upwinded mobility at the interior faces
+    up: np.ndarray  # where the face velocity is positive
+    term: np.ndarray  # this axis's share of the divergence
 
 
 class _Stencil:
     """Grid metrics of one backend and the explicit step built on them.
 
-    ``axes`` lists, per direction, the (lower, upper) cell slices of its
-    faces.  A subclass supplies the potential solve (``_solve``: the source
-    mean, the face gradient and the potential as the diagnostics row keeps
-    it), v per cell of a stack of kept potentials (``cell_potential``), the
-    CFL rate and the conservative update ``apply``.  They, and the
-    nonlinear face diffusion, work in arrays that the stencil keeps from
-    step to step.
+    Each of ``axes`` is a direction of the grid: its face conductance (1/h
+    on the rectangle, r / dcen on the disk), its inverse cell measure (1/h,
+    1/vol) and the arrays the update works in, which the stencil keeps from
+    step to step.  A subclass supplies the potential solve (``_solve``: the
+    source mean, the face gradient and the potential as the diagnostics row
+    keeps it), v per cell of a stack of kept potentials (``cell_potential``)
+    and the CFL rate.
     """
 
     backend: str
     geometry: dict  # Trajectory fields that describe the grid
-    axes: tuple
 
-    def __init__(self, shape: tuple, unit_dc: tuple):
-        # ``unit_dc``: per axis, the face diffusion data of coefficient 1
-        self._div = np.empty(shape)  # the update's divergence
-        self._unit_dc = unit_dc
-        self._faces = _Faces(0.0, None, unit_dc, ())
+    def __init__(self, shape: tuple, metrics: tuple):
+        # ``metrics``: per axis, the face conductance and the inverse cell measure
+        div = self._div = np.empty(shape)  # the update's divergence
+        # per axis views of one upwinded mobility and one mask; the first
+        # axis's share of the divergence is the divergence itself, a later
+        # axis's goes into the mobility buffer its flux no longer needs
+        m_up, up = np.empty(div.size), np.empty(div.size, dtype=bool)
+        axes = []
+        for a, (conductance, inv_measure) in enumerate(metrics):
+            lo, hi = _along(a, div.ndim, slice(None, -1)), _along(a, div.ndim, slice(1, None))
+            flux = np.zeros(tuple(n + (k == a) for k, n in enumerate(shape)))
+            faces, n = div[lo].shape, div[lo].size
+            axes.append(_Axis(
+                lo, hi, conductance, inv_measure, flux[_along(a, div.ndim, slice(1, -1))], flux[lo], flux[hi],
+                m_up[:n].reshape(faces), up[:n].reshape(faces), div if a == 0 else m_up.reshape(shape),
+            ))
+        self.axes = tuple(axes)
+        self._unit_dc = tuple(conductance for conductance, _ in metrics)
+        self._faces = _Faces(0.0, None, self._unit_dc, ())
 
     @cached_property
     def _dc(self) -> tuple:
-        """Per axis, the face diffusion of nonlinear diffusion (made at its
+        """Per axis, the face conductance of nonlinear diffusion (made at its
         first step)."""
-        return tuple(np.empty(self._div[lo].shape) for lo, *_ in self.axes)
+        return tuple(np.empty(ax.m_up.shape) for ax in self.axes)
 
     @cached_property
     def _still(self) -> tuple:
         """Per axis, the zero face gradient of a step without advection
         (made at its first step)."""
-        return tuple(np.zeros(self._div[lo].shape) for lo, *_ in self.axes)
+        return tuple(np.zeros(ax.m_up.shape) for ax in self.axes)
 
     def faces(self, vals: np.ndarray, reg: RegKind, advection: bool, bounds: tuple) -> _Faces:
         """Face data of the state ``vals`` whose (min, max) is ``bounds``;
@@ -580,14 +609,36 @@ class _Stencil:
         return f
 
     def _face_diffusion(self, vals: np.ndarray, epsilon: float) -> tuple:
-        """Per axis, 1 + eps (7/6) u^{1/6} at the face-mean u."""
-        for (lo, hi, *_), dc in zip(self.axes, self._dc):
-            np.add(vals[hi], vals[lo], out=dc)
+        """Per axis, 1 + eps (7/6) u^{1/6} at the face-mean u, times the
+        face conductance."""
+        for ax, dc in zip(self.axes, self._dc):
+            np.add(vals[ax.hi], vals[ax.lo], out=dc)
             dc *= 0.5
             dc **= 1.0 / 6.0
             dc *= epsilon * (7.0 / 6.0)
             dc += 1.0
+            dc *= ax.conductance
         return self._dc
+
+    def apply(self, vals: np.ndarray, f: _Faces, dt: float) -> None:
+        """Conservative update u -= dt sum over axes of (F_hi - F_lo) / the
+        cell measure, no division: the face flux F = m_up w - k (u_hi - u_lo),
+        upwinded by the sign of w, is 0 at both walls."""
+        div = self._div
+        for (lo, hi, _, inv_measure, q, below, above, m_up, up, term), k, w in zip(self.axes, f.dc, f.w):
+            np.subtract(vals[hi], vals[lo], out=q)
+            q *= k
+            np.greater(w, 0.0, out=up)
+            np.copyto(m_up, f.m[hi])
+            np.copyto(m_up, f.m[lo], where=up)
+            m_up *= w
+            np.subtract(m_up, q, out=q)
+            np.subtract(above, below, out=term)
+            term *= inv_measure
+            if term is not div:  # a later axis adds its share onto the first's
+                div += term
+        div *= dt
+        vals -= div
 
 
 def _abs_max(a: np.ndarray) -> float:
@@ -599,29 +650,20 @@ class _RectStencil(_Stencil):
     backend = "rect"
 
     def __init__(self, u: Field):
-        super().__init__(u.values.shape, (1.0, 1.0))
+        # the face conductance and the inverse cell measure are both 1 / h
+        super().__init__(u.values.shape, tuple((1.0 / h, 1.0 / h) for h in (u.hx, u.hy)))
         self.hx, self.hy = u.hx, u.hy
         self.geometry = {"hx": u.hx, "hy": u.hy}
-        self.axes = tuple((*_sides(a, 2), h) for a, h in enumerate((u.hx, u.hy)))
-        # per axis the flux, the upwinded mobility and its mask (views of
-        # three cell-sized buffers), and the lower and upper sides of the
-        # divergence
-        div = self._div
-        buffers = (np.empty(div.size), np.empty(div.size), np.empty(div.size, dtype=bool))
-        self._work = [
-            (*(b[: div[lo].size].reshape(div[lo].shape) for b in buffers), div[lo], div[hi])
-            for lo, hi, _ in self.axes
-        ]
-        self._w = tuple(np.empty(u.values[lo].shape) for lo, *_ in self.axes)
+        self._w = tuple(np.empty(ax.m_up.shape) for ax in self.axes)
         self._rhs = np.empty(u.values.shape)  # the Poisson right side m - h_t
 
     def _solve(self, m):
         h_t = float(m.mean())
         rhs = Field(self.hx, self.hy, np.subtract(m, h_t, out=self._rhs))
         v = solve_poisson_neumann(rhs, scale=_abs_max(m)).values
-        for (lo, hi, dist), wa in zip(self.axes, self._w):
-            np.subtract(v[hi], v[lo], out=wa)
-            wa /= dist
+        for ax, h, wa in zip(self.axes, (self.hx, self.hy), self._w):
+            np.subtract(v[ax.hi], v[ax.lo], out=wa)
+            wa /= h
         return h_t, self._w, v
 
     @staticmethod
@@ -630,66 +672,24 @@ class _RectStencil(_Stencil):
         return rows
 
     def rate(self, f: _Faces) -> float:
-        (dcx, dcy), (wx, wy) = f.dc, f.w
-        dmax = max(float(np.max(dcx)), float(np.max(dcy)))
-        rate = 2.0 * dmax / self.hx**2 + 2.0 * dmax / self.hy**2
-        rate += 2.0 * _abs_max(wx) / self.hx
-        rate += 2.0 * _abs_max(wy) / self.hy
-        return rate
-
-    def apply(self, vals: np.ndarray, f: _Faces, dt: float) -> None:
-        """Conservative update: central diffusion, first-order upwind advection.
-
-        The face flux is m_up w - dc (u_hi - u_lo) / h, with the mobility
-        upwinded by the sign of w; negation and the order of the two terms
-        are exact, so it has the bits of -dc (u_hi - u_lo) / h + m_up w.
-        Both cells of a face measure h, so one quotient serves both sides.
-        The first axis writes the divergence and the others add to it; as
-        0 + x and 0 - x are exact, that has the bits of adding onto zeros.
-        """
-        div = self._div
-        for k, ((lo, hi, h), (q, m_up, up, div_lo, div_hi), dc, w) in enumerate(
-            zip(self.axes, self._work, f.dc, f.w)
-        ):
-            np.subtract(vals[hi], vals[lo], out=q)
-            if not isinstance(dc, float):  # cutoff flux: the scalar 1.0
-                q *= dc
-            q /= h
-            np.greater(w, 0.0, out=up)
-            np.copyto(m_up, f.m[hi])
-            np.copyto(m_up, f.m[lo], where=up)
-            m_up *= w
-            np.subtract(m_up, q, out=q)
-            d = np.divide(q, h, out=m_up)
-            if k == 0:
-                div[0] = d[0]
-                np.subtract(d[1:], d[:-1], out=div[1:-1])
-                div[-1] = -d[-1]
-            else:
-                div_lo += d
-                div_hi -= d
-        div *= dt
-        vals -= div
+        """2 sum over axes of (max k + max|w|) / h."""
+        return 2.0 * sum(
+            (float(np.max(k)) + _abs_max(w)) * ax.inv_measure for ax, k, w in zip(self.axes, f.dc, f.w)
+        )
 
 
 class _RadialStencil(_Stencil):
     """The disk step on quantities the grid fixes: the solve gives G = r v'
-    at the interior faces, the face flux is F = m_up G - dc (r / dcen)
-    (u_hi - u_lo), upwinded by the sign of G, and the face arrays hold 0 at
-    both walls, so a cell's two faces are one difference of neighbours."""
+    at the interior faces, the face conductance is r / dcen and the cell
+    measure vol."""
 
     backend = "radial"
 
     def __init__(self, u: RadialField):
         grid = self.grid = u.grid
-        # the diffusive face data of coefficient 1 is the conductance r / dcen
-        super().__init__(u.values.shape, (grid.conductance,))
+        super().__init__(u.values.shape, ((grid.conductance, grid.inv_vol),))
         self.geometry = {"grid": grid}
-        self.axes = (_sides(0, 1),)
-        self._flux = np.zeros(grid.n + 1)
         self._face_rate = np.zeros(grid.n + 1)
-        self._m_up = np.empty(grid.n - 1)
-        self._up = np.empty(grid.n - 1, dtype=bool)
 
     def _solve(self, m):
         # looked up on the module, so the benchmark's span sees the step's solve
@@ -700,38 +700,15 @@ class _RadialStencil(_Stencil):
         """v per cell of a stack of kept potentials (``_Faces.v``)."""
         return radial_potential(self.grid, rows)
 
-    def _face_diffusion(self, vals: np.ndarray, epsilon: float) -> tuple:
-        """The face coefficient 1 + eps (7/6) u^{1/6} times r / dcen."""
-        (dc,) = super()._face_diffusion(vals, epsilon)
-        dc *= self.grid.conductance
-        return self._dc
-
     def rate(self, f: _Faces) -> float:
         """max over cells of (1 / vol) sum over the cell's faces of
-        |G| + dc r / dcen (0 at the walls)."""
+        |G| + k (0 at the walls)."""
         fr, cell = self._face_rate, self._div  # the divergence is free until ``apply``
         np.abs(f.w[0], out=fr[1:-1])
         fr[1:-1] += f.dc[0]
         np.add(fr[1:], fr[:-1], out=cell)
         cell *= self.grid.inv_vol
         return float(cell.max())
-
-    def apply(self, vals: np.ndarray, f: _Faces, dt: float) -> None:
-        """Conservative update u -= dt (1 / vol) (F_hi - F_lo), no division."""
-        flux, div, m_up, up = self._flux, self._div, self._m_up, self._up
-        (g,), (k,) = f.w, f.dc
-        q = flux[1:-1]
-        np.subtract(vals[1:], vals[:-1], out=q)
-        q *= k
-        np.greater(g, 0.0, out=up)
-        np.copyto(m_up, f.m[1:])
-        np.copyto(m_up, f.m[:-1], where=up)
-        m_up *= g
-        np.subtract(m_up, q, out=q)
-        np.subtract(flux[1:], flux[:-1], out=div)
-        div *= self.grid.inv_vol
-        div *= dt
-        vals -= div
 
 
 def _stencil(u: Field | RadialField) -> _Stencil:
@@ -752,8 +729,8 @@ def _advance(vals: np.ndarray, t: float, reg: RegKind, stencil: _Stencil, config
     step is shorter than ``dt_min``.  It is then clipped to ``t_end``, which
     the driver calls only while at least ``dt_min`` remains.  A dt above
     the stable limit raises ``CFLError``; a cell below ``-positivity_tol``
-    after the update raises ``SolverError``.  ``rows`` takes the state
-    before the update and, once the step has been taken, its dt.
+    after the update raises ``SolverError``.  ``rows`` records the step
+    once it has been taken.
     """
     f = stencil.faces(vals, reg, config.advection, bounds)
     rate = stencil.rate(f)
@@ -764,12 +741,14 @@ def _advance(vals: np.ndarray, t: float, reg: RegKind, stencil: _Stencil, config
     if dt < config.dt_min:
         return None
     dt = min(dt, config.t_end - t)
-    rows.add(t, f, bounds)
     stencil.apply(vals, f, dt)
     umin = float(vals.min())
     if umin < -config.positivity_tol:
         raise SolverError(f"positivity lost: min u = {umin}")
-    rows.commit(dt)
+    # recorded after the update, the row still reads the step's own data:
+    # u_n is in the rows' block already, f.v is a fresh array from the solve,
+    # and ``apply`` writes only the state and the stencil's own buffers
+    rows.record(t, f, bounds, dt)
     return umin, dt
 
 
@@ -806,26 +785,26 @@ _DIAG_WORKER_CELLS = 32768
 class _DiagRows:
     """The per-step diagnostics rows of one run, computed a block at a time.
 
-    Row n is the state u_n at t_n, before step n updates it: ``add`` keeps
-    the row's scalars and its potential (``_Faces.v``), and ``commit``,
-    once the step is taken, its dt and the new state u_{n+1}.  A block of
+    Row n is the state u_n at t_n, before step n updates it.  ``record``,
+    called once the step has been taken, keeps the row's scalars, its
+    potential (``_Faces.v``), its dt and the new state u_{n+1}.  A block of
     ``size`` rows keeps ``size + 1`` states, so each row's update
     u_{n+1} - u_n is the next state less its own, one subtraction for the
-    block.  The run's first state is copied by the first ``add``; a full
+    block.  The run's first state is copied when the rows are made; a full
     block's last state is the next block's first, and reversing the row
     order of the buffer puts it there without a copy.  A full block, and
-    ``flush``, which computes the run's last rows, compute E
-    (with u_n's own potential), D (the step's own energy rate), mass and
-    int_u76 of the committed rows with one stacked ``diagnostics.entropy``
-    call and append them to ``out``; a row begun by ``add`` but not
-    committed is dropped.  A block holds max(1, _DIAG_BLOCK_CELLS // cells)
-    rows, and each value has the bits of the one-state computation.
+    ``flush``, which computes the run's last rows, compute E (with u_n's
+    own potential), D (the step's own energy rate), mass and int_u76 of the
+    recorded rows with one stacked ``diagnostics.entropy`` call and append
+    them to ``out``; a step that fails records no row.  A block holds
+    max(1, _DIAG_BLOCK_CELLS // cells) rows, and each value has the bits of
+    the one-state computation.
 
     On a grid of at least _DIAG_WORKER_CELLS cells the one-row block is
     computed on one worker thread, under the run's numpy error state, while
-    the driver takes the next step.  The next ``add`` or ``flush`` waits for
-    it before the block is overwritten and raises the row's error, if any.
-    One block suffices, as a step on such a grid outlasts its row.
+    the driver takes the next step.  The next ``record`` or ``flush`` waits
+    for it before the block is overwritten and raises the row's error, if
+    any.  One block suffices, as a step on such a grid outlasts its row.
     ``close`` stops the worker.
     """
 
@@ -833,29 +812,24 @@ class _DiagRows:
         self.u, self.stencil, self.epsilon, self.out = u, stencil, epsilon, out
         self.diagnostics = diagnostics  # ``entropy`` is looked up per call, so patches apply
         self.size = max(1, _DIAG_BLOCK_CELLS // u.values.size)
-        self.pending = []  # (t, min_u, max_u, h_t, dt) of the committed rows not yet computed
-        self.staged = None  # (t, min_u, max_u, h_t) of the row that ``add`` began
-        self.ublock = self.vblock = self.dblock = None  # made on the first add
+        self.pending = []  # (t, min_u, max_u, h_t, dt) of the recorded rows not yet computed
+        self.ublock = np.empty((self.size + 1, *u.values.shape))
+        self.dblock = np.empty((self.size, *u.values.shape))
+        np.copyto(self.ublock[0], u.values)  # later rows' states are their previous rows' new states
+        self.vblock = None  # made on the first row with a potential
         self.overlap = u.values.size >= _DIAG_WORKER_CELLS
         self.worker = self.busy = None  # made on the first overlapped row; the row in flight
 
-    def add(self, t: float, f: _Faces, bounds: tuple) -> None:
+    def record(self, t: float, f: _Faces, bounds: tuple, dt: float) -> None:
         self._wait()
         k = len(self.pending)
-        if self.ublock is None:  # later rows' states are their previous rows' new states
-            self.ublock = np.empty((self.size + 1, *self.u.values.shape))
-            self.dblock = np.empty((self.size, *self.u.values.shape))
-            if f.v is not None:
-                self.vblock = np.empty((self.size, *f.v.shape))
-            np.copyto(self.ublock[0], self.u.values)
-        self.staged = (t, *bounds, f.h_t)
+        self.pending.append((t, *bounds, f.h_t, dt))
         if f.v is not None:
+            if self.vblock is None:
+                self.vblock = np.empty((self.size, *f.v.shape))
             np.copyto(self.vblock[k], f.v)
-
-    def commit(self, dt: float) -> None:
-        self.pending.append((*self.staged, dt))
-        np.copyto(self.ublock[len(self.pending)], self.u.values)
-        if len(self.pending) < self.size:
+        np.copyto(self.ublock[k + 1], self.u.values)
+        if k + 1 < self.size:
             return
         # the block's last state, u_{n+1}, is the next block's first
         states, self.ublock = self.ublock, self.ublock[::-1]
@@ -945,7 +919,7 @@ def _run_driver(u0: Field | RadialField, reg: RegKind, config: SolverConfig) -> 
     # one numeric policy for library and command-line runs: an overflow or
     # an invalid operation in a step, or in a diagnostics row (raised when
     # the row's block is computed; a row on the worker raises at the next
-    # add or flush), is an error.  Closing the rows stops their worker on
+    # record or flush), is an error.  Closing the rows stops their worker on
     # every way out of the loop.
     with np.errstate(over="raise", invalid="raise"), closing(rows):
         try:

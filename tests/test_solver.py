@@ -454,30 +454,51 @@ def test_field_gradient_matches_inline_central_differences(nx, ny, hx, hy, seed)
     assert gx.tobytes() == ref_x.tobytes() and gy.tobytes() == ref_y.tobytes()
 
 
-def _reference_rect_step(vals, reg, dt, advection, hx, hy):
-    """One explicit rectangle step by the scheme's formula: the face flux
-    face * (m_up w - dc (u_hi - u_lo) / h) with every face of measure 1.0,
-    its divergence over cells of measure h, each side divided on its own.
-    Returns the new values, the source mean h_t and the potential v that
-    drove the step (None without advection)."""
+def _rect_faces(vals, reg, advection, hx, hy):
+    """The mobility, source mean and potential of a rectangle state and, per
+    axis, the lower and upper cell slices, the face gradient w, the
+    diffusion coefficient dc at the faces and the spacing h."""
     m = S.f_eps(vals, reg.epsilon) if reg.is_cutoff else vals
     h_t = float(m.mean())
     v = _reference_poisson(m - h_t, hx, hy)
-    div = np.zeros_like(vals)
+    axes = []
     for lo, hi, h in (
         ((slice(None, -1), slice(None)), (slice(1, None), slice(None)), hx),
         ((slice(None), slice(None, -1)), (slice(None), slice(1, None)), hy),
     ):
         w = (v[hi] - v[lo]) / h if advection else np.zeros_like(v[lo])
-        if reg.is_cutoff:
-            dc = 1.0
-        else:
-            dc = 1.0 + reg.epsilon * (7.0 / 6.0) * (0.5 * (vals[hi] + vals[lo])) ** (1.0 / 6.0)
-        m_up = np.where(w > 0.0, m[lo], m[hi])
-        q = (m_up * w - (vals[hi] - vals[lo]) * dc / h) * 1.0
+        dc = 1.0 if reg.is_cutoff else 1.0 + reg.epsilon * (7.0 / 6.0) * (0.5 * (vals[hi] + vals[lo])) ** (1.0 / 6.0)
+        axes.append((lo, hi, w, dc, h))
+    return m, h_t, v, axes
+
+
+def _reference_rect_step(vals, reg, dt, advection, hx, hy):
+    """One explicit rectangle step by the scheme's formula: per axis the face
+    flux F = m_up w - k (u_hi - u_lo), with the face conductance k = dc (1 / h),
+    0 at both walls, and u - dt sum over axes of (F_hi - F_lo) (1 / h).
+    Returns the new values, the source mean h_t and the potential v that
+    drove the step (None without advection)."""
+    m, h_t, v, axes = _rect_faces(vals, reg, advection, hx, hy)
+    div = 0.0
+    for a, (lo, hi, w, dc, h) in enumerate(axes):
+        flux = np.zeros(tuple(n + (b == a) for b, n in enumerate(vals.shape)))
+        inner = (slice(1, -1), slice(None)) if a == 0 else (slice(None), slice(1, -1))
+        flux[inner] = np.where(w > 0.0, m[lo], m[hi]) * w - dc * (1.0 / h) * (vals[hi] - vals[lo])
+        div = div + np.diff(flux, axis=a) * (1.0 / h)
+    return vals - div * dt, h_t, v if advection else None
+
+
+def _divide_based_rect_step(vals, reg, dt, advection, hx, hy):
+    """The rectangle step as computed before the padded face arrays: the
+    face flux m_up w - dc (u_hi - u_lo) / h, its divergence over cells of
+    measure h, each side divided on its own."""
+    m, _, _, axes = _rect_faces(vals, reg, advection, hx, hy)
+    div = np.zeros_like(vals)
+    for lo, hi, w, dc, h in axes:
+        q = np.where(w > 0.0, m[lo], m[hi]) * w - (vals[hi] - vals[lo]) * dc / h
         div[lo] += q / h
         div[hi] -= q / h
-    return vals - div * dt, h_t, v if advection else None
+    return vals - div * dt
 
 
 def _reference_disk_step(vals, reg, dt, advection, faces):
@@ -565,13 +586,18 @@ def _fixed_dt_run(u0, reg, dt, advection, max_steps):
 @settings(max_examples=60, deadline=None)
 def test_rect_steps_match_reference_formula(nx, ny, lx, ly, reg, advection, level, seed):
     # a fixed-dt run, a snapshot after every step: each step, and the
-    # potential its diagnostics row saw, has the bits of the formula
+    # potential its diagnostics row saw, has the bits of the formula; each
+    # step is within 1e-13 of the divide-based formula it replaced, relative
+    # to the largest cell
     vals = level * np.exp(np.random.default_rng(seed).normal(size=(nx, ny)))
     u0 = S.Field(lx / nx, ly / ny, vals)
     dt = 0.5 * _stable_dt(u0, reg)
     traj = _fixed_dt_run(u0, reg, dt, advection, 6)
     assert len(traj.diag) >= 1
     _replay_run(traj, u0, reg, dt, advection)
+    for before, after in zip(traj.snapshots, traj.snapshots[1:]):
+        old = _divide_based_rect_step(before, reg, dt, advection, u0.hx, u0.hy)
+        assert np.max(np.abs(after - old)) <= 1e-13 * np.max(np.abs(old))
 
 
 @given(
@@ -595,6 +621,57 @@ def test_disk_steps_match_reference_formula(n, ratio, reg, advection, level, see
     for before, after in zip(traj.snapshots, traj.snapshots[1:]):
         old = _divide_based_disk_step(before, reg, dt, advection, grid.faces)
         assert np.max(np.abs(after - old)) <= 1e-13 * np.max(np.abs(old))
+
+
+def _written_cfl_rate(u0, reg, advection):
+    """The CFL rate of a step from ``u0`` by its written formula.  On the
+    disk: the max over cells of (1 / vol) sum over the cell's faces of
+    |G| + k (0 at the walls), k = dc r / dcen.  On the rectangle:
+    2 sum over axes of (max k + max|w|) / h, k = dc / h."""
+    vals = u0.values
+    if isinstance(u0, S.Field):
+        _, _, _, axes = _rect_faces(vals, reg, advection, u0.hx, u0.hy)
+        return 2.0 * sum((np.max(dc * (1.0 / h)) + np.max(np.abs(w))) * (1.0 / h) for _, _, w, dc, h in axes)
+    faces = u0.grid.faces
+    vol = 0.5 * np.diff(faces**2)
+    r = faces[1:-1]
+    m = S.f_eps(vals, reg.epsilon) if reg.is_cutoff else vals
+    src = m * vol
+    g = float(2.0 * src.sum()) * (0.5 * r**2) - np.cumsum(src)[:-1]
+    k = r / np.diff(0.5 * (faces[1:] + faces[:-1]))
+    if not reg.is_cutoff:
+        k = (1.0 + reg.epsilon * (7.0 / 6.0) * (0.5 * (vals[1:] + vals[:-1])) ** (1.0 / 6.0)) * k
+    face = np.zeros(vals.size + 1)
+    face[1:-1] = (np.abs(g) if advection else 0.0) + k
+    return np.max((face[1:] + face[:-1]) * (1.0 / vol))
+
+
+@st.composite
+def cfl_states(draw):
+    """A state on a grid of non-square cells, or a geometric disk grid, at
+    a level whose largest cells pass the cutoff knee 1/eps - 1."""
+    level = draw(st.floats(0.1, 300.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        nx, ny = draw(st.integers(2, 48)), draw(st.integers(2, 48))
+        lx, ly = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+        return S.Field(lx / nx, ly / ny, level * np.exp(rng.normal(size=(nx, ny))))
+    grid = S.make_radial_grid(draw(st.integers(2, 160)), draw(st.floats(0.95, 1.05)))
+    return S.RadialField(grid, level * np.exp(rng.normal(size=grid.n)))
+
+
+@given(cfl_states(), regs, st.booleans())
+# peaks near 480, past the knee 99
+@example(S.initial_condition_rect(24, 20, 1.0, 0.5, "gaussian", mass=30.0, width=0.1), S.RegKind("cutoff_flux", 1e-2), True)
+@example(
+    S.initial_condition_radial(S.make_radial_grid(64, 1.02), "gaussian", mass=30.0, width=0.1),
+    S.RegKind("nonlinear_diffusion", 1e-2), False,
+)
+@settings(max_examples=100, deadline=None)
+def test_first_step_dt_is_the_written_cfl_rate(u0, reg, advection):
+    # the stable dt that CFLError reports is 1 / rate, the rate by its
+    # written formula on each grid, bit for bit
+    assert _stable_dt(u0, reg, advection) == 1.0 / _written_cfl_rate(u0, reg, advection)
 
 
 @pytest.mark.parametrize("advection", [True, False])
@@ -697,10 +774,10 @@ def _reference_rows(u0, reg, cfg):
     return rows, False
 
 
-def _stable_dt(u0, reg):
+def _stable_dt(u0, reg, advection=True):
     """The largest stable dt of the first step from ``u0``, as the CFLError
     of an infinite fixed dt reports it; the run takes no step."""
-    traj = _drive(u0)(S.SolverConfig(dt_policy="fixed", dt_fixed=np.inf), reg, u0)
+    traj = _drive(u0)(S.SolverConfig(dt_policy="fixed", dt_fixed=np.inf, advection=advection), reg, u0)
     assert traj.diag == [] and traj.failure_message.startswith("dt=inf violates CFL")
     return float(traj.failure_message.rsplit("~ ", 1)[1])
 
