@@ -621,9 +621,10 @@ class _Stencil:
         return self._dc
 
     def apply(self, vals: np.ndarray, f: _Faces, dt: float) -> None:
-        """Conservative update u -= dt sum over axes of (F_hi - F_lo) / the
-        cell measure, no division: the face flux F = m_up w - k (u_hi - u_lo),
-        upwinded by the sign of w, is 0 at both walls."""
+        """Conservative update u -= dt sum over axes of (F_hi - F_lo) times
+        the inverse cell measure, with no division: the face flux
+        F = m_up w - k (u_hi - u_lo), upwinded by the sign of w, is 0 at
+        both walls."""
         div = self._div
         for (lo, hi, _, inv_measure, q, below, above, m_up, up, term), k, w in zip(self.axes, f.dc, f.w):
             np.subtract(vals[hi], vals[lo], out=q)
