@@ -256,17 +256,40 @@ def ball_weights_rect(u: Field, center, rho: float) -> np.ndarray:
     return circle_rect_overlap(X0, X0 + u.hx, Y0, Y0 + u.hy, rho)
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a size the real FFT transforms fast."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def ball_mass_map_rect(u: Field, rho: float) -> np.ndarray:
-    """Ball-mass map x -> int_{B_rho(x)} u at every cell center (FFT conv)."""
+    """Ball-mass map x -> int_{B_rho(x)} u at every cell center.
+
+    The linear convolution with the exact overlap kernel, through the real
+    FFT on zero-padded 5-smooth sizes, cut to the centred window of u's
+    shape (the kernel has odd sides, so cell i reads the kernel centred on it).
+    A padded axis of n + k entries suffices: the circular transform wraps
+    the last k entries of the full convolution onto its first k, and both
+    lie outside the window.
+    """
     kx = int(np.ceil(rho / u.hx)) + 1
     ky = int(np.ceil(rho / u.hy)) + 1
     ox = (np.arange(-kx, kx + 1) - 0.5) * u.hx
     oy = (np.arange(-ky, ky + 1) - 0.5) * u.hy
     OX, OY = np.meshgrid(ox, oy, indexing="ij")
     kernel = circle_rect_overlap(OX, OX + u.hx, OY, OY + u.hy, rho)
-    import scipy.signal  # deferred: it pulls in scipy.stats, and only concentration detection needs it
-
-    return scipy.signal.fftconvolve(u.values, kernel, mode="same")
+    nx, ny = u.values.shape
+    shape = (_fast_len(nx + kx), _fast_len(ny + ky))
+    spec = np.fft.rfft2(u.values, shape)
+    spec *= np.fft.rfft2(kernel, shape)
+    full = np.fft.irfft2(spec, shape)
+    return full[kx : kx + nx, ky : ky + ny].copy()
 
 
 def _ball_weights(u: Field | RadialField, center, rho: float) -> np.ndarray:
@@ -535,12 +558,13 @@ def random_band_limited_field(nx: int, lx: float, rng) -> Field:
     wavenumbers |k| <= 6 in each direction, squared."""
     hx = lx / nx
     noise = rng.normal(size=(nx, nx))
-    import scipy.fft  # deferred: it pulls in scipy.special, and only the Sobolev check needs it
-
-    spec = scipy.fft.fft2(noise)
-    k = np.fft.fftfreq(nx, d=1.0 / nx)
-    mask = (np.abs(k)[:, None] <= 6) & (np.abs(k)[None, :] <= 6)
-    smooth = np.real(scipy.fft.ifft2(spec * mask))
+    # the mask is even in k, so the low-passed field is real: the half
+    # spectrum k_y >= 0 of the real transform carries all of it
+    spec = np.fft.rfft2(noise)
+    kx = np.fft.fftfreq(nx, d=1.0 / nx)
+    ky = np.fft.rfftfreq(nx, d=1.0 / nx)
+    spec *= (np.abs(kx)[:, None] <= 6) & (ky[None, :] <= 6)
+    smooth = np.fft.irfft2(spec, (nx, nx))
     return Field(hx, hx, smooth**2)
 
 

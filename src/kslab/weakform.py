@@ -29,6 +29,7 @@ kernel's angular average Lap psi / (8 pi) on both.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,7 +257,7 @@ def _radial_kernel_tables(grid: RadialGrid, test: RadialProfileTest, n_theta: in
     dp1 = float(test.dp(np.asarray(1.0)))  # wall slope (0 for admitted tests)
     z = cutoff_z_value(1.0 - r, sigma0)
 
-    K = {key: np.zeros((n, n)) for key in _TABLE_KEYS}
+    K = defaultdict(lambda: np.zeros((n, n)))  # a table is made when a block first writes to it
     support = (dpr != 0.0) | (plap != 0.0)
     rows = np.flatnonzero(support)
     if rows.size:
@@ -272,7 +273,11 @@ def _radial_kernel_tables(grid: RadialGrid, test: RadialProfileTest, n_theta: in
             K[key][block] += val
 
     meas = grid.cell_areas[:, None] * grid.vol[None, :]  # x-measure, y-measure (angle in the dth sums)
-    return {key: T * meas for key, T in K.items()}
+    for T in K.values():
+        T *= meas
+    # a table no block wrote to is an exact zero: a read-only view of one 0.0
+    zero = np.broadcast_to(0.0, (n, n))
+    return {key: K.get(key, zero) for key in _TABLE_KEYS}
 
 
 def _coulomb_block(grid, dpr, plap, rows, cols, angles, dth, with_q5):

@@ -604,6 +604,21 @@ def test_rectangle_run_loads_scipy_fft_inside_the_step(tmp_path):
     assert _fresh_python(code, tmp_path) == "False 0 True"
 
 
+def test_oracle_checks_and_rectangle_detection_load_no_scipy(tmp_path):
+    # numpy's real FFT low-passes the Sobolev fields and convolves the
+    # ball-mass map; scipy serves only the rectangle's cosine transform,
+    # which test_rectangle_run_loads_scipy_fft_inside_the_step sees load
+    code = (
+        "import sys, numpy as np; from kslab import checks, diagnostics; from kslab.solver import Field; "
+        "oks = [checks.check_sobolev()[1], checks.check_greens()[1], checks.check_testfn()[1]]; "
+        "x = (np.arange(96) + 0.5) / 96; "
+        "u = Field(1 / 96, 1 / 96, 2e3 * np.exp(-((x[:, None] - 0.3) ** 2 + (x[None, :] - 0.6) ** 2) / 1e-3)); "
+        "found = diagnostics.detect_concentrations(u, diagnostics.M0_CUTOFF, 0.05); "
+        "print(oks, len(found), sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    assert _fresh_python(code, tmp_path) == "[True, True, True] 1 []"
+
+
 # the rectangle run is taken to 2e-3: to 2e-4 it is one step, one row
 @pytest.mark.parametrize(
     "text", [RUN_TEXT, TWO_BUMP_TEXT.replace("t_end = 2e-4", "t_end = 2e-3")], ids=["disk", "rectangle"]

@@ -793,3 +793,31 @@ def test_stacked_rows_match_one_state_calls(case):
     np.testing.assert_allclose(
         int_u76, field.row_integrals(np.maximum(rows, 0.0) ** (7.0 / 6.0)), rtol=1e-13, atol=0.0
     )
+
+
+def test_ball_mass_map_rect_matches_direct_overlap_sum():
+    # the real-FFT convolution against each cell's own exact overlap
+    # weights, on non-square cells, with balls that reach the walls
+    u = S.Field(1.0 / 24, 0.5 / 20, np.random.default_rng(5).uniform(0.0, 3.0, (24, 20)))
+    X, Y = u.cell_centers()
+    for rho in (0.03, 0.11, 0.3):
+        mmap = D.ball_mass_map_rect(u, rho)
+        direct = np.array(
+            [[np.sum(D.ball_weights_rect(u, (X[i, j], Y[i, j]), rho) * u.values) for j in range(20)] for i in range(24)]
+        )
+        assert mmap.shape == direct.shape
+        assert np.max(np.abs(mmap - direct)) <= 1e-12 * np.max(direct), rho
+
+
+def test_random_band_limited_field_matches_complex_low_pass():
+    # the half-spectrum low pass equals the full complex one to rounding,
+    # and the field still takes one normal draw from the generator
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    k = np.fft.fftfreq(96, d=1.0 / 96)
+    mask = (np.abs(k)[:, None] <= 6) & (np.abs(k)[None, :] <= 6)
+    for _ in range(5):
+        u = D.random_band_limited_field(96, 1.0, rng)
+        smooth = np.real(np.fft.ifft2(mask * np.fft.fft2(ref_rng.normal(size=(96, 96)))))
+        assert (u.hx, u.hy, u.values.shape) == (1.0 / 96, 1.0 / 96, (96, 96))
+        assert np.max(np.abs(u.values - smooth**2)) <= 1e-13 * np.max(smooth**2)
+    assert rng.normal() == ref_rng.normal()
