@@ -87,7 +87,7 @@ def cmd_sweep(args) -> int:
     out = args.out or plan.out_dir or "sweep_out"
     try:
         report = run_sweep(plan, out, threads=max(1, args.threads))
-    except (ConfigError, Exception) as exc:  # noqa: BLE001
+    except Exception as exc:  # noqa: BLE001
         print(f"error: {exc}", file=sys.stderr)
         return 1
     n_fail = sum(1 for row in report.rows if row.status != "ok")

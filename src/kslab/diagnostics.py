@@ -32,6 +32,7 @@ __all__ = [
     "entropy_epsilon_bound",
     "ball_mass_radial",
     "ball_weights_radial",
+    "offcenter_ball_weights_radial",
     "ball_weights_rect",
     "circle_rect_overlap",
     "ball_mass_map_rect",
@@ -339,16 +340,16 @@ def detect_concentrations(u: Field | RadialField, m0: float, rho: float):
             return [np.zeros(2)] if n_max >= 1 else []
         return []
     mmap = ball_mass_map_rect(u, rho)
-    interior = mmap
-    nb = np.ones(interior.shape, dtype=bool)
-    for sx in (-1, 0, 1):
-        for sy in (-1, 0, 1):
-            if sx == 0 and sy == 0:
-                continue
-            shifted = np.roll(interior, (sx, sy), axis=(0, 1))
-            nb &= interior >= shifted
-    cand = np.argwhere(nb & (interior >= 0.5 * m0))
-    masses = interior[cand[:, 0], cand[:, 1]] if cand.size else np.array([])
+    # a wall cell has no neighbour across the wall: pad with -inf
+    padded = np.pad(mmap, 1, constant_values=-np.inf)
+    nx, ny = mmap.shape
+    nb = np.ones(mmap.shape, dtype=bool)
+    for sx in range(3):
+        for sy in range(3):
+            if (sx, sy) != (1, 1):
+                nb &= mmap >= padded[sx : sx + nx, sy : sy + ny]
+    cand = np.argwhere(nb & (mmap >= 0.5 * m0))
+    masses = mmap[cand[:, 0], cand[:, 1]] if cand.size else np.array([])
     order = np.argsort(-masses)
     centers = []
     for idx in order:

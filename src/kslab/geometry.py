@@ -74,12 +74,6 @@ class DomainGeometry:
         return self.kind == "unit_disk"
 
     @property
-    def area(self) -> float:
-        if self.is_disk:
-            return float(np.pi)
-        return self.width * self.height
-
-    @property
     def inradius(self) -> float:
         if self.is_disk:
             return 1.0

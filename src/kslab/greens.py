@@ -34,6 +34,7 @@ from .geometry import DomainGeometry, GeometryError, reflect_tau, smoothstep5, u
 
 __all__ = [
     "C0_DISK",
+    "SingularityError",
     "GreensDecomposition",
     "GradGTerms",
     "GreensPair",

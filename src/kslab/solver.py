@@ -47,6 +47,7 @@ __all__ = [
     "f_eps",
     "solve_poisson_neumann",
     "radial_poisson_face_gradient",
+    "radial_potential",
     "diffusive_dt_limit",
     "run",
     "radial_run",

@@ -24,6 +24,7 @@ from .testfn import phi as phi_profile
 
 __all__ = [
     "SWEEP_SCHEMA",
+    "SweepRow",
     "SweepReport",
     "run_sweep",
     "fit_trend",
@@ -94,7 +95,7 @@ def _single_run(cfg: RunConfig, out_root: Path):
     run_dir = out_root / f"run_{cfg.reg.variant}_{digest}"
     traj = radial_run(cfg.solver, cfg.reg, u0)
     io.save_run(traj, run_dir, cfg)
-    return traj, str(run_dir), digest
+    return traj, str(run_dir)
 
 
 def _snapshot_at(traj: Trajectory, t: float) -> tuple[float, np.ndarray]:
@@ -138,7 +139,7 @@ def run_sweep(plan: SweepPlanConfig, out_dir, threads: int = 1) -> SweepReport:
 
     def work(cfg: RunConfig):
         try:
-            traj, run_dir, digest = _single_run(cfg, out_root)
+            traj, run_dir = _single_run(cfg, out_root)
             return (cfg.reg.variant, cfg.reg.epsilon), (traj, run_dir, None)
         except Exception as exc:  # noqa: BLE001 - recorded per run
             return (cfg.reg.variant, cfg.reg.epsilon), (None, "", str(exc))
@@ -317,9 +318,10 @@ def singular_set_continuity_check(times, centers_series) -> dict:
     """sqrt(t)-Hoelder modulus of detected concentration tracks.
 
     ``centers_series[k]`` lists centers at ``times[k]``.  Tracks link each
-    center to the nearest one at the previous snapshot.  Steps jumping
-    beyond ten times the running modulus estimate are flagged
-    as re-identifications, not continuity violations.
+    center to the nearest one at the previous snapshot.  Steps whose
+    modulus exceeds ten times the median over all steps are flagged as
+    re-identifications, not continuity violations, and left out of the
+    reported maximum.
     """
     moduli = []
     for k in range(1, len(times)):

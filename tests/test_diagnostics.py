@@ -269,6 +269,19 @@ def test_detect_two_separated_peaks_and_count_bound():
     assert len(centers) <= int(4 * u.mass() / m0)
 
 
+def test_detect_peaks_on_opposite_walls():
+    # the walls are Neumann, not periodic: the weaker left-wall peak is a
+    # local maximum among its in-domain neighbours, whatever the right wall holds
+    u = S.initial_condition_rect(
+        64, 64, 1.0, 1.0, "two_bump", mass=40.0, center1=(0.0, 0.5), width1=0.02, center2=(1.0, 0.5), width2=0.02,
+        ratio=0.8,
+    )
+    centers = D.detect_concentrations(u, 0.05, 0.01)
+    assert len(centers) == 2
+    assert sorted(round(float(c[0])) for c in centers) == [0, 1]
+    assert all(abs(c[1] - 0.5) <= 0.02 for c in centers)
+
+
 def test_atom_estimate_no_atom_on_smooth():
     grid = S.make_radial_grid(256, 1.0)
     u = S.initial_condition_radial(grid, "gaussian", mass=4.0, width=0.4)

@@ -135,7 +135,8 @@ def test_boundary_bump_derivatives_match_values(a):
     legs = [X[_interface_distance(bump, X) > 0.05][:400]]
     if 0.0 < a < 1.0:
         Xl = np.stack([rng.uniform(-1.0, 1.0, 3000), rng.uniform(0.0, 1.0, 3000)], axis=-1)
-        legs.append(Xl[bump._in_lens(Xl) & (_interface_distance(bump, Xl) > 0.05)][:60])
+        in1, in2 = bump._in_balls(Xl)
+        legs.append(Xl[in1 & in2 & (_interface_distance(bump, Xl) > 0.05)][:60])
         assert len(legs[1]) >= 20
     for Xs in legs:
         x = _disk_points(Xs, th0, rho)
@@ -205,7 +206,7 @@ def test_lens_edge_points_are_finite(a):
     w = np.sqrt(1.0 - bump.a**2)
     X = np.array([bump.c1, [w, 0.0], [-w, 0.0], [0.0, 0.0], [0.5 * w, 0.0], [-0.9 * w, 0.0]])
     with np.errstate(all="raise"):
-        psi, grad, d11 = bump._psi_hat(X), bump._psi_hat_grad(X), bump._psi_hat_d11(X)
+        psi, (grad, d11) = bump._psi_hat(X), bump._psi_hat_derivs(X)
         x = _disk_points(X, 0.0, rho)
         public = bump.value(x), bump.gradient(x), bump.laplacian(x)
         neumann = bump.normal_derivative_residual() * rho
@@ -215,10 +216,11 @@ def test_lens_edge_points_are_finite(a):
     # the value and the gradient are continuous at these points, and so is
     # d11 off the corners (where it is log-singular)
     near = X + 1e-7 * np.array([0.6, 0.8])
+    near_grad, near_d11 = bump._psi_hat_derivs(near)
     assert np.max(np.abs(bump._psi_hat(near) - psi)) <= 1e-6
-    assert np.max(np.abs(bump._psi_hat_grad(near) - grad)) <= 1e-6
+    assert np.max(np.abs(near_grad - grad)) <= 1e-6
     off_corners = [0, 3, 4, 5]
-    assert np.max(np.abs(bump._psi_hat_d11(near[off_corners]) - d11[off_corners])) <= 1e-6
+    assert np.max(np.abs(near_d11[off_corners] - d11[off_corners])) <= 1e-6
 
 
 def test_interior_bump_derivatives_match_values(rng):
@@ -289,6 +291,38 @@ def test_bump_verification_gates(x0, rho):
     assert rep.support_leak == 0.0
     assert rep.annulus_min_laplacian >= -0.12
     assert rep.passed
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` with a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_verify_bump_evaluates_no_gradient(monkeypatch):
+    # no field of the report is built from the gradient
+    calls = _count_calls(monkeypatch, T.BoundaryBump, "gradient")
+    T.verify_bump(T.build_boundary_bump(DISK, np.array([0.99, 0.0]), 0.02), n_samples=200)
+    assert len(calls) == 0
+
+
+def test_lens_laplacian_evaluates_the_lens_field_once(monkeypatch):
+    # the core gradient and the second X1-derivative share one field pass
+    rho = 0.02
+    bump = T.build_boundary_bump(DISK, np.array([1.0 - 0.5 * rho, 0.0]), rho)  # a = 0.5
+    X = np.array([[0.0, 0.1], [0.3, 0.2], [-0.2, 0.05]])
+    in1, in2 = bump._in_balls(X)
+    assert np.all(in1 & in2)
+    calls = _count_calls(monkeypatch, T._Lens, "field")
+    bump.laplacian(_disk_points(X, 0.0, rho))
+    assert len(calls) == 1
 
 
 def test_verify_bump_refuses_a_mesh_wider_than_the_core():
